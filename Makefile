@@ -39,7 +39,7 @@ BENCH_SUBSCRIBE_PATTERN := BenchmarkE30_
 # single-node engine, and the cross-shard exchange overhead).
 BENCH_SHARD_PATTERN := BenchmarkE31_
 
-.PHONY: build test verify bench bench-json bench-pebble bench-pebble-json bench-magic bench-magic-json bench-plan bench-plan-json bench-storage bench-storage-json bench-stream bench-stream-json bench-subscribe bench-subscribe-json bench-shard bench-shard-json clean
+.PHONY: build test verify bench-e2e bench-e2e-compare bench bench-json bench-pebble bench-pebble-json bench-magic bench-magic-json bench-plan bench-plan-json bench-storage bench-storage-json bench-stream bench-stream-json bench-subscribe bench-subscribe-json bench-shard bench-shard-json clean
 
 build:
 	$(GO) build ./...
@@ -54,13 +54,28 @@ test:
 # hub, the WAL with its group-commit flusher, and the metrics registry).
 # The streaming executor gets its own -count=3 race pass: its property
 # suite is seeded-random, and repeated runs vary the operator-tree
-# shapes the env-ownership assertions see.
+# shapes the env-ownership assertions see. The end-to-end benchmark is a
+# module of its own (benchmark/go.mod) that ./... does not reach, so its
+# tests are run by name.
 verify:
 	$(GO) build ./...
 	$(GO) test ./...
+	$(GO) test -C benchmark .
 	$(GO) vet ./...
 	$(GO) test -race ./internal/datalog/... ./internal/magic/... ./internal/pebble/... ./internal/service/... ./internal/obs/... ./internal/plan/... ./internal/storage/... ./internal/shard/...
 	$(GO) test -race -count=3 ./internal/stream/...
+
+# bench-e2e runs the end-to-end benchmark BENCHMARK.json declares (see
+# benchmark/README.md): every workload by default, or whatever ARGS says,
+#   make bench-e2e ARGS='-workload goal-read -seed 7 -trace 1 -out benchmark/out/b.json'
+# bench-e2e-compare judges two sets of such result files, comma-separated,
+# metric by metric (ok / worse / unresolved; exit 1 on a worse),
+#   make bench-e2e-compare A=a1.json,a2.json B=b1.json,b2.json
+bench-e2e:
+	bash benchmark/run.sh $(ARGS)
+
+bench-e2e-compare:
+	bash benchmark/run.sh -compare $(A) $(B)
 
 # bench runs the evaluation-core benchmarks with allocation counts and
 # keeps the raw text output in BENCH_eval.txt.

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/structure"
@@ -27,102 +28,6 @@ func (t Tuple) String() string {
 	b.WriteByte(')')
 	return b.String()
 }
-
-// Relation is a set of same-arity tuples with optional join indexes.
-// Storage is keyed on the packed integer encoding of key.go rather than a
-// formatted string, so membership tests and index probes allocate nothing.
-// Indexes are persistent: once registered (explicitly via ensureIndex or
-// lazily by lookup) they are maintained incrementally by every Add, never
-// rebuilt from scratch.
-//
-// Methods that mutate (Add, ensureIndex, reset) must not race with readers;
-// the evaluator only mutates relations between parallel firing phases.
-type Relation struct {
-	Arity  int
-	tuples map[tupleKey]Tuple
-	// indexes maps a bound-column mask to a hash from projected key to the
-	// tuples matching it.
-	indexes map[uint64]map[tupleKey][]Tuple
-}
-
-// NewDLRelation returns an empty relation.
-func NewDLRelation(arity int) *Relation {
-	return &Relation{Arity: arity, tuples: map[tupleKey]Tuple{}, indexes: map[uint64]map[tupleKey][]Tuple{}}
-}
-
-// Add inserts a tuple and reports whether it was new.
-func (r *Relation) Add(t Tuple) bool {
-	_, isNew := r.add(t)
-	return isNew
-}
-
-// add is Add, additionally returning the tuple's canonical key so commit
-// paths can reuse it for stage and provenance bookkeeping.
-func (r *Relation) add(t Tuple) (tupleKey, bool) {
-	if len(t) != r.Arity {
-		panic(fmt.Sprintf("datalog: arity mismatch: tuple %v in relation of arity %d", t, r.Arity))
-	}
-	k := keyOf(t)
-	if _, ok := r.tuples[k]; ok {
-		return k, false
-	}
-	cp := make(Tuple, len(t))
-	copy(cp, t)
-	r.tuples[k] = cp
-	for mask, idx := range r.indexes {
-		pk := keyProjected(cp, mask)
-		idx[pk] = append(idx[pk], cp)
-	}
-	return k, true
-}
-
-// Remove deletes a tuple, maintaining every registered index, and reports
-// whether it was present. Like Add, it must not race with readers.
-func (r *Relation) Remove(t Tuple) bool {
-	k := keyOf(t)
-	stored, ok := r.tuples[k]
-	if !ok {
-		return false
-	}
-	delete(r.tuples, k)
-	for mask, idx := range r.indexes {
-		pk := keyProjected(stored, mask)
-		bucket := idx[pk]
-		for i, bt := range bucket {
-			if keyOf(bt) == k {
-				bucket[i] = bucket[len(bucket)-1]
-				bucket[len(bucket)-1] = nil
-				idx[pk] = bucket[:len(bucket)-1]
-				break
-			}
-		}
-		if len(idx[pk]) == 0 {
-			delete(idx, pk)
-		}
-	}
-	return true
-}
-
-// Clone deep-copies the relation's tuples; indexes are not copied (they
-// are rebuilt lazily on the copy when first probed).
-func (r *Relation) Clone() *Relation {
-	nr := NewDLRelation(r.Arity)
-	for k, t := range r.tuples {
-		cp := make(Tuple, len(t))
-		copy(cp, t)
-		nr.tuples[k] = cp
-	}
-	return nr
-}
-
-// Has reports membership.
-func (r *Relation) Has(t Tuple) bool {
-	_, ok := r.tuples[keyOf(t)]
-	return ok
-}
-
-// Size returns the number of tuples.
-func (r *Relation) Size() int { return len(r.tuples) }
 
 // CompareTuples is the canonical tuple order: lexicographic by components.
 // It returns -1, 0, or +1. This is the order Tuples() sorts into, the order
@@ -147,109 +52,12 @@ func CompareTuples(a, b Tuple) int {
 	return 0
 }
 
-// Tuples returns all tuples sorted in the canonical CompareTuples order.
-func (r *Relation) Tuples() []Tuple {
-	out := make([]Tuple, 0, len(r.tuples))
-	for _, t := range r.tuples {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return CompareTuples(out[i], out[j]) < 0 })
-	return out
-}
-
-// each iterates over tuples in arbitrary order.
-func (r *Relation) each(f func(Tuple) bool) {
-	for _, t := range r.tuples {
-		if !f(t) {
-			return
-		}
-	}
-}
-
-// ensureIndex registers and builds the hash index on the given column mask
-// if it does not exist yet. Subsequent Adds maintain it incrementally.
-func (r *Relation) ensureIndex(mask uint64) {
-	if mask == 0 {
-		return
-	}
-	if _, ok := r.indexes[mask]; ok {
-		return
-	}
-	idx := make(map[tupleKey][]Tuple, len(r.tuples))
-	for _, t := range r.tuples {
-		pk := keyProjected(t, mask)
-		idx[pk] = append(idx[pk], t)
-	}
-	r.indexes[mask] = idx
-}
-
-// reset empties the relation in place, keeping the registered index masks
-// (their entries are cleared) and the map capacity. The evaluator uses it
-// to recycle per-round delta relations.
-func (r *Relation) reset() {
-	clear(r.tuples)
-	for _, idx := range r.indexes {
-		clear(idx)
-	}
-}
-
-// lookup returns the tuples matching the bound columns of pattern, where
-// mask marks bound positions. With indexing enabled a hash index on the
-// mask is built on first use and kept up to date by Add; otherwise a full
-// scan filters. Callers running concurrently must pre-register their masks
-// with ensureIndex so lookup never mutates.
-func (r *Relation) lookup(pattern Tuple, mask uint64, useIndex bool) []Tuple {
-	if mask == 0 {
-		return r.TuplesUnordered()
-	}
-	if !useIndex {
-		var out []Tuple
-		r.each(func(t Tuple) bool {
-			for i := 0; i < len(t); i++ {
-				if mask&(1<<uint(i)) != 0 && t[i] != pattern[i] {
-					return true
-				}
-			}
-			out = append(out, t)
-			return true
-		})
-		return out
-	}
-	idx, ok := r.indexes[mask]
-	if !ok {
-		r.ensureIndex(mask)
-		idx = r.indexes[mask]
-	}
-	return idx[keyProjected(pattern, mask)]
-}
-
-// EnsureIndex registers and builds the hash index on the given column mask
-// if absent; subsequent Adds maintain it incrementally. Exported so the
-// streaming executor can pre-register probe masks before iteration begins
-// (Matches never mutates once the mask is registered).
-func (r *Relation) EnsureIndex(mask uint64) { r.ensureIndex(mask) }
-
-// Matches returns the tuples whose positions selected by mask equal the
-// corresponding positions of pattern (an indexed probe; the index is built
-// on first use). mask == 0 returns every tuple in arbitrary order. The
-// returned slice aliases index storage and must not be mutated.
-func (r *Relation) Matches(pattern Tuple, mask uint64) []Tuple {
-	return r.lookup(pattern, mask, true)
-}
-
-// TuplesUnordered returns the tuples without sorting (hot path).
-func (r *Relation) TuplesUnordered() []Tuple {
-	out := make([]Tuple, 0, len(r.tuples))
-	for _, t := range r.tuples {
-		out = append(out, t)
-	}
-	return out
-}
-
 // Database is an EDB instance: a universe {0..N-1} plus named relations.
 type Database struct {
 	N    int
 	rels map[string]*Relation
+	// builds, when non-nil, counts index builds; see CountIndexBuilds.
+	builds *atomic.Int64
 }
 
 // NewDatabase returns an empty database over an n-element universe.
@@ -266,8 +74,22 @@ func (db *Database) EnsureRelation(name string, arity int) *Relation {
 		return r
 	}
 	r := NewDLRelation(arity)
+	r.builds = db.builds
 	db.rels[name] = r
 	return r
+}
+
+// CountIndexBuilds makes every index build on a relation of db — and of
+// every database later cloned or forked from it — add one to c. An index
+// is built when a relation is first probed on a column mask it has no
+// index for; relations inherit their indexes across Clone and Fork, so the
+// count says how often that inheritance did not suffice. Call it before
+// sharing db.
+func (db *Database) CountIndexBuilds(c *atomic.Int64) {
+	db.builds = c
+	for _, r := range db.rels {
+		r.builds = c
+	}
 }
 
 // Relation returns the named relation or nil.
@@ -293,22 +115,22 @@ func (db *Database) Names() []string {
 	return out
 }
 
-// Clone deep-copies the database (indexes are not copied).
+// Clone returns a database the caller may mutate freely without affecting
+// db: every relation is cloned, which shares its tuples and indexes with
+// the original bucket by bucket (see Relation.Clone), so the cost is that
+// of copying the directories.
 func (db *Database) Clone() *Database {
-	out := NewDatabase(db.N)
-	for name, r := range db.rels {
-		out.rels[name] = r.Clone()
-	}
-	return out
+	return db.Fork(db.Names()...)
 }
 
-// Fork returns a database that shares relation storage with db except for
-// the named relations, which are deep-copied so the fork can mutate them
+// Fork returns a database that shares its relations with db except for the
+// named ones, which are cloned so the fork can mutate them in place
 // without affecting db. This is the copy-on-write primitive behind
-// versioned EDB snapshots: a commit forks only the relations it touches
-// and the prior snapshot stays valid and immutable.
+// versioned EDB snapshots: a commit forks only the relations it touches,
+// pays and retains memory in proportion to the tuples it changes, and
+// the prior snapshot stays valid and immutable.
 func (db *Database) Fork(modified ...string) *Database {
-	out := &Database{N: db.N, rels: make(map[string]*Relation, len(db.rels))}
+	out := &Database{N: db.N, builds: db.builds, rels: make(map[string]*Relation, len(db.rels))}
 	for name, r := range db.rels {
 		out.rels[name] = r
 	}

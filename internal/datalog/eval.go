@@ -32,8 +32,10 @@ func (res *Result) Goal(p *Program) *Relation { return res.IDB[p.Goal] }
 
 // Eval computes the least fixpoint semantics π^∞ of the program on the
 // database (Section 2) with a background context. Missing EDB relations
-// are treated as empty; the input database is never mutated (beyond
-// join-index caches on its relations when UseIndexes is set).
+// are treated as empty; the input database is only read, so concurrent
+// evaluations may share one — with UseIndexes, a join index an EDB
+// relation lacks is built once, under the relation's lock, and published
+// atomically (see Relation).
 func Eval(p *Program, db *Database, opt Options) (*Result, error) {
 	return EvalContext(context.Background(), p, db, opt)
 }
@@ -625,7 +627,29 @@ func (e *evaluator) fireRule(cr *cRule, deltaRel *Relation, deltaIdx int, probes
 		}
 	}
 
+	// try extends the assignment with one candidate tuple for atom ai.
+	// Probe-mask positions already match; apply the remaining positions.
+	// Binds are unconditional writes — every later read of a variable is
+	// statically downstream of its bind, so no unbinding is needed when
+	// backtracking.
 	var step func(ai int)
+	try := func(ai int, tup Tuple) {
+		a := &cr.atoms[ai]
+		for _, b := range a.binds {
+			env[b.varID] = tup[b.pos]
+		}
+		for _, c := range a.checks {
+			if env[c.varID] != tup[c.pos] {
+				return
+			}
+		}
+		if consOK(cr.consAt[ai], env) {
+			if matched != nil {
+				matched[ai] = tup
+			}
+			step(ai + 1)
+		}
+	}
 	step = func(ai int) {
 		if ai == len(cr.atoms) {
 			finish(0)
@@ -641,34 +665,37 @@ func (e *evaluator) fireRule(cr *cRule, deltaRel *Relation, deltaIdx int, probes
 		default:
 			rel = a.edbRel
 		}
-		if rel == nil || len(rel.tuples) == 0 {
+		if rel == nil || rel.Size() == 0 {
 			return
 		}
 		for _, p := range a.pat {
 			pat[p.pos] = p.t.eval(env)
 		}
-		cons := cr.consAt[ai]
 		*probes++
-		for _, tup := range rel.lookup(pat[:a.arity], a.mask, e.opt.UseIndexes) {
-			// Probe-mask positions already match; apply the remaining
-			// positions. Binds are unconditional writes — every later read
-			// of a variable is statically downstream of its bind, so no
-			// unbinding is needed when backtracking.
-			for _, b := range a.binds {
-				env[b.varID] = tup[b.pos]
+		switch {
+		case a.mask == 0:
+			// Unbound atom: scan in place (a cursor, not Each, which would
+			// cost a closure per step).
+			scan := rel.Cursor()
+			for tup, ok := scan.Next(); ok; tup, ok = scan.Next() {
+				try(ai, tup)
 			}
-			ok := true
-			for _, c := range a.checks {
-				if env[c.varID] != tup[c.pos] {
-					ok = false
-					break
-				}
+		case e.opt.UseIndexes:
+			for _, tup := range rel.ensureIndex(a.mask).matches(pat[:a.arity]) {
+				try(ai, tup)
 			}
-			if ok && consOK(cons, env) {
-				if matched != nil {
-					matched[ai] = tup
+		default:
+			// The index ablation: filter a full scan. Deeper levels reuse pat,
+			// so the candidates are collected before any of them is tried.
+			var cands []Tuple
+			rel.Each(func(tup Tuple) bool {
+				if sameColumns(tup, pat, a.mask) {
+					cands = append(cands, tup)
 				}
-				step(ai + 1)
+				return true
+			})
+			for _, tup := range cands {
+				try(ai, tup)
 			}
 		}
 	}

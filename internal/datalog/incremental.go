@@ -438,9 +438,9 @@ func (inc *Incremental) DeleteContext(ctx context.Context, facts ...Fact) error 
 	}
 	var all []staged
 	for id := range e.idbNames {
-		st := e.stageByID[id]
-		for k := range e.idbByID[id].tuples {
-			all = append(all, staged{predID: id, k: k, stage: st.m[k]})
+		// The stage table is keyed by exactly the view's tuples.
+		for k, stage := range e.stageByID[id].m {
+			all = append(all, staged{predID: id, k: k, stage: stage})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].stage < all[j].stage })
@@ -479,7 +479,7 @@ func (inc *Incremental) DeleteContext(ctx context.Context, facts ...Fact) error 
 			overTuples[id] = make(map[tupleKey]Tuple, len(m))
 		}
 		for k := range m {
-			t := rel.tuples[k]
+			t := rel.get(k)
 			overTuples[id][k] = t
 			rel.Remove(t)
 			delete(e.stageByID[id].m, k)

@@ -41,7 +41,8 @@ func checkWitnesses(t *testing.T, inc *Incremental) {
 	t.Helper()
 	e := inc.e
 	for id, name := range e.idbNames {
-		for k, tup := range e.idbByID[id].tuples {
+		for _, tup := range e.idbByID[id].TuplesUnordered() {
+			k := keyOf(tup)
 			d := e.provByID[id][k]
 			if d == nil {
 				t.Fatalf("%s%v has no recorded witness", name, tup)
@@ -50,7 +51,7 @@ func checkWitnesses(t *testing.T, inc *Incremental) {
 			for _, bf := range d.Body {
 				if bid, ok := e.idbID[bf.Pred]; ok {
 					bk := keyOf(bf.Tuple)
-					if _, present := e.idbByID[bid].tuples[bk]; !present {
+					if e.idbByID[bid].get(bk) == nil {
 						t.Fatalf("witness of %s%v cites dropped IDB fact %s", name, tup, bf)
 					}
 					if bs := e.stageByID[bid].m[bk]; bs >= head {

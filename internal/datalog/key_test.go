@@ -101,9 +101,14 @@ func TestRelationHighArity(t *testing.T) {
 	probe := added[0]
 	pattern := make(Tuple, 16)
 	pattern[0] = probe[0]
-	scan := r.lookup(pattern, 1, false)
-	r.ensureIndex(1)
-	idx := r.lookup(pattern, 1, true)
+	var scan []Tuple
+	r.Each(func(t Tuple) bool {
+		if t[0] == pattern[0] {
+			scan = append(scan, t)
+		}
+		return true
+	})
+	idx := r.Matches(pattern, 1)
 	if len(scan) != len(idx) {
 		t.Fatalf("scan %d vs index %d results", len(scan), len(idx))
 	}

@@ -28,11 +28,7 @@ func (st *StageTable) Len() int { return len(st.m) }
 // Each calls f for every derived tuple with its stage, in arbitrary order,
 // stopping early when f returns false.
 func (st *StageTable) Each(f func(Tuple, int) bool) {
-	for k, t := range st.rel.tuples {
-		if !f(t, st.m[k]) {
-			return
-		}
-	}
+	st.rel.Each(func(t Tuple) bool { return f(t, st.m[keyOf(t)]) })
 }
 
 // StageOf returns the first-derivation stage of a tuple of the named

@@ -149,7 +149,7 @@ func (td *TopDown) AskContext(ctx context.Context, g Goal) ([]Tuple, error) {
 			rel = td.db.Relation(g.Pred)
 		}
 		if rel != nil {
-			rel.each(func(t Tuple) bool {
+			rel.Each(func(t Tuple) bool {
 				if g.Matches(t) {
 					out = append(out, t)
 				}
@@ -177,7 +177,7 @@ func (td *TopDown) AskContext(ctx context.Context, g Goal) ([]Tuple, error) {
 	}
 	td.complete[key] = true
 	var out []Tuple
-	td.tables[key].each(func(t Tuple) bool {
+	td.tables[key].Each(func(t Tuple) bool {
 		out = append(out, t)
 		return true
 	})
@@ -328,7 +328,7 @@ func (td *TopDown) fireTopDown(r Rule, g Goal, emit func(Tuple)) {
 		if candidates == nil {
 			return
 		}
-		candidates.each(func(tup Tuple) bool {
+		candidates.Each(func(tup Tuple) bool {
 			if td.cancelled {
 				return false
 			}

@@ -83,11 +83,12 @@ func collectRel(name string, r *datalog.Relation) *RelStats {
 	for i := range seen {
 		seen[i] = make(map[int]struct{})
 	}
-	for _, t := range r.TuplesUnordered() {
+	r.Each(func(t datalog.Tuple) bool {
 		for i, x := range t {
 			seen[i][x] = struct{}{}
 		}
-	}
+		return true
+	})
 	for i := range seen {
 		st.Distinct[i] = len(seen[i])
 	}

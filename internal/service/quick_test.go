@@ -54,7 +54,7 @@ func maintainedEqualsScratch(seed int64) bool {
 			if err != nil {
 				return false
 			}
-			want, err := datalog.Eval(p, snap.DB.Clone(), datalog.DefaultOptions)
+			want, err := datalog.Eval(p, snap.DB, datalog.DefaultOptions)
 			if err != nil {
 				return false
 			}

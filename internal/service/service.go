@@ -92,8 +92,8 @@ type Config struct {
 // registered programs whose fixpoints are maintained incrementally on
 // every commit and served to many clients. Reads of materialized results
 // take a shared lock; commits take the exclusive lock; historical and
-// ad-hoc queries evaluate snapshot clones on a bounded worker pool under
-// the caller's context — a cancelled request or a closed service aborts
+// ad-hoc queries evaluate immutable snapshots on a bounded worker pool
+// under the caller's context — a cancelled request or a closed service aborts
 // the evaluation within one fixpoint round.
 type Service struct {
 	cfg      Config
@@ -433,6 +433,9 @@ func (s *Service) initMetrics() {
 	})
 	r.CounterFunc("datalog_subscribe_dropped_total", "subscribers dropped with a gap event (slow consumer or stale resume)", func() int64 {
 		return s.subs.dropped.Load()
+	})
+	r.CounterFunc("datalog_index_builds_total", "join indexes built on snapshot relations (first probe of a relation on a column mask; later versions inherit the index)", func() int64 {
+		return s.store.IndexBuilds()
 	})
 	r.GaugeFunc("datalog_cache_entries", "live query-result cache entries", func() float64 {
 		_, _, _, entries := s.cache.counters()
@@ -1022,9 +1025,7 @@ func (s *Service) queryContext(ctx context.Context, req QueryRequest) (QueryResu
 		s.mu.RUnlock()
 	}
 
-	// Historical or ad-hoc: evaluate the pinned snapshot. The snapshot is
-	// immutable, so it is cloned per evaluation (Eval registers join
-	// indexes on EDB relations, which must not race across queries).
+	// Historical or ad-hoc: evaluate the pinned snapshot, read in place.
 	snap, ok := s.store.At(version)
 	if !ok {
 		return QueryResult{}, fmt.Errorf("service: version %d is not retained (oldest is %d, latest %d)",
@@ -1037,7 +1038,7 @@ func (s *Service) queryContext(ctx context.Context, req QueryRequest) (QueryResu
 	err = s.exec.do(ctx, func() {
 		s.scratchEval.Add(1)
 		s.met.scratchEvals.Inc()
-		res, err := datalog.EvalContext(ctx, prog, snap.DB.Clone(), s.optsFor(snap))
+		res, err := datalog.EvalContext(ctx, prog, snap.DB, s.optsFor(snap))
 		if res != nil {
 			s.met.evalRounds.Add(int64(res.Rounds))
 		}
@@ -1072,10 +1073,11 @@ func boundCount(bind []*int) int {
 // goalQuery answers a bound query through the magic-set pipeline: the
 // program is rewritten for the binding's adornment (cached by program
 // hash + adornment), the rewrite is seeded with the bound values, and
-// the rewritten program is evaluated against a clone of the pinned
-// snapshot on the bounded executor. The registered incremental view is
-// never touched — goal-directed evaluation works on snapshot clones, so
-// a cancelled or failed goal query cannot poison maintained state.
+// the rewritten program is evaluated against the pinned snapshot on the
+// bounded executor. Evaluation derives into relations of its own and only
+// reads the snapshot, so a cancelled or failed goal query leaves nothing
+// behind — not in the snapshot, and not in the registered incremental
+// view, which it never touches.
 func (s *Service) goalQuery(ctx context.Context, prog *datalog.Program, hash, pred string, version int64, bind []*int) (QueryResult, error) {
 	arity := prog.Arities()[pred]
 	if len(bind) != arity {
@@ -1122,7 +1124,7 @@ func (s *Service) goalQuery(ctx context.Context, prog *datalog.Program, hash, pr
 	err := s.exec.do(ctx, func() {
 		s.scratchEval.Add(1)
 		s.met.scratchEvals.Inc()
-		goalRes, evalErr = magic.EvalRewritten(ctx, rw, snap.DB.Clone(), goal, s.optsFor(snap))
+		goalRes, evalErr = magic.EvalRewritten(ctx, rw, snap.DB, goal, s.optsFor(snap))
 		if goalRes != nil && goalRes.Result != nil {
 			s.met.evalRounds.Add(int64(goalRes.Result.Rounds))
 		}
@@ -1248,7 +1250,7 @@ func (s *Service) ExplainContext(ctx context.Context, req ExplainRequest) (Expla
 	err = s.exec.do(ctx, func() {
 		s.scratchEval.Add(1)
 		s.met.scratchEvals.Inc()
-		res, err := datalog.EvalContext(ctx, pp.Program(), snap.DB.Clone(), s.opts)
+		res, err := datalog.EvalContext(ctx, pp.Program(), snap.DB, s.opts)
 		if res != nil {
 			s.met.evalRounds.Add(int64(res.Rounds))
 		}

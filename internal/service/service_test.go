@@ -254,7 +254,7 @@ func TestConcurrentQueryCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := datalog.Eval(p, snap.DB.Clone(), datalog.DefaultOptions)
+	want, err := datalog.Eval(p, snap.DB, datalog.DefaultOptions)
 	if err != nil {
 		t.Fatal(err)
 	}

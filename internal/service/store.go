@@ -12,6 +12,7 @@ package service
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/datalog"
 	"repro/internal/plan"
@@ -19,8 +20,14 @@ import (
 
 // Snapshot is one immutable version of the EDB. The database must never
 // be mutated after publication; commits fork the relations they touch and
-// leave prior snapshots intact, so a snapshot can be read (or cloned for
-// evaluation) without any coordination with later commits.
+// leave prior snapshots intact, so any number of evaluations read DB
+// directly, concurrently, without coordinating with each other or with
+// later commits. A fork shares every bucket of tuples and of join indexes
+// it does not change with the version it came from, so retaining a
+// version costs memory in proportion to its commit's batch, and a join
+// index is built at most once — by the first evaluation that probes a
+// relation on a column mask no earlier version was probed on — and
+// inherited by every version after.
 type Snapshot struct {
 	Version  int64
 	DB       *datalog.Database
@@ -42,19 +49,15 @@ type Store struct {
 	mu      sync.RWMutex
 	history int
 	snaps   []*Snapshot // ascending versions; at least one entry
+	// indexBuilds counts the join indexes built on snapshot relations (and
+	// on clones of them).
+	indexBuilds atomic.Int64
 }
 
 // NewStore returns a store over an n-element universe retaining at most
 // history snapshots (minimum 1; the latest is always retained).
 func NewStore(n, history int) *Store {
-	if history < 1 {
-		history = 1
-	}
-	db := datalog.NewDatabase(n)
-	return &Store{
-		history: history,
-		snaps:   []*Snapshot{{Version: 0, DB: db, Stats: plan.Collect(db)}},
-	}
+	return NewStoreAt(datalog.NewDatabase(n), 0, history)
 }
 
 // NewStoreAt returns a store whose first retained snapshot is the given
@@ -71,8 +74,15 @@ func NewStoreAt(db *datalog.Database, version int64, history int) *Store {
 	for _, name := range db.Names() {
 		snap.Facts += db.Relation(name).Size()
 	}
-	return &Store{history: history, snaps: []*Snapshot{snap}}
+	s := &Store{history: history, snaps: []*Snapshot{snap}}
+	db.CountIndexBuilds(&s.indexBuilds)
+	return s
 }
+
+// IndexBuilds returns how many join indexes have been built on the
+// store's relations: one per (relation, column mask) the first time an
+// evaluation probes it, none for the versions that inherit it.
+func (s *Store) IndexBuilds() int64 { return s.indexBuilds.Load() }
 
 // Latest returns the current snapshot.
 func (s *Store) Latest() *Snapshot {
@@ -150,7 +160,8 @@ func (s *Store) validate(db *datalog.Database, batch []datalog.Fact) error {
 // snapshot first, then insertions — and publishes the next version. The
 // whole batch is validated up front; on error no new version is created.
 // It returns the new snapshot. Prior snapshots are untouched: only the
-// relations the batch names are forked.
+// relations the batch names are forked, and within them only the buckets
+// the batch lands in are copied.
 func (s *Store) Commit(insert, del []datalog.Fact) (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

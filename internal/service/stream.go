@@ -170,10 +170,10 @@ func (q *QueryStream) Close() {
 // materialized evaluation) — serve that answer tuple by tuple with exact
 // pagination. Everything else runs on the streaming executor
 // (internal/stream): the non-recursive slice reachable from the predicate
-// is compiled into an iterator tree over a clone of the pinned snapshot
-// and answers are delivered as they are derived, with a reached Limit
-// terminating evaluation early. Bound requests stream the seeded
-// magic-set rewrite's answer predicate under the goal filter.
+// is compiled into an iterator tree over the pinned snapshot and answers
+// are delivered as they are derived, with a reached Limit terminating
+// evaluation early. Bound requests stream the seeded magic-set rewrite's
+// answer predicate under the goal filter.
 //
 // The stream holds an executor worker slot (streamed and fallback-eval
 // origins) for its whole life, so a slow consumer occupies a slot;
@@ -295,7 +295,7 @@ func (s *Service) goalStream(ctx context.Context, prog *datalog.Program, hash, p
 	return s.openStream(ctx, seeded, snap, rw.GoalPred, pred, version, req, &goal, goal.String())
 }
 
-// openStream runs prog's pred over a clone of snap on the streaming
+// openStream runs prog's pred over snap, read in place, on the streaming
 // executor; a recursive slice falls back to materialized evaluation.
 // filter restricts answers to the goal's bound positions (bound
 // requests); showPred and goalStr are echoed on the stream (a bound
@@ -315,7 +315,7 @@ func (s *Service) openStream(ctx context.Context, prog *datalog.Program, snap *S
 	}
 
 	sctx, done := s.scoped(ctx, s.cfg.QueryTimeout)
-	st, err := stream.Open(sctx, prog, snap.DB.Clone(), pred, opt)
+	st, err := stream.Open(sctx, prog, snap.DB, pred, opt)
 	if err == nil {
 		// The evaluation spans the whole drain, so the worker slot is
 		// held from here until Close.

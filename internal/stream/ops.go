@@ -57,13 +57,11 @@ func (o *unitOp) next() bool {
 // relSlot is a materialized predicate: an EDB relation from the database,
 // or an intermediate spooled on first use by draining its producer
 // pipeline. The spool is lazy so a limit reached upstream can leave it
-// unfilled. all caches the unordered tuple slice for mask-0 consumers
-// (buffered re-iteration without re-scanning the map).
+// unfilled.
 type relSlot struct {
 	t    *tracker
 	rel  *datalog.Relation
 	fill func() *datalog.Relation // non-nil until spooled
-	all  []datalog.Tuple
 }
 
 func (s *relSlot) get() *datalog.Relation {
@@ -74,14 +72,32 @@ func (s *relSlot) get() *datalog.Relation {
 	return s.rel
 }
 
-func (s *relSlot) allTuples() []datalog.Tuple {
-	if s.all == nil {
-		// Canonical order, not TuplesUnordered: mask-0 scans drive the
-		// order in which joins explore (and the SHJ banks) rows, and map
-		// iteration order would make repeated runs disagree.
-		s.all = s.get().Tuples()
+// candidates are the tuples an atom is tried against next: the result of
+// one index probe, or — for an atom with no bound column — a scan of the
+// relation's buckets in place. Storage order is a function of the
+// relation's history, so repeated runs explore (and the SHJ banks) rows in
+// the same order.
+type candidates struct {
+	list []datalog.Tuple
+	i    int
+	scan datalog.Cursor
+}
+
+// probe points c at the tuples of rel matching pat on mask.
+func (c *candidates) probe(rel *datalog.Relation, pat datalog.Tuple, mask uint64) {
+	if mask == 0 {
+		*c = candidates{scan: rel.Cursor()}
+		return
 	}
-	return s.all
+	*c = candidates{list: rel.Matches(pat, mask)}
+}
+
+func (c *candidates) next() (datalog.Tuple, bool) {
+	if c.i < len(c.list) {
+		c.i++
+		return c.list[c.i-1], true
+	}
+	return c.scan.Next()
 }
 
 // envSnapshotted reports whether env matches the snapshot want at the
@@ -107,35 +123,28 @@ type scanOp struct {
 	slot    *relSlot
 	env     []int
 	cons    []sCons
-	cands   []datalog.Tuple
-	i       int
+	cands   candidates
 	started bool
 }
 
 func (o *scanOp) next() bool {
 	if !o.started {
 		o.started = true
-		if len(o.a.pat) > 0 {
-			pat := make(datalog.Tuple, o.a.arity)
-			for _, p := range o.a.pat {
-				pat[p.pos] = p.t.eval(o.env)
-			}
-			o.cands = o.slot.get().Matches(pat, o.a.mask)
-		} else {
-			o.cands = o.slot.allTuples()
+		pat := make(datalog.Tuple, o.a.arity)
+		for _, p := range o.a.pat {
+			pat[p.pos] = p.t.eval(o.env)
 		}
+		o.cands.probe(o.slot.get(), pat, o.a.mask)
 	}
-	for o.i < len(o.cands) {
-		if !o.t.tick() {
+	for {
+		tup, ok := o.cands.next()
+		if !ok || !o.t.tick() {
 			return false
 		}
-		tup := o.cands[o.i]
-		o.i++
 		if applyAtom(o.a, tup, o.env) && consOK(o.cons, o.env) {
 			return true
 		}
 	}
-	return false
 }
 
 // streamSrcOp is a first-atom source pulling directly from a producer
@@ -175,7 +184,7 @@ func (o *streamSrcOp) next() bool {
 }
 
 // probeOp joins the upstream rows against a materialized relation by
-// per-row index probe (mask != 0) or spooled scan (mask == 0).
+// per-row index probe (mask != 0) or in-place scan (mask == 0).
 type probeOp struct {
 	t     *tracker
 	up    envOp
@@ -184,18 +193,19 @@ type probeOp struct {
 	env   []int
 	cons  []sCons
 	pat   datalog.Tuple
-	cands []datalog.Tuple
-	i     int
+	cands candidates
 }
 
 func (o *probeOp) next() bool {
 	for {
-		for o.i < len(o.cands) {
+		for {
+			tup, ok := o.cands.next()
+			if !ok {
+				break
+			}
 			if !o.t.tick() {
 				return false
 			}
-			tup := o.cands[o.i]
-			o.i++
 			if applyAtom(o.a, tup, o.env) && consOK(o.cons, o.env) {
 				return true
 			}
@@ -203,15 +213,10 @@ func (o *probeOp) next() bool {
 		if o.t.err != nil || !o.up.next() {
 			return false
 		}
-		if o.a.mask == 0 {
-			o.cands = o.slot.allTuples()
-		} else {
-			for _, p := range o.a.pat {
-				o.pat[p.pos] = p.t.eval(o.env)
-			}
-			o.cands = o.slot.get().Matches(o.pat, o.a.mask)
+		for _, p := range o.a.pat {
+			o.pat[p.pos] = p.t.eval(o.env)
 		}
-		o.i = 0
+		o.cands.probe(o.slot.get(), o.pat, o.a.mask)
 	}
 }
 

@@ -149,9 +149,11 @@ type Stream struct {
 
 // Open compiles the slice of p reachable from pred into an iterator tree
 // over db and returns the un-started stream. It returns ErrRecursive when
-// the slice contains a dependency cycle. The database is read under lazily
-// built indexes, so the caller must own db for the stream's lifetime (the
-// service evaluates on snapshot clones).
+// the slice contains a dependency cycle. The database is only read — a
+// join index it lacks is built once and published atomically (see
+// datalog.Relation) — so any number of streams and evaluations may share
+// one db, as the service's do a snapshot; it must not be mutated while the
+// stream is open.
 func Open(ctx context.Context, p *datalog.Program, db *datalog.Database, pred string, opt Options) (*Stream, error) {
 	if err := opt.Eval.Validate(); err != nil {
 		return nil, err

@@ -226,13 +226,16 @@ func TestRelSlotReiteration(t *testing.T) {
 		}
 		return rel
 	}
-	if n := len(slot.allTuples()); n != 10 {
-		t.Fatalf("allTuples: %d", n)
-	}
-	first := slot.allTuples()
-	second := slot.allTuples()
-	if &first[0] != &second[0] {
-		t.Fatalf("allTuples re-materialized instead of re-iterating the buffer")
+	for pass := 0; pass < 2; pass++ {
+		var c candidates
+		c.probe(slot.get(), nil, 0)
+		n := 0
+		for _, ok := c.next(); ok; _, ok = c.next() {
+			n++
+		}
+		if n != 10 {
+			t.Fatalf("mask-0 scan %d: %d tuples", pass, n)
+		}
 	}
 	if got := slot.get().Matches(datalog.Tuple{3, 0}, 1); len(got) != 1 {
 		t.Fatalf("probe after spool: %v", got)
