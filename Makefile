@@ -39,7 +39,7 @@ BENCH_SUBSCRIBE_PATTERN := BenchmarkE30_
 # single-node engine, and the cross-shard exchange overhead).
 BENCH_SHARD_PATTERN := BenchmarkE31_
 
-.PHONY: build test verify bench-e2e bench-e2e-compare bench bench-json bench-pebble bench-pebble-json bench-magic bench-magic-json bench-plan bench-plan-json bench-storage bench-storage-json bench-stream bench-stream-json bench-subscribe bench-subscribe-json bench-shard bench-shard-json clean
+.PHONY: build test verify bench-e2e bench-e2e-smoke bench-e2e-compare bench bench-json bench-pebble bench-pebble-json bench-magic bench-magic-json bench-plan bench-plan-json bench-storage bench-storage-json bench-stream bench-stream-json bench-subscribe bench-subscribe-json bench-shard bench-shard-json clean
 
 build:
 	$(GO) build ./...
@@ -71,8 +71,16 @@ verify:
 # bench-e2e-compare judges two sets of such result files, comma-separated,
 # metric by metric (ok / worse / unresolved; exit 1 on a worse),
 #   make bench-e2e-compare A=a1.json,a2.json B=b1.json,b2.json
+# bench-e2e-smoke is one mixed run judged by its exit code alone: it builds
+# the frozen harness against the packages as they are now, checks every
+# page, goal and commit against the oracle and enforces run validity — the
+# way a change to internal/ breaks the benchmark pipeline without failing
+# a test (~50 s).
 bench-e2e:
 	bash benchmark/run.sh $(ARGS)
+
+bench-e2e-smoke:
+	bash benchmark/run.sh -workload mixed -seed 1
 
 bench-e2e-compare:
 	bash benchmark/run.sh -compare $(A) $(B)

@@ -223,3 +223,106 @@ func TestMergeDeltas(t *testing.T) {
 		t.Fatal("merging empty deltas must stay empty")
 	}
 }
+
+// PatchSorted against the obvious reference: apply the delta to a set and
+// sort. Random sorted views × random exact deltas (added disjoint from the
+// view, removed drawn from it), with the input slice required to come back
+// untouched and an empty delta required to return the very same slice.
+func TestPatchSortedProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(7)
+		arity := 1 + rng.Intn(3)
+		draw := func() Tuple {
+			tup := make(Tuple, arity)
+			for i := range tup {
+				tup[i] = rng.Intn(n)
+			}
+			return tup
+		}
+		set := map[string]Tuple{}
+		for i := rng.Intn(40); i > 0; i-- {
+			tup := draw()
+			set[tup.String()] = tup
+		}
+		var view []Tuple
+		for _, tup := range set {
+			view = append(view, tup)
+		}
+		SortTuples(view)
+		before := append([]Tuple(nil), view...)
+
+		var added, removed []Tuple
+		for i := rng.Intn(6); i > 0; i-- {
+			tup := draw()
+			if _, ok := set[tup.String()]; !ok {
+				set[tup.String()] = tup
+				added = append(added, tup)
+			}
+		}
+		for _, tup := range before {
+			if rng.Intn(5) == 0 {
+				delete(set, tup.String())
+				removed = append(removed, tup)
+			}
+		}
+		SortTuples(added)
+
+		got := PatchSorted(view, added, removed)
+		var want []Tuple
+		for _, tup := range set {
+			want = append(want, tup)
+		}
+		SortTuples(want)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: view %v + %v - %v = %v, want %v", trial, before, added, removed, got, want)
+		}
+		if fmt.Sprint(view) != fmt.Sprint(before) {
+			t.Fatalf("trial %d: the input view was written: %v, was %v", trial, view, before)
+		}
+		if len(added)+len(removed) == 0 && len(view) > 0 && &got[0] != &view[0] {
+			t.Fatalf("trial %d: an empty delta copied the view", trial)
+		}
+	}
+	view := []Tuple{{0, 1}, {2, 3}}
+	if got := PatchSorted(view, nil, nil); &got[0] != &view[0] {
+		t.Fatal("an empty delta copied the view")
+	}
+}
+
+// The deltas maintenance reports are the exact deltas PatchSorted wants:
+// patching the sorted view with each run's LastDelta tracks Tuples()
+// through a random insert/delete schedule.
+func TestPatchSortedTracksMaintainedView(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	p := MustParse("S(x,y) :- E(x,y).\nS(x,y) :- E(x,z), S(z,y).\nJ(x,y) :- E(x,z), E(z,y), x != y.\ngoal S.\n")
+	const n = 9
+	db := NewDatabase(n)
+	db.EnsureRelation("E", 2)
+	inc, err := NewIncremental(p, db, DefaultOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := map[string][]Tuple{}
+	for pred, rel := range inc.Result().IDB {
+		views[pred] = rel.Tuples()
+	}
+	for step := 0; step < 200; step++ {
+		f := Fact{Pred: "E", Tuple: Tuple{rng.Intn(n), rng.Intn(n)}}
+		if rng.Intn(3) == 0 {
+			err = inc.Delete(f)
+		} else {
+			err = inc.Insert(f)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := inc.LastDelta()
+		for pred, rel := range inc.Result().IDB {
+			views[pred] = PatchSorted(views[pred], d.Added[pred], d.Removed[pred])
+			if want := rel.Tuples(); fmt.Sprint(views[pred]) != fmt.Sprint(want) {
+				t.Fatalf("step %d, %s: patched view %v, relation %v", step, pred, views[pred], want)
+			}
+		}
+	}
+}

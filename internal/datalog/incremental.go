@@ -42,6 +42,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -115,6 +116,44 @@ func MergeDeltas(a, b Delta) Delta {
 		}
 	}
 	return out
+}
+
+// PatchSorted applies one predicate's net delta (a MergeDeltas or
+// LastDelta entry: added disjoint from sorted, removed contained in it,
+// both canonically sorted) to a canonically sorted view and returns the
+// sorted result in a fresh slice: the runs between the delta's tuples are
+// found by binary search and copied whole, so a small delta costs one
+// allocation and one copy of the view, whatever the view's size. sorted
+// is never written and, when the delta is empty, is returned as it is —
+// which is what lets a published view be shared across versions.
+func PatchSorted(sorted, added, removed []Tuple) []Tuple {
+	if len(added) == 0 && len(removed) == 0 {
+		return sorted
+	}
+	out := make([]Tuple, 0, max(0, len(sorted)+len(added)-len(removed)))
+	rest := sorted
+	for len(added) > 0 || len(removed) > 0 {
+		remove := len(removed) > 0 && (len(added) == 0 || CompareTuples(removed[0], added[0]) <= 0)
+		t := added
+		if remove {
+			t = removed
+		}
+		i, found := slices.BinarySearchFunc(rest, t[0], CompareTuples)
+		out = append(out, rest[:i]...)
+		rest = rest[i:]
+		if remove {
+			if found {
+				rest = rest[1:]
+			}
+			removed = removed[1:]
+		} else {
+			if !found {
+				out = append(out, t[0])
+			}
+			added = added[1:]
+		}
+	}
+	return append(out, rest...)
 }
 
 // Incremental maintains the least fixpoint of a program across EDB

@@ -3,7 +3,7 @@ package datalog
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Goal-directed evaluation: a tabled, QSQ-flavoured top-down engine that
@@ -185,9 +185,7 @@ func (td *TopDown) AskContext(ctx context.Context, g Goal) ([]Tuple, error) {
 	return out, nil
 }
 
-func sortTuples(ts []Tuple) {
-	sort.Slice(ts, func(i, j int) bool { return CompareTuples(ts[i], ts[j]) < 0 })
-}
+func sortTuples(ts []Tuple) { slices.SortFunc(ts, CompareTuples) }
 
 // SortTuples sorts a tuple slice into the canonical CompareTuples order,
 // the order all sorted API responses use.

@@ -8,8 +8,10 @@ import (
 	"repro/internal/magic"
 )
 
-// cacheKey identifies one materialized query result: a program (by
-// canonical hash, so registered and ad-hoc queries with identical text
+// cacheKey identifies one evaluated query result — a from-scratch
+// evaluation or a goal answer; a registered program's view at the
+// published version is read in place and never enters the cache: a program
+// (by canonical hash, so registered and ad-hoc queries with identical text
 // share entries), one of its IDB predicates, and the EDB version the
 // result was computed at. Because the version is part of the key a commit
 // never makes an entry wrong — it strands entries at old versions, which

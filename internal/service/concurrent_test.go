@@ -97,6 +97,20 @@ func requireAnswer(t *testing.T, what string, got []datalog.Tuple, ref *datalog.
 	}
 }
 
+// requirePage checks one page of a cursor walk: exactly the reference's
+// next limit tuples after the cursor, in the canonical order, with a next
+// cursor iff the reference continues past them.
+func requirePage(t *testing.T, what string, page []datalog.Tuple, next string, ref *datalog.Relation, cursor string, limit int) {
+	want, wantNext, err := pageTuples(ref.Tuples(), cursor, limit)
+	if err != nil {
+		t.Errorf("%s: %v", what, err)
+		return
+	}
+	if fmt.Sprint(page) != fmt.Sprint(want) || next != wantNext {
+		t.Errorf("%s after %q: page %v next %q, the naive fixpoint has %v next %q", what, cursor, page, next, want, wantNext)
+	}
+}
+
 func indexBuilds(t *testing.T, s *Service) int64 {
 	m, ok := s.Metrics().Snapshot()["datalog_index_builds_total"].(map[string]any)
 	if !ok {
@@ -108,8 +122,9 @@ func indexBuilds(t *testing.T, s *Service) int64 {
 // TestConcurrentReadsDuringChurn reads snapshots in place from several
 // goroutines — JSON goals, streamed goals and unbound ad-hoc programs, at
 // the latest version and at pinned ones, the first of them finding every
-// join index cold — while a writer commits 200 churn batches. Every answer
-// must be the naive fixpoint's at its version; the snapshot held from
+// join index cold — and walks the published views by cursor at the latest
+// version, while a writer commits 200 churn batches. Every answer and every
+// page must be the naive fixpoint's at the version its response reports; the snapshot held from
 // before the first churn commit must read at the end exactly as it did;
 // and once the indexes exist, serving goals builds no more of them.
 func TestConcurrentReadsDuringChurn(t *testing.T) {
@@ -190,6 +205,50 @@ func TestConcurrentReadsDuringChurn(t *testing.T) {
 	}()
 
 	ctx := context.Background()
+	// walkPages follows next-cursors through a registered view at the latest
+	// version, JSON and streamed pages alternating. Commits land between
+	// pages, so each page is held to the version its own response reports.
+	walkPages := func(rng *rand.Rand) {
+		name, source := "tc", tcSource
+		if rng.Intn(2) == 0 {
+			name, source = "hop2", hop2Source
+		}
+		limit, cursor := 1+rng.Intn(40), ""
+		for page := 0; page < 6; page++ {
+			req := QueryRequest{Program: name, Version: -1, Limit: limit, Cursor: cursor}
+			var got []datalog.Tuple
+			var next, origin string
+			var version int64
+			if page%2 == 0 {
+				res, err := s.QueryContext(ctx, req)
+				if err != nil {
+					t.Errorf("%s page: %v", name, err)
+					return
+				}
+				got, next, origin, version = res.Tuples, res.NextCursor, res.Origin, res.Version
+			} else {
+				qs, err := s.QueryStream(ctx, req)
+				if err != nil {
+					t.Errorf("%s streamed page: %v", name, err)
+					return
+				}
+				for tup, ok := qs.Next(); ok; tup, ok = qs.Next() {
+					got = append(got, tup)
+				}
+				next, origin, version = qs.NextCursor(), qs.Origin, qs.Version
+				qs.Close()
+			}
+			if origin != "materialized" {
+				t.Errorf("%s page at the latest version came from %q", name, origin)
+			}
+			reads.Add(1)
+			requirePage(t, fmt.Sprintf("%s page at version %d", name, version), got, next, ref.at(t, version, source), cursor, limit)
+			if next == "" {
+				return
+			}
+			cursor = next
+		}
+	}
 	// read issues one read of the given kind and checks it; pinned reads of
 	// a version that has left the history window are skipped.
 	read := func(rng *rand.Rand, kind int, version int64) {
@@ -197,6 +256,10 @@ func TestConcurrentReadsDuringChurn(t *testing.T) {
 		bind := []*int{&x, nil}
 		if rng.Intn(2) == 0 {
 			bind = []*int{nil, &x}
+		}
+		if kind == 3 {
+			walkPages(rng)
+			return
 		}
 		var got []datalog.Tuple
 		var source, what string
@@ -242,7 +305,7 @@ func TestConcurrentReadsDuringChurn(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					version = max(info.Version, latest.Load()-int64(rng.Intn(12)))
 				}
-				read(rng, rng.Intn(3), version)
+				read(rng, rng.Intn(4), version)
 			}
 		}(int64(r + 2))
 	}

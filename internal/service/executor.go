@@ -8,9 +8,9 @@ import (
 
 // executor bounds the number of concurrent from-scratch evaluations
 // (historical-version and ad-hoc queries). Materialized reads of
-// registered programs never pass through it — they are lock-protected map
-// reads — so a burst of expensive queries cannot starve the cheap path,
-// and N clients cost at most workers evaluations in flight.
+// registered programs never pass through it — they are slices of the
+// published view — so a burst of expensive queries cannot starve the cheap
+// path, and N clients cost at most workers evaluations in flight.
 type executor struct {
 	sem      chan struct{}
 	inFlight atomic.Int64

@@ -305,7 +305,7 @@ func (s *Service) handleCommit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, errorStatus(err), err)
 		return
 	}
-	resp := CommitResponse{Version: info.Version, Inserted: info.Inserted, Deleted: info.Deleted}
+	resp := CommitResponse{Version: info.Version, Inserted: info.Inserted, Deleted: info.Deleted, Dropped: info.Dropped}
 	if len(info.Maintained) > 0 {
 		resp.Maintained = map[string]int64{}
 		for name, d := range info.Maintained {

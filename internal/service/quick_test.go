@@ -10,8 +10,10 @@ import (
 
 // The service-level maintenance invariant: after every commit of a random
 // insert/delete batch, each registered program's materialized IDB equals
-// a from-scratch evaluation of the committed snapshot. Driven through
-// testing/quick so each counterexample is a reproducible seed.
+// a from-scratch evaluation of the committed snapshot, and each published
+// sorted view — patched, never re-sorted — equals its maintained relation
+// sorted afresh. Driven through testing/quick so each counterexample is a
+// reproducible seed.
 
 const avoidingSource = `
 T(x, y, w) :- E(x, y), w != x, w != y.
@@ -48,6 +50,9 @@ func maintainedEqualsScratch(seed int64) bool {
 		if _, err := s.Commit(ins, del); err != nil {
 			return false
 		}
+		if publishedMatchesViews(s) != nil {
+			return false
+		}
 		snap := s.Store().Latest()
 		for name, src := range progs {
 			p, err := datalog.Parse(src)
@@ -59,7 +64,7 @@ func maintainedEqualsScratch(seed int64) bool {
 				return false
 			}
 			got, err := s.Query(QueryRequest{Program: name, Version: snap.Version})
-			if err != nil {
+			if err != nil || got.Origin != "materialized" {
 				return false
 			}
 			goal := want.Goal(p)

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -90,11 +91,13 @@ type Config struct {
 
 // Service is a concurrent Datalog(≠) service: a versioned EDB store plus
 // registered programs whose fixpoints are maintained incrementally on
-// every commit and served to many clients. Reads of materialized results
-// take a shared lock; commits take the exclusive lock; historical and
-// ad-hoc queries evaluate immutable snapshots on a bounded worker pool
-// under the caller's context — a cancelled request or a closed service aborts
-// the evaluation within one fixpoint round.
+// every commit and served to many clients. Writers (register, commit,
+// unregister) serialize on mu and end by publishing an immutable state —
+// version, snapshot, every program's sorted views — with one pointer store
+// (see publish.go); readers load that pointer and take no service lock.
+// Historical and ad-hoc queries evaluate immutable snapshots on a bounded
+// worker pool under the caller's context — a cancelled request or a closed
+// service aborts the evaluation within one fixpoint round.
 type Service struct {
 	cfg      Config
 	opts     datalog.Options
@@ -108,8 +111,8 @@ type Service struct {
 	planner *plan.Planner
 
 	// log is the durable write-ahead log (nil without Config.DataDir).
-	// Appends happen under mu, after the in-memory store publishes and
-	// before the commit is acknowledged; recovery replays it in New.
+	// Appends happen under mu, after the in-memory store forks the version
+	// and before anything is published; recovery replays it in New.
 	log       *storage.Log
 	recovered RecoveryInfo
 	sinceCkpt int // commits since the last checkpoint, guarded by mu
@@ -128,8 +131,10 @@ type Service struct {
 	// (unversioned) HTTP request logs.
 	deprecateOnce sync.Once
 
-	mu    sync.RWMutex // guards progs and every registration's view
+	mu    sync.Mutex // serializes writers; guards progs and every registration
 	progs map[string]*registration
+	// pub is what readers see; stored only under mu, loaded without it.
+	pub atomic.Pointer[published]
 
 	// subs fans each commit's maintenance deltas out to live
 	// subscriptions (see subscribe.go).
@@ -160,11 +165,13 @@ type serviceMetrics struct {
 	streamRows       *obs.Counter
 	streamFallbacks  *obs.Counter
 	deprecatedReqs   *obs.Counter
+	viewReads        *obs.Counter
 	streamsActive    *obs.Gauge
 	streamPeakBuf    *obs.Gauge
 	querySeconds     *obs.Histogram
 	commitSeconds    *obs.Histogram
 	maintainSeconds  *obs.Histogram
+	viewPublishSecs  *obs.Histogram
 	demandFacts      *obs.Histogram
 	planEstError     *obs.Histogram
 }
@@ -175,8 +182,8 @@ var planEstErrorBuckets = []float64{0.5, 1, 2, 3, 4, 6, 8, 12}
 
 // view is the maintenance surface a registration's materialized fixpoint
 // exposes: implemented by *datalog.Incremental (single-node) and
-// *shard.Coordinator (Config.Shards > 1), so every read and maintenance
-// path in the service is agnostic to where the fixpoint lives.
+// *shard.Coordinator (Config.Shards > 1), so the maintenance path is
+// agnostic to where the fixpoint lives (and a test can make one fail).
 type view interface {
 	Check(facts ...datalog.Fact) error
 	InsertContext(ctx context.Context, facts ...datalog.Fact) error
@@ -188,7 +195,8 @@ type view interface {
 	Err() error
 }
 
-// registration is one registered program and its maintained view.
+// registration is one registered program and its maintained view: the
+// writer's side, touched only under mu. Readers see pub.
 type registration struct {
 	name    string
 	hash    string
@@ -201,6 +209,9 @@ type registration struct {
 
 	maintainTotal time.Duration
 	maintainLast  time.Duration
+
+	// pub is the registration as of version: what publishLocked installs.
+	pub *publishedProg
 }
 
 // New returns a service over Config.Universe elements. With
@@ -264,6 +275,10 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 	s.initMetrics()
+	// Recovery published as it replayed registrations and commits; a fresh
+	// or checkpoint-only start has published nothing yet, and a replayed
+	// unregistration only edited progs.
+	s.publishLocked(s.store.Latest())
 	return s, nil
 }
 
@@ -395,15 +410,20 @@ func (s *Service) initMetrics() {
 		streamRows:      r.Counter("datalog_stream_rows_total", "tuples delivered by streaming queries"),
 		streamFallbacks: r.Counter("datalog_stream_fallbacks_total", "streaming queries that fell back to materialized evaluation (recursive slice)"),
 		deprecatedReqs:  r.Counter("datalog_deprecated_requests_total", "requests served on the legacy unversioned HTTP paths"),
+		viewReads:       r.Counter("datalog_view_reads_total", "unbound reads of a registered program served from its published sorted view"),
 		streamsActive:   r.Gauge("datalog_streams_active", "streaming queries currently open"),
 		streamPeakBuf:   r.Gauge("datalog_stream_peak_buffered_rows", "high-water mark of rows buffered by any single streaming query"),
 		querySeconds:    r.Histogram("datalog_query_seconds", "end-to-end query latency", nil),
 		commitSeconds:   r.Histogram("datalog_commit_seconds", "commit latency including all maintenance", nil),
 		maintainSeconds: r.Histogram("datalog_maintain_seconds", "per-program incremental maintenance latency", nil),
+		viewPublishSecs: r.Histogram("datalog_view_publish_seconds", "per-program cost of building the next published views: one merge of each changed view with the commit's delta", nil),
 		demandFacts:     r.Histogram("datalog_magic_demand_facts", "demand-set size (magic facts) per goal-directed query", nil),
 	}
-	r.GaugeFunc("datalog_store_version", "latest committed EDB version", func() float64 {
+	r.GaugeFunc("datalog_store_version", "latest EDB version in the store", func() float64 {
 		return float64(s.store.Version())
+	})
+	r.GaugeFunc("datalog_published_version", "version readers are served as latest; trails datalog_store_version only while a commit is in flight", func() float64 {
+		return float64(s.pub.Load().version)
 	})
 	r.GaugeFunc("datalog_store_oldest_version", "oldest retained EDB version", func() float64 {
 		return float64(s.store.Oldest())
@@ -412,9 +432,7 @@ func (s *Service) initMetrics() {
 		return float64(len(s.store.Snapshots()))
 	})
 	r.GaugeFunc("datalog_programs_registered", "registered programs with maintained views", func() float64 {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return float64(len(s.progs))
+		return float64(len(s.pub.Load().progs))
 	})
 	r.GaugeFunc("datalog_executor_in_flight", "from-scratch evaluations running now", func() float64 {
 		return float64(s.exec.inFlight.Load())
@@ -511,16 +529,15 @@ func (s *Service) initMetrics() {
 func (s *Service) Metrics() *obs.Registry { return s.reg }
 
 // shardStats aggregates the cross-shard counters of every registered
-// program's coordinator (zero-valued on a single-node service).
+// program's coordinator as of the published version (zero-valued on a
+// single-node service).
 func (s *Service) shardStats() shard.Stats {
 	var agg shard.Stats
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, reg := range s.progs {
-		if reg.coord == nil {
+	for _, pp := range s.pub.Load().progs {
+		st := pp.stats.Sharding
+		if st == nil {
 			continue
 		}
-		st := reg.coord.Stats()
 		agg.ExchangeRounds += st.ExchangeRounds
 		agg.ExchangedTuples += st.ExchangedTuples
 		agg.Rebuilds += st.Rebuilds
@@ -617,7 +634,9 @@ func (s *Service) Register(name, source string) (RegisterInfo, error) {
 // context abort during the initial evaluation registers nothing. With
 // durable storage the registration is appended to the WAL only after its
 // initial evaluation succeeds — a program that cannot evaluate is never
-// made durable — and a WAL failure rolls the registration back.
+// made durable — and a WAL failure rolls the registration back. Readers
+// see the program, with its views sorted once here, from the publish that
+// ends a successful registration.
 func (s *Service) RegisterContext(ctx context.Context, name, source string) (RegisterInfo, error) {
 	if err := s.root.Err(); err != nil {
 		return RegisterInfo{}, ErrClosed
@@ -675,6 +694,7 @@ func (s *Service) registerLocked(ctx context.Context, name, source string, persi
 		maintainLast: time.Since(start),
 	}
 	reg.maintainTotal = reg.maintainLast
+	reg.pub = reg.snapshot(nil, datalog.Delta{})
 	prev, hadPrev := s.progs[name]
 	s.progs[name] = reg
 	if persist && s.log != nil {
@@ -689,15 +709,8 @@ func (s *Service) registerLocked(ctx context.Context, name, source string, persi
 			return RegisterInfo{}, fmt.Errorf("service: persisting registration %s: %w", name, err)
 		}
 	}
-	return s.registerInfo(reg), nil
-}
-
-func (s *Service) registerInfo(reg *registration) RegisterInfo {
-	sizes := map[string]int{}
-	for name, rel := range reg.inc.Result().IDB {
-		sizes[name] = rel.Size()
-	}
-	return RegisterInfo{Name: reg.name, Hash: reg.hash, Version: reg.version, IDBSizes: sizes}
+	s.publishLocked(snap)
+	return RegisterInfo{Name: reg.name, Hash: reg.hash, Version: reg.version, IDBSizes: reg.pub.stats.IDBSizes}, nil
 }
 
 // Unregister drops a registered program, reporting whether it existed.
@@ -713,6 +726,7 @@ func (s *Service) Unregister(name string) (bool, error) {
 		return false, nil
 	}
 	delete(s.progs, name)
+	s.publishLocked(s.pub.Load().snap)
 	if s.log != nil {
 		if _, err := s.log.AppendUnregister(name); err != nil {
 			return true, fmt.Errorf("service: persisting unregistration of %s: %w", name, err)
@@ -729,21 +743,30 @@ type CommitInfo struct {
 	// Maintained maps each registered program to the time spent updating
 	// its materialized fixpoint for this commit.
 	Maintained map[string]time.Duration
+	// Dropped names, sorted, the registrations whose maintenance failed on
+	// this commit and were therefore unregistered; the commit itself stands.
+	Dropped []string
 }
 
-// Commit atomically applies deletions then insertions to the EDB store,
-// publishes the next version, and incrementally maintains every
-// registered program's fixpoint. The batch is validated against the store
-// and against every registered program before anything mutates; on error
-// no version is created and no view changes. With durable storage the
-// commit is appended to the WAL between the store publish and the
-// maintenance pass — under Fsync "always" an acknowledged commit is on
-// disk; a WAL failure fails the commit and poisons the log, so no later
-// commit can be acknowledged past the gap. Maintenance runs under the
-// service's lifetime context only (never a request context): a commit
-// must finish its maintenance or the affected view is unusable, so only
-// Close aborts it — and a registration whose maintenance was aborted is
-// dropped, counted by datalog_programs_dropped_total.
+// Commit atomically applies deletions then insertions to the EDB store and
+// incrementally maintains every registered program's fixpoint. The batch
+// is validated against the store and against every registered program
+// before anything mutates; on error no version is created and no view
+// changes. In order: validate, fork the next EDB version, append it to the
+// WAL (with durable storage), maintain each program and patch its sorted
+// views with the commit's net delta, publish {version, views} to readers
+// with one pointer store, then hand the delta frame to the subscription
+// hub — so a subscriber told of version N can read version N. Under Fsync
+// "always" an acknowledged commit is on disk; a WAL failure fails the
+// commit before anything is published — readers stay on the previous
+// version — and poisons the log, so no later commit can be acknowledged
+// past the gap. Maintenance runs under the service's lifetime context only
+// (never a request context): a commit must finish its maintenance or the
+// affected view is unusable, so only Close aborts it. A registration whose
+// maintenance fails is dropped (CommitInfo.Dropped,
+// datalog_programs_dropped_total) while the other programs are maintained
+// and published and the commit stands: it is already durable, and a view
+// that missed a batch would silently diverge from the next one on.
 func (s *Service) Commit(insert, del []datalog.Fact) (CommitInfo, error) {
 	s.mu.Lock()
 	info, err := s.commitLocked(insert, del, true)
@@ -776,10 +799,11 @@ func (s *Service) commitLocked(insert, del []datalog.Fact, persist bool) (Commit
 	}
 	if persist && s.log != nil {
 		if _, err := s.log.AppendCommit(snap.Version, insert, del); err != nil {
-			// The version is published in memory but not durable. The log's
-			// sticky error refuses every later append, so no subsequent
-			// commit can be acknowledged either — the durable prefix stays a
-			// prefix, and a restart recovers to the last logged version.
+			// The store holds the version but nothing was published, so no
+			// reader at "latest" sees it. The log's sticky error refuses every
+			// later append, so no subsequent commit can be acknowledged either
+			// — the durable prefix stays a prefix, and a restart recovers to
+			// the last logged version.
 			return CommitInfo{}, fmt.Errorf("service: persisting commit %d: %w", snap.Version, err)
 		}
 	}
@@ -789,27 +813,36 @@ func (s *Service) commitLocked(insert, del []datalog.Fact, persist bool) (Commit
 	for _, reg := range s.progs {
 		mstart := time.Now()
 		roundsBefore := reg.inc.Rounds()
-		if err := reg.inc.DeleteContext(s.root, del...); err != nil {
-			return info, s.maintenanceFailed(reg, err)
+		delta, err := maintain(s.root, reg.inc, insert, del)
+		if err != nil {
+			// Drop only this registration and keep going: the programs after
+			// it still need the batch, and the frame still needs publishing.
+			delete(s.progs, reg.name)
+			info.Dropped = append(info.Dropped, reg.name)
+			slog.Warn("maintenance failed; registration dropped",
+				slog.String("program", reg.name), slog.Int64("version", snap.Version), slog.Any("error", err))
+			if persist {
+				s.met.programsDropped.Inc()
+			}
+			continue
 		}
-		delDelta := reg.inc.LastDelta()
-		if err := reg.inc.InsertContext(s.root, insert...); err != nil {
-			return info, s.maintenanceFailed(reg, err)
-		}
-		// The commit's net view change is the delete pass composed with
-		// the insert pass (a tuple removed then re-derived cancels out).
-		deltas[reg.name] = datalog.MergeDeltas(delDelta, reg.inc.LastDelta())
+		deltas[reg.name] = delta
 		reg.version = snap.Version
 		reg.maintainLast = time.Since(mstart)
 		reg.maintainTotal += reg.maintainLast
 		info.Maintained[reg.name] = reg.maintainLast
+		pstart := time.Now()
+		reg.pub = reg.snapshot(reg.pub, delta)
 		if persist {
 			s.met.evalRounds.Add(int64(reg.inc.Rounds() - roundsBefore))
 			s.met.maintainSeconds.Observe(reg.maintainLast.Seconds())
+			s.met.viewPublishSecs.Observe(time.Since(pstart).Seconds())
 		}
 	}
-	// Publish every commit — replay included, which rebuilds the resume
-	// history after a restart — even when no view changed: retaining
+	sort.Strings(info.Dropped)
+	s.publishLocked(snap)
+	// Hand the hub every commit — replay included, which rebuilds the
+	// resume history after a restart — even when no view changed: retaining
 	// empty commits keeps the history's version range contiguous, which
 	// is what makes resume gap detection sound.
 	s.publishCommit(snap.Version, deltas)
@@ -822,6 +855,20 @@ func (s *Service) commitLocked(insert, del []datalog.Fact, persist bool) (Commit
 		s.maybeCheckpointLocked()
 	}
 	return info, nil
+}
+
+// maintain runs one commit's batch through a view — the delete pass, then
+// the insert pass — and returns the commit's net view change: the two
+// passes' deltas composed (a tuple removed then re-derived cancels out).
+func maintain(ctx context.Context, v view, insert, del []datalog.Fact) (datalog.Delta, error) {
+	if err := v.DeleteContext(ctx, del...); err != nil {
+		return datalog.Delta{}, err
+	}
+	delDelta := v.LastDelta()
+	if err := v.InsertContext(ctx, insert...); err != nil {
+		return datalog.Delta{}, err
+	}
+	return datalog.MergeDeltas(delDelta, v.LastDelta()), nil
 }
 
 // maybeCheckpointLocked writes a snapshot checkpoint once CheckpointEvery
@@ -848,18 +895,6 @@ func (s *Service) maybeCheckpointLocked() {
 		return
 	}
 	s.sinceCkpt = 0
-}
-
-// maintenanceFailed handles a registration whose maintenance errored
-// mid-commit. A broken view (aborted fixpoint) cannot serve another read
-// or update, so the registration is dropped rather than left poisoned.
-func (s *Service) maintenanceFailed(reg *registration, err error) error {
-	if reg.inc.Err() != nil {
-		delete(s.progs, reg.name)
-		s.met.programsDropped.Inc()
-		return fmt.Errorf("program %s: maintenance aborted, registration dropped: %w", reg.name, err)
-	}
-	return fmt.Errorf("program %s: %w", reg.name, err)
 }
 
 // QueryRequest asks for one IDB relation of a program at a version.
@@ -896,10 +931,13 @@ type QueryResult struct {
 	Pred    string
 	Version int64
 	Tuples  []datalog.Tuple
-	// Origin reports how the result was obtained: "cache", "materialized"
-	// (registered program at its current version), "eval" (from-scratch
-	// evaluation of a snapshot) or "magic" (goal-directed evaluation of
-	// the magic-set rewrite).
+	// Origin reports how the result was obtained: "materialized" (a
+	// registered program's published view at the latest version — every
+	// such read, first or repeated), "eval" (from-scratch evaluation of a
+	// snapshot), "magic" (goal-directed evaluation of the magic-set
+	// rewrite) or "cache" (a repeated eval or magic answer out of the LRU).
+	// Materialized tuples are the published slice itself, shared with every
+	// other reader: read-only.
 	Origin string
 	// Goal echoes the binding pattern of a goal-directed query in
 	// datalog.Goal.String form (e.g. "S(0,_)"); empty otherwise.
@@ -919,16 +957,16 @@ func (s *Service) Query(req QueryRequest) (QueryResult, error) {
 }
 
 // QueryContext returns the tuples of one IDB predicate at an EDB version.
-// Current-version queries of registered programs read the materialized
-// fixpoint; anything else — historical versions, ad-hoc programs — is
+// Latest-version queries of registered programs read the published sorted
+// view — no lock, no copy, no cache; a page is a binary search plus a
+// slice of it. Anything else — historical versions, ad-hoc programs — is
 // evaluated from the pinned snapshot on the bounded executor under ctx
 // (plus the per-query timeout and the service lifetime): a cancelled
 // client stops queueing immediately and aborts a running evaluation
-// within one fixpoint round. Results are cached by (program hash,
-// predicate, version), goal-directed results additionally by binding
-// pattern. A request with bound positions (Bind) is answered through
-// the magic-set pipeline (see goalQuery); an unbound request uses the
-// incremental/materialized path unchanged.
+// within one fixpoint round. Evaluated results are cached by (program
+// hash, predicate, version), goal-directed results additionally by
+// binding pattern. A request with bound positions (Bind) is answered
+// through the magic-set pipeline (see goalQuery).
 func (s *Service) QueryContext(ctx context.Context, req QueryRequest) (QueryResult, error) {
 	s.queries.Add(1)
 	s.met.queries.Inc()
@@ -956,80 +994,68 @@ func (s *Service) QueryContext(ctx context.Context, req QueryRequest) (QueryResu
 
 // resolveQuery resolves the program (registered by name or parsed from
 // inline source), target predicate (defaulting to the program's goal) and
-// pinned version (<0 means latest) of a query or explain request. reg is
-// non-nil iff the request named a registration.
-func (s *Service) resolveQuery(program, source, pred string, version int64) (prog *datalog.Program, hash string, reg *registration, rpred string, rversion int64, err error) {
+// pinned version (<0 means latest: the published version) of a query or
+// explain request, all against one load of the published state.
+func (s *Service) resolveQuery(program, source, pred string, version int64) (resolved, error) {
+	q := resolved{pub: s.pub.Load(), pred: pred, version: version}
 	switch {
 	case program != "" && source != "":
-		return nil, "", nil, "", 0, fmt.Errorf("service: query must name a registered program or carry source, not both")
+		return resolved{}, fmt.Errorf("service: query must name a registered program or carry source, not both")
 	case program != "":
-		s.mu.RLock()
-		reg = s.progs[program]
-		s.mu.RUnlock()
-		if reg == nil {
-			return nil, "", nil, "", 0, fmt.Errorf("service: no program registered as %q", program)
+		q.pp = q.pub.progs[program]
+		if q.pp == nil {
+			return resolved{}, fmt.Errorf("service: no program registered as %q", program)
 		}
-		prog, hash = reg.prog, reg.hash
+		q.prog, q.hash = q.pp.prog, q.pp.stats.Hash
 	case source != "":
 		p, err := datalog.Parse(source)
 		if err != nil {
-			return nil, "", nil, "", 0, err
+			return resolved{}, err
 		}
 		if err := datalog.Validate(p); err != nil {
-			return nil, "", nil, "", 0, err
+			return resolved{}, err
 		}
-		prog, hash = p, ProgramHash(p)
+		q.prog, q.hash = p, ProgramHash(p)
 	default:
-		return nil, "", nil, "", 0, fmt.Errorf("service: query names no program and carries no source")
+		return resolved{}, fmt.Errorf("service: query names no program and carries no source")
 	}
-	if pred == "" {
-		pred = prog.Goal
+	if q.pred == "" {
+		q.pred = q.prog.Goal
 	}
-	if !prog.IDBs()[pred] {
-		return nil, "", nil, "", 0, fmt.Errorf("service: %q is not an IDB predicate of the program", pred)
+	if !q.prog.IDBs()[q.pred] {
+		return resolved{}, fmt.Errorf("service: %q is not an IDB predicate of the program", q.pred)
 	}
-	if version < 0 {
-		version = s.store.Version()
+	if q.version < 0 {
+		q.version = q.pub.version
 	}
-	return prog, hash, reg, pred, version, nil
+	return q, nil
 }
 
 func (s *Service) queryContext(ctx context.Context, req QueryRequest) (QueryResult, error) {
 	if err := s.root.Err(); err != nil {
 		return QueryResult{}, ErrClosed
 	}
-	prog, hash, reg, pred, version, err := s.resolveQuery(req.Program, req.Source, req.Pred, req.Version)
+	q, err := s.resolveQuery(req.Program, req.Source, req.Pred, req.Version)
 	if err != nil {
 		return QueryResult{}, err
 	}
 	if boundCount(req.Bind) > 0 {
-		return s.goalQuery(ctx, prog, hash, pred, version, req.Bind)
+		return s.goalQuery(ctx, q, req.Bind)
 	}
-	key := cacheKey{hash: hash, pred: pred, version: version}
+	if tuples, ok := s.readView(q); ok {
+		return QueryResult{Pred: q.pred, Version: q.version, Tuples: tuples, Origin: "materialized"}, nil
+	}
+	key := cacheKey{hash: q.hash, pred: q.pred, version: q.version}
 	if tuples, ok := s.cache.get(key); ok {
 		s.met.cacheHits.Inc()
-		return QueryResult{Pred: pred, Version: version, Tuples: tuples, Origin: "cache"}, nil
+		return QueryResult{Pred: q.pred, Version: q.version, Tuples: tuples, Origin: "cache"}, nil
 	}
 	s.met.cacheMisses.Inc()
 
-	// Materialized fast path: a registered program at the version its
-	// view reflects is a shared-lock map read, no evaluation.
-	if reg != nil {
-		s.mu.RLock()
-		if reg.version == version {
-			tuples := reg.inc.Result().IDB[pred].Tuples()
-			s.mu.RUnlock()
-			s.cache.put(key, tuples)
-			return QueryResult{Pred: pred, Version: version, Tuples: tuples, Origin: "materialized"}, nil
-		}
-		s.mu.RUnlock()
-	}
-
 	// Historical or ad-hoc: evaluate the pinned snapshot, read in place.
-	snap, ok := s.store.At(version)
-	if !ok {
-		return QueryResult{}, fmt.Errorf("service: version %d is not retained (oldest is %d, latest %d)",
-			version, s.store.Oldest(), s.store.Version())
+	snap, err := s.snapshotOf(q)
+	if err != nil {
+		return QueryResult{}, err
 	}
 	ctx, done := s.scoped(ctx, s.cfg.QueryTimeout)
 	defer done()
@@ -1038,7 +1064,7 @@ func (s *Service) queryContext(ctx context.Context, req QueryRequest) (QueryResu
 	err = s.exec.do(ctx, func() {
 		s.scratchEval.Add(1)
 		s.met.scratchEvals.Inc()
-		res, err := datalog.EvalContext(ctx, prog, snap.DB, s.optsFor(snap))
+		res, err := datalog.EvalContext(ctx, q.prog, snap.DB, s.optsFor(snap))
 		if res != nil {
 			s.met.evalRounds.Add(int64(res.Rounds))
 		}
@@ -1046,8 +1072,8 @@ func (s *Service) queryContext(ctx context.Context, req QueryRequest) (QueryResu
 			evalErr = err
 			return
 		}
-		s.observeEstimation(prog, snap, res.Stats)
-		tuples = res.IDB[pred].Tuples()
+		s.observeEstimation(q.prog, snap, res.Stats)
+		tuples = res.IDB[q.pred].Tuples()
 	})
 	if err != nil {
 		return QueryResult{}, err
@@ -1056,7 +1082,7 @@ func (s *Service) queryContext(ctx context.Context, req QueryRequest) (QueryResu
 		return QueryResult{}, evalErr
 	}
 	s.cache.put(key, tuples)
-	return QueryResult{Pred: pred, Version: version, Tuples: tuples, Origin: "eval"}, nil
+	return QueryResult{Pred: q.pred, Version: q.version, Tuples: tuples, Origin: "eval"}, nil
 }
 
 // boundCount counts the bound positions of a wire binding.
@@ -1078,7 +1104,8 @@ func boundCount(bind []*int) int {
 // reads the snapshot, so a cancelled or failed goal query leaves nothing
 // behind — not in the snapshot, and not in the registered incremental
 // view, which it never touches.
-func (s *Service) goalQuery(ctx context.Context, prog *datalog.Program, hash, pred string, version int64, bind []*int) (QueryResult, error) {
+func (s *Service) goalQuery(ctx context.Context, q resolved, bind []*int) (QueryResult, error) {
+	prog, hash, pred, version := q.prog, q.hash, q.pred, q.version
 	arity := prog.Arities()[pred]
 	if len(bind) != arity {
 		return QueryResult{}, fmt.Errorf("service: bind has %d positions, predicate %s has arity %d", len(bind), pred, arity)
@@ -1112,16 +1139,15 @@ func (s *Service) goalQuery(ctx context.Context, prog *datalog.Program, hash, pr
 		s.rewrites.put(rk, rw)
 	}
 
-	snap, ok := s.store.At(version)
-	if !ok {
-		return QueryResult{}, fmt.Errorf("service: version %d is not retained (oldest is %d, latest %d)",
-			version, s.store.Oldest(), s.store.Version())
+	snap, err := s.snapshotOf(q)
+	if err != nil {
+		return QueryResult{}, err
 	}
 	ctx, done := s.scoped(ctx, s.cfg.QueryTimeout)
 	defer done()
 	var goalRes *magic.GoalResult
 	var evalErr error
-	err := s.exec.do(ctx, func() {
+	err = s.exec.do(ctx, func() {
 		s.scratchEval.Add(1)
 		s.met.scratchEvals.Inc()
 		goalRes, evalErr = magic.EvalRewritten(ctx, rw, snap.DB, goal, s.optsFor(snap))
@@ -1200,15 +1226,15 @@ func (s *Service) ExplainContext(ctx context.Context, req ExplainRequest) (Expla
 	if s.planner == nil {
 		return ExplainResult{}, fmt.Errorf("service: planner is disabled")
 	}
-	prog, _, _, pred, version, err := s.resolveQuery(req.Program, req.Source, req.Pred, req.Version)
+	q, err := s.resolveQuery(req.Program, req.Source, req.Pred, req.Version)
 	if err != nil {
 		return ExplainResult{}, err
 	}
-	snap, ok := s.store.At(version)
-	if !ok {
-		return ExplainResult{}, fmt.Errorf("service: version %d is not retained (oldest is %d, latest %d)",
-			version, s.store.Oldest(), s.store.Version())
+	snap, err := s.snapshotOf(q)
+	if err != nil {
+		return ExplainResult{}, err
 	}
+	prog, pred, version := q.prog, q.pred, q.version
 	out := ExplainResult{Pred: pred, Version: version, Strategy: s.planner.Strategy()}
 
 	// For a bound request, explain the program the service actually
@@ -1272,7 +1298,9 @@ func (s *Service) ExplainContext(ctx context.Context, req ExplainRequest) (Expla
 	return out, nil
 }
 
-// ProgramStats describes one registered program in Stats.
+// ProgramStats describes one registered program in Stats, as of the
+// published version. IDBSizes and Rules are shared with every other caller:
+// read-only.
 type ProgramStats struct {
 	Name            string              `json:"name"`
 	Hash            string              `json:"hash"`
@@ -1361,7 +1389,7 @@ type Stats struct {
 		RulesPruned int64  `json:"rules_pruned"`
 		AtomsPruned int64  `json:"atoms_pruned"`
 		Entries     int64  `json:"cache_entries"`
-		Epoch       string `json:"stats_epoch"` // latest snapshot's catalog fingerprint, hex
+		Epoch       string `json:"stats_epoch"` // published snapshot's catalog fingerprint, hex
 	} `json:"planner"`
 	Storage struct {
 		Enabled bool   `json:"enabled"`
@@ -1384,7 +1412,8 @@ type Stats struct {
 	} `json:"storage"`
 }
 
-// Stats assembles the current counters.
+// Stats assembles the current counters. Version and Programs are the
+// published state's, so they agree with what a query at "latest" reads.
 func (s *Service) Stats() Stats {
 	var st Stats
 	st.Universe = s.cfg.Universe
@@ -1397,34 +1426,12 @@ func (s *Service) Stats() Stats {
 			Inserted: snap.Inserted, Deleted: snap.Deleted,
 		})
 	}
-	st.Version = st.Snapshots[len(st.Snapshots)-1].Version
+	pub := s.pub.Load()
+	st.Version = pub.version
 	st.Oldest = st.Snapshots[0].Version
-	s.mu.RLock()
-	for _, reg := range s.progs {
-		res := reg.inc.Result()
-		sizes := map[string]int{}
-		for name, rel := range res.IDB {
-			sizes[name] = rel.Size()
-		}
-		var rules []datalog.RuleStats
-		if res.Stats != nil {
-			rules = res.Stats.Rules
-		}
-		ps := ProgramStats{
-			Name: reg.name, Hash: reg.hash, Version: reg.version,
-			Goal: reg.prog.Goal, Updates: reg.inc.Updates(),
-			Rounds: res.Rounds, Derivations: res.Derivations, IDBSizes: sizes,
-			MaintainTotalNs: reg.maintainTotal.Nanoseconds(),
-			MaintainLastNs:  reg.maintainLast.Nanoseconds(),
-			Rules:           rules,
-		}
-		if reg.coord != nil {
-			sh := reg.coord.Stats()
-			ps.Sharding = &sh
-		}
-		st.Programs = append(st.Programs, ps)
+	for _, pp := range pub.progs {
+		st.Programs = append(st.Programs, pp.stats)
 	}
-	s.mu.RUnlock()
 	sort.Slice(st.Programs, func(i, j int) bool { return st.Programs[i].Name < st.Programs[j].Name })
 	st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, st.Cache.Entries = s.cache.counters()
 	st.Cache.Capacity = s.cache.cap
@@ -1465,7 +1472,7 @@ func (s *Service) Stats() Stats {
 		st.Planner.RulesPruned = c.RulesPruned
 		st.Planner.AtomsPruned = c.AtomsPruned
 		st.Planner.Entries = c.CacheEntries
-		st.Planner.Epoch = fmt.Sprintf("%016x", s.store.Latest().Stats.Fingerprint())
+		st.Planner.Epoch = fmt.Sprintf("%016x", pub.snap.Stats.Fingerprint())
 	}
 	if s.log != nil {
 		c := s.log.Counters()

@@ -44,13 +44,16 @@ func TestRegisterCommitQuery(t *testing.T) {
 	if res.Origin != "materialized" {
 		t.Fatalf("first query origin %q, want materialized", res.Origin)
 	}
-	// Identical query → cache.
+	// Identical query → the published view again, never the LRU.
 	res2, err := s.Query(QueryRequest{Program: "tc", Version: res.Version})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Origin != "cache" {
-		t.Fatalf("repeat query origin %q, want cache", res2.Origin)
+	if res2.Origin != "materialized" {
+		t.Fatalf("repeat query origin %q, want materialized", res2.Origin)
+	}
+	if st := s.Stats(); st.Cache.Entries != 0 || st.Cache.Hits+st.Cache.Misses != 0 {
+		t.Fatalf("view reads touched the result cache: %+v", st.Cache)
 	}
 }
 
@@ -88,10 +91,18 @@ func TestAdHocQuerySharesCacheByHash(t *testing.T) {
 	if _, err := s.Commit([]datalog.Fact{edge(0, 1), edge(1, 2)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Warm the cache through the registered program...
-	first, err := s.Query(QueryRequest{Program: "tc", Version: -1})
+	v1 := s.Store().Version()
+	if _, err := s.Commit([]datalog.Fact{edge(2, 3)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Warm the cache through the registered program at a pinned older
+	// version (the latest is served from the published view, not the LRU)...
+	first, err := s.Query(QueryRequest{Program: "tc", Version: v1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if first.Origin != "eval" {
+		t.Fatalf("pinned query origin %q, want eval", first.Origin)
 	}
 	// ...then the same program text ad hoc must hit it (same hash).
 	adhoc, err := s.Query(QueryRequest{Source: tcSource, Version: first.Version})
@@ -165,8 +176,8 @@ func TestStatsCounters(t *testing.T) {
 	if _, err := s.Commit([]datalog.Fact{edge(0, 1), edge(1, 2)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if _, err := s.Query(QueryRequest{Program: "tc", Version: -1}); err != nil {
+	for i := 0; i < 3; i++ { // one evaluation, then two hits on its cached answer
+		if _, err := s.Query(QueryRequest{Source: tcSource, Version: -1}); err != nil {
 			t.Fatal(err)
 		}
 	}

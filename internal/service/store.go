@@ -2,8 +2,10 @@
 // a versioned EDB store with copy-on-write snapshots, registered programs
 // whose fixpoints are maintained incrementally across commits (delta
 // seeding for insertions, delete-and-rederive for deletions — see
-// internal/datalog's Incremental), an LRU cache of query results keyed by
-// (program hash, predicate, EDB version), and a bounded-worker executor
+// internal/datalog's Incremental) and whose sorted views are published to
+// readers with one pointer store per commit (publish.go), an LRU cache of
+// evaluated query results keyed by (program hash, predicate, EDB version,
+// binding), and a bounded-worker executor
 // so many clients can evaluate concurrently against shared snapshots.
 // The HTTP front end in http.go exposes it as /register, /commit, /query
 // and /stats; cmd/serve runs it.

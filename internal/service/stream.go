@@ -17,7 +17,7 @@ import (
 // Pagination cursors. A cursor names the last tuple already delivered —
 // its components comma-joined ("3,0,7") — and a resumed read returns the
 // tuples strictly after it in the canonical datalog.CompareTuples order.
-// Because every non-streaming origin (cache, materialized view, from-
+// Because every non-streaming origin (cache, published view, from-
 // scratch evaluation, magic answers) returns that order, a cursor stays
 // valid across repeated reads of the same version regardless of which
 // origin serves the next page.
@@ -163,8 +163,8 @@ func (q *QueryStream) Close() {
 
 // QueryStream opens req as a pull stream of answer tuples.
 //
-// Requests that already have a complete sorted answer at hand — cache
-// hits, a registered program's materialized view at the current version,
+// Requests that already have a complete sorted answer at hand — a
+// registered program's published view at the latest version, cache hits,
 // any request carrying a Cursor (cursors are defined only over the
 // canonical sorted order), and recursive programs (which fall back to
 // materialized evaluation) — serve that answer tuple by tuple with exact
@@ -197,7 +197,7 @@ func (s *Service) QueryStream(ctx context.Context, req QueryRequest) (*QueryStre
 }
 
 func (s *Service) queryStream(ctx context.Context, req QueryRequest) (*QueryStream, error) {
-	prog, hash, reg, pred, version, err := s.resolveQuery(req.Program, req.Source, req.Pred, req.Version)
+	q, err := s.resolveQuery(req.Program, req.Source, req.Pred, req.Version)
 	if err != nil {
 		return nil, err
 	}
@@ -206,8 +206,8 @@ func (s *Service) queryStream(ctx context.Context, req QueryRequest) (*QueryStre
 	}
 
 	// A cursor pins the canonical sorted order, so the request is served
-	// from the complete sorted answer set (usually a cache hit on pages
-	// after the first) and streamed out from the page boundary.
+	// from the complete sorted answer set (the published view, or a cache
+	// hit on pages after the first) and streamed out from the page boundary.
 	if req.Cursor != "" {
 		res, err := s.queryContext(ctx, req)
 		if err != nil {
@@ -221,42 +221,35 @@ func (s *Service) queryStream(ctx context.Context, req QueryRequest) (*QueryStre
 	}
 
 	if boundCount(req.Bind) > 0 {
-		return s.goalStream(ctx, prog, hash, pred, version, req)
+		return s.goalStream(ctx, q, req)
 	}
 
-	// Sorted fast paths: cached result, then the materialized view.
-	key := cacheKey{hash: hash, pred: pred, version: version}
+	// Sorted fast paths: the published view, then a cached result.
+	if tuples, ok := s.readView(q); ok {
+		res := QueryResult{Pred: q.pred, Version: q.version, Tuples: tuples, Origin: "materialized"}
+		return s.sliceStream(res, tuples, req.Limit), nil
+	}
+	key := cacheKey{hash: q.hash, pred: q.pred, version: q.version}
 	if tuples, ok := s.cache.get(key); ok {
 		s.met.cacheHits.Inc()
-		res := QueryResult{Pred: pred, Version: version, Tuples: tuples, Origin: "cache"}
+		res := QueryResult{Pred: q.pred, Version: q.version, Tuples: tuples, Origin: "cache"}
 		return s.sliceStream(res, tuples, req.Limit), nil
 	}
 	s.met.cacheMisses.Inc()
-	if reg != nil {
-		s.mu.RLock()
-		if reg.version == version {
-			tuples := reg.inc.Result().IDB[pred].Tuples()
-			s.mu.RUnlock()
-			s.cache.put(key, tuples)
-			res := QueryResult{Pred: pred, Version: version, Tuples: tuples, Origin: "materialized"}
-			return s.sliceStream(res, tuples, req.Limit), nil
-		}
-		s.mu.RUnlock()
-	}
 
-	snap, ok := s.store.At(version)
-	if !ok {
-		return nil, fmt.Errorf("service: version %d is not retained (oldest is %d, latest %d)",
-			version, s.store.Oldest(), s.store.Version())
+	snap, err := s.snapshotOf(q)
+	if err != nil {
+		return nil, err
 	}
-	return s.openStream(ctx, prog, snap, pred, pred, version, req, nil, "")
+	return s.openStream(ctx, q.prog, snap, q.pred, q.pred, q.version, req, nil, "")
 }
 
 // goalStream streams a bound query: the magic-set rewrite (cached like
 // goalQuery's) is seeded with the bound values and its answer predicate
 // is streamed under the goal filter — the answer-projection stage of
 // goal-directed evaluation, produced tuple by tuple.
-func (s *Service) goalStream(ctx context.Context, prog *datalog.Program, hash, pred string, version int64, req QueryRequest) (*QueryStream, error) {
+func (s *Service) goalStream(ctx context.Context, q resolved, req QueryRequest) (*QueryStream, error) {
+	prog, hash, pred, version := q.prog, q.hash, q.pred, q.version
 	arity := prog.Arities()[pred]
 	if len(req.Bind) != arity {
 		return nil, fmt.Errorf("service: bind has %d positions, predicate %s has arity %d", len(req.Bind), pred, arity)
@@ -287,10 +280,9 @@ func (s *Service) goalStream(ctx context.Context, prog *datalog.Program, hash, p
 	if err != nil {
 		return nil, err
 	}
-	snap, ok := s.store.At(version)
-	if !ok {
-		return nil, fmt.Errorf("service: version %d is not retained (oldest is %d, latest %d)",
-			version, s.store.Oldest(), s.store.Version())
+	snap, err := s.snapshotOf(q)
+	if err != nil {
+		return nil, err
 	}
 	return s.openStream(ctx, seeded, snap, rw.GoalPred, pred, version, req, &goal, goal.String())
 }

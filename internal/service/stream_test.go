@@ -153,7 +153,7 @@ func TestQueryStreamOrigins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer q3.Close()
-	if q3.Origin != "materialized" && q3.Origin != "cache" {
+	if q3.Origin != "materialized" {
 		t.Fatalf("registered program stream origin %q", q3.Origin)
 	}
 	if s.Stats().Stream.Active != 1 {

@@ -17,11 +17,13 @@ import (
 // into live materialized views.
 //
 // Ordering and consistency: publish runs inside commitLocked (under the
-// service's exclusive lock), and Subscribe/replay run under the hub's
-// own lock, so a subscriber observes a gapless, version-ordered prefix
-// of the commit sequence: a snapshot query at the hello (or resume)
-// version plus the received deltas reproduces the view at the last
-// delivered version, byte for byte. Commits whose filtered delta is
+// service's writer lock), after the commit's views were published to
+// readers, and Subscribe/replay run under the hub's own lock, so a
+// subscriber observes a gapless, version-ordered prefix of the commit
+// sequence, and every version it is told of is already readable: a
+// snapshot query at the hello (or resume) version plus the received
+// deltas reproduces the view at the last delivered version, byte for
+// byte. Commits whose filtered delta is
 // empty for a subscriber are skipped — versions may therefore skip
 // forward, but the view is unchanged across skipped versions.
 //
@@ -318,9 +320,7 @@ func (s *Service) Subscribe(req SubscribeRequest) (*Subscription, error) {
 	if err := s.root.Err(); err != nil {
 		return nil, ErrClosed
 	}
-	s.mu.RLock()
-	reg := s.progs[req.Program]
-	s.mu.RUnlock()
+	reg := s.pub.Load().progs[req.Program]
 	if reg == nil {
 		return nil, fmt.Errorf("service: no program registered as %q", req.Program)
 	}
@@ -348,7 +348,7 @@ func (s *Service) Subscribe(req SubscribeRequest) (*Subscription, error) {
 		// The binding's filter comes through the same cached rewrite a
 		// bound /v1/query uses, so the subscribed slice and the query
 		// answer set stay on one contract (and the cache is shared).
-		rk := rewriteKey{hash: reg.hash, pred: g.Pred, adornment: magic.AdornmentOf(g), sip: magic.BoundFirstSIP{}.Name()}
+		rk := rewriteKey{hash: reg.stats.Hash, pred: g.Pred, adornment: magic.AdornmentOf(g), sip: magic.BoundFirstSIP{}.Name()}
 		rw, ok := s.rewrites.get(rk)
 		if ok {
 			s.met.rewriteHits.Inc()
@@ -451,7 +451,8 @@ func boundGoal(g datalog.Goal) bool {
 
 // publishCommit converts one commit's per-program maintenance deltas to
 // wire shape and hands them to the hub. Called from commitLocked after
-// every registration's maintenance succeeded.
+// the commit's views were published (swap, then frame), with the deltas
+// of the registrations whose maintenance succeeded.
 func (s *Service) publishCommit(version int64, deltas map[string]datalog.Delta) {
 	byProg := map[string][]PredDeltaJSON{}
 	for name, d := range deltas {

@@ -43,12 +43,12 @@ func TestV1Routes(t *testing.T) {
 	if q.Count != 3 || q.Pred != "S" || q.Version != 1 {
 		t.Fatalf("query response %+v", q)
 	}
-	// The same query on the legacy alias hits the same cache entry.
+	// The same query on the legacy alias reads the same published view.
 	w = post(t, h, "/query", `{"program":"tc"}`)
 	if err := json.Unmarshal(w.Body.Bytes(), &q); err != nil {
 		t.Fatal(err)
 	}
-	if q.Origin != "cache" {
+	if q.Origin != "materialized" || q.Count != 3 || q.Version != 1 {
 		t.Fatalf("legacy alias did not share state with /v1: %+v", q)
 	}
 	if w := post(t, h, "/v1/unregister", `{"name":"tc"}`); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "true") {
@@ -122,8 +122,9 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	post(t, h, "/v1/register", `{"name":"tc","program":"`+tcProgram+`"}`)
 	post(t, h, "/v1/commit", `{"insert":[{"pred":"E","tuple":[0,1]},{"pred":"E","tuple":[1,2]}]}`)
-	post(t, h, "/v1/query", `{"program":"tc"}`) // cache miss, materialized read
-	post(t, h, "/v1/query", `{"program":"tc"}`) // cache hit
+	post(t, h, "/v1/query", `{"program":"tc"}`)             // published view: no cache traffic
+	post(t, h, "/v1/query", `{"program":"tc","version":0}`) // pinned older version: cache miss, evaluation
+	post(t, h, "/v1/query", `{"program":"tc","version":0}`) // cache hit
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/metrics", nil)
 	rw := httptest.NewRecorder()
@@ -140,10 +141,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for name, want := range map[string]float64{
 		"datalog_commits_total":       1,
-		"datalog_queries_total":       2,
+		"datalog_queries_total":       3,
+		"datalog_view_reads_total":    1,
 		"datalog_cache_hits_total":    1,
 		"datalog_cache_misses_total":  1,
 		"datalog_store_version":       1,
+		"datalog_published_version":   1,
 		"datalog_programs_registered": 1,
 		"datalog_query_errors_total":  0,
 	} {
@@ -172,8 +175,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE datalog_store_version gauge",
 		"datalog_store_version 1",
 		"# TYPE datalog_query_seconds histogram",
-		`datalog_query_seconds_bucket{le="+Inf"} 2`,
-		"datalog_query_seconds_count 2",
+		`datalog_query_seconds_bucket{le="+Inf"} 3`,
+		"datalog_query_seconds_count 3",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("prometheus exposition missing %q:\n%s", want, out)

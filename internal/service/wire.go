@@ -39,6 +39,9 @@ type CommitResponse struct {
 	Inserted   int              `json:"inserted"`
 	Deleted    int              `json:"deleted"`
 	Maintained map[string]int64 `json:"maintained_ns,omitempty"`
+	// Dropped names the registrations this commit's maintenance failed on
+	// and unregistered; the commit itself stands.
+	Dropped []string `json:"dropped,omitempty"`
 }
 
 // RegisterRequest registers (or replaces) a named program.
