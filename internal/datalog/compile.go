@@ -21,6 +21,12 @@ package datalog
 //
 // The compiled form is per-evaluation (it captures resolved EDB
 // relations), so compilation cost is one pass over the program per Eval.
+//
+// An Incremental compiles every rule a second time in head-seeded form
+// (seedRule): the same rule behind a leading atom that binds the head's
+// arguments from a set of candidate head tuples, which is how delete
+// maintenance asks "is this over-deleted tuple still derivable?" of one
+// rule at the cost of a bound probe instead of a full firing.
 
 // cTerm is a term with its variable renamed: varID >= 0 indexes the
 // environment, varID < 0 means the constant val.
@@ -54,6 +60,7 @@ type cAtom struct {
 	arity  int
 	idbID  int       // >= 0: IDB predicate id; -1: EDB
 	edbRel *Relation // resolved EDB relation when idbID == -1
+	tab    int       // the predicate's table in the witness store
 	mask   uint64
 	pat    []cPat    // mask positions to fill into the probe pattern
 	binds  []cAction // first-occurrence variables: env[varID] = tup[pos]
@@ -80,6 +87,76 @@ type cRule struct {
 	never  bool // a constant-only constraint is violated: the rule is dead
 	maxAr  int
 	nv     int
+	// skip is 1 for a head-seeded form, whose atom 0 is the seed: it binds
+	// the head from a candidate tuple and is no part of a witness, and one
+	// emission per candidate is enough. origin then maps each atom to its
+	// body position in the program's rule (seedRule reorders the body); nil
+	// is the identity.
+	skip   int
+	origin []int
+}
+
+// indexed reports whether the atom is probed through a join index: some
+// but not all of its columns are bound. An atom bound on no column is
+// scanned, one bound on every column is a membership test on the
+// relation's own tuple set, and neither needs an index.
+func (a *cAtom) indexed() bool {
+	return a.mask != 0 && a.mask != 1<<uint(a.arity)-1
+}
+
+// seedPred names the synthetic leading atom of a head-seeded rule. It is
+// not an identifier the lexer accepts, so no program predicate has it.
+const seedPred = "\x00seed"
+
+// seedRule returns r in head-seeded form: a leading atom over the head's
+// own arguments — fired with that atom reading a set of candidate head
+// tuples, the rule derives exactly the candidates r can derive — followed
+// by r's body atoms, reordered so that each next atom is the one with the
+// most columns bound by then (ties to the textual order): with the head
+// bound up front the textual order, chosen for an unbound head, may open
+// with an atom the seed binds nothing of. origin[i] is the position in
+// r's body of the seeded rule's atom i, -1 for the seed.
+func seedRule(r Rule) (Rule, []int) {
+	atoms := r.Atoms()
+	bound := map[string]bool{}
+	bind := func(a Atom) {
+		for _, t := range a.Args {
+			if t.IsVar() {
+				bound[t.Var] = true
+			}
+		}
+	}
+	bind(r.Head)
+	out := Rule{Head: r.Head, Body: []BodyItem{{Atom: &Atom{Pred: seedPred, Args: r.Head.Args}}}}
+	origin := []int{-1}
+	placed := make([]bool, len(atoms))
+	for range atoms {
+		best, bestBound := -1, -1
+		for i, a := range atoms {
+			if placed[i] {
+				continue
+			}
+			n := 0
+			for _, t := range a.Args {
+				if !t.IsVar() || bound[t.Var] {
+					n++
+				}
+			}
+			if n > bestBound {
+				best, bestBound = i, n
+			}
+		}
+		placed[best] = true
+		bind(atoms[best])
+		out.Body = append(out.Body, BodyItem{Atom: &atoms[best]})
+		origin = append(origin, best)
+	}
+	for _, b := range r.Body {
+		if b.Constraint != nil {
+			out.Body = append(out.Body, b)
+		}
+	}
+	return out, origin
 }
 
 // compileRule translates rule ri into its numeric form using the
@@ -133,6 +210,7 @@ func (e *evaluator) compileRule(ri int, r Rule) *cRule {
 		} else {
 			ca.edbRel = e.edb[a.Pred]
 		}
+		ca.tab = e.wit.tabID[a.Pred]
 		if ca.arity > cr.maxAr {
 			cr.maxAr = ca.arity
 		}

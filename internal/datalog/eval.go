@@ -24,7 +24,7 @@ type Result struct {
 	// Stats holds the per-rule and per-round instrumentation counters.
 	Stats *EvalStats
 
-	prov map[string]map[tupleKey]*Derivation
+	wit *witnessStore
 }
 
 // Goal returns the fixpoint relation of the program goal.
@@ -110,17 +110,20 @@ func newEvaluator(ctx context.Context, p *Program, db *Database, opt Options) (*
 	for i, name := range e.idbNames {
 		e.idbID[name] = i
 	}
+	var edbNames []string
+	for name := range p.EDBs() {
+		edbNames = append(edbNames, name)
+	}
+	sort.Strings(edbNames)
+	e.wit = newWitnessStore(opt.TrackProvenance, e.idbNames, edbNames, arity)
 	e.idb = map[string]*Relation{}
 	e.stage = map[string]*StageTable{}
 	e.idbByID = make([]*Relation, len(e.idbNames))
-	e.stageByID = make([]*StageTable, len(e.idbNames))
 	for i, name := range e.idbNames {
 		r := NewDLRelation(arity[name])
 		e.idb[name] = r
 		e.idbByID[i] = r
-		st := newStageTable(r)
-		e.stage[name] = st
-		e.stageByID[i] = st
+		e.stage[name] = &StageTable{rel: r, wit: e.wit, tab: i}
 	}
 	e.empty = map[int]*Relation{}
 	for _, a := range arity {
@@ -131,7 +134,7 @@ func newEvaluator(ctx context.Context, p *Program, db *Database, opt Options) (*
 	// EDB relations referenced but absent resolve to a shared empty
 	// relation; the caller's database is left untouched.
 	e.edb = map[string]*Relation{}
-	for name := range p.EDBs() {
+	for _, name := range edbNames {
 		r := db.Relation(name)
 		if r == nil {
 			r = e.empty[arity[name]]
@@ -141,19 +144,11 @@ func newEvaluator(ctx context.Context, p *Program, db *Database, opt Options) (*
 		}
 		e.edb[name] = r
 	}
-	if opt.TrackProvenance {
-		e.prov = map[string]map[tupleKey]*Derivation{}
-		e.provByID = make([]map[tupleKey]*Derivation, len(e.idbNames))
-		for i, name := range e.idbNames {
-			m := map[tupleKey]*Derivation{}
-			e.prov[name] = m
-			e.provByID[i] = m
-		}
-	}
 	e.rules = make([]*cRule, len(p.Rules))
 	for ri, r := range p.Rules {
 		e.rules[ri] = e.compileRule(ri, r)
 	}
+	e.wit.setRules(e.rules)
 	e.ruleStats = make([]ruleCounters, len(p.Rules))
 	if opt.UseIndexes {
 		e.prepareIndexes()
@@ -170,7 +165,7 @@ func newEvaluator(ctx context.Context, p *Program, db *Database, opt Options) (*
 // fresh copy per call.
 func (e *evaluator) result() *Result {
 	return &Result{IDB: e.idb, Stage: e.stage, Rounds: e.rounds,
-		Derivations: e.derivations, Stats: e.statsSnapshot(), prov: e.prov}
+		Derivations: e.derivations, Stats: e.statsSnapshot(), wit: e.wit}
 }
 
 // MustEval is Eval with DefaultOptions that panics on error.
@@ -193,31 +188,31 @@ type evaluator struct {
 	idbNames []string       // sorted IDB predicate names; position = id
 	idbID    map[string]int // predicate name -> dense id
 
-	idb       map[string]*Relation
-	idbByID   []*Relation
-	edb       map[string]*Relation // resolved EDB reads (shared empties when absent)
-	empty     map[int]*Relation    // shared read-only empty relation per arity
-	stage     map[string]*StageTable
-	stageByID []*StageTable
-	prov      map[string]map[tupleKey]*Derivation
-	provByID  []map[tupleKey]*Derivation
+	idb     map[string]*Relation
+	idbByID []*Relation
+	edb     map[string]*Relation // resolved EDB reads (shared empties when absent)
+	empty   map[int]*Relation    // shared read-only empty relation per arity
+	stage   map[string]*StageTable
+	// wit holds every derived tuple's stage and, with TrackProvenance, its
+	// first-derivation witness; see witness.go.
+	wit *witnessStore
 
 	// rules holds the compiled form of every program rule; see compile.go.
 	// All join masks are known statically from it, so every index can be
-	// registered before workers fire in parallel.
-	rules []*cRule
+	// registered before workers fire in parallel. seeded, compiled only for
+	// an Incremental, holds each rule's head-seeded form.
+	rules  []*cRule
+	seeded []*cRule
 	// deltaMasks[id] collects the masks probed on predicate id's delta.
 	deltaMasks [][]uint64
 	// deltaPool ping-pongs two sets of per-predicate delta relations so
 	// steady-state rounds recycle buffers instead of reallocating.
 	deltaPool [2][]*Relation
-	// pending is the reused per-round emission buffer; its capacity tracks
-	// the previous round's cardinality. spans attributes contiguous ranges
-	// of pending to the rule that emitted them (one span per task, in
-	// deterministic task order).
-	pending []fact
-	spans   []span
-	tasks   []fireTask
+	// outs holds one emission buffer per task of the current round, in
+	// task order; the buffers are kept from round to round, so a task slot's
+	// capacity tracks the largest emission it has seen.
+	outs  []taskOut
+	tasks []fireTask
 
 	// Instrumentation accumulators; see stats.go.
 	ruleStats     []ruleCounters
@@ -227,30 +222,37 @@ type evaluator struct {
 
 	rounds      int
 	derivations int
+	// overDeleted and rederived total, over an Incremental's delete runs,
+	// the tuples over-deleted and the ones among them that came back.
+	overDeleted, rederived int64
 
 	// changes, when non-nil, records every genuinely new IDB tuple the
-	// commit paths land, keyed by dense predicate id. Incremental turns it
-	// on around a maintenance run to surface the run's exact view delta
-	// (see Incremental.LastDelta); ordinary evaluations leave it nil and
-	// pay nothing.
-	changes []map[tupleKey]Tuple
-}
-
-// span attributes pending[start:end] to rule ri for per-rule commit
-// accounting.
-type span struct {
-	ri         int
-	start, end int
+	// commit lands (the relation's own copy), by dense predicate id.
+	// Incremental turns it on around a maintenance run to surface the run's
+	// exact view delta (see Incremental.LastDelta); ordinary evaluations
+	// leave it nil and pay nothing.
+	changes [][]Tuple
 }
 
 // fireTask is one unit of per-round work: fire rule ri with body atom
 // occurrence deltaIdx reading from the relation rel instead of its usual
 // source (-1 for no delta position). rel is an IDB delta in the
 // semi-naive loop and an EDB delta when Incremental seeds an insertion.
+// seeded fires the rule's head-seeded form instead, whose atom 0 (always
+// the delta position) reads rel as the set of candidate heads.
 type fireTask struct {
 	ri       int
 	deltaIdx int
 	rel      *Relation
+	seeded   bool
+}
+
+// compiled returns the compiled rule a task fires.
+func (e *evaluator) compiled(tk fireTask) *cRule {
+	if tk.seeded {
+		return e.seeded[tk.ri]
+	}
+	return e.rules[tk.ri]
 }
 
 // prepareIndexes registers every statically-probed join index up front:
@@ -260,19 +262,28 @@ type fireTask struct {
 func (e *evaluator) prepareIndexes() {
 	e.deltaMasks = make([][]uint64, len(e.idbNames))
 	for _, cr := range e.rules {
+		e.registerIndexes(cr)
 		for ai := range cr.atoms {
 			a := &cr.atoms[ai]
-			if a.mask == 0 {
-				continue
+			if a.indexed() && a.idbID >= 0 && !containsMask(e.deltaMasks[a.idbID], a.mask) {
+				e.deltaMasks[a.idbID] = append(e.deltaMasks[a.idbID], a.mask)
 			}
-			if a.idbID >= 0 {
-				e.idbByID[a.idbID].ensureIndex(a.mask)
-				if !containsMask(e.deltaMasks[a.idbID], a.mask) {
-					e.deltaMasks[a.idbID] = append(e.deltaMasks[a.idbID], a.mask)
-				}
-			} else if a.edbRel != nil {
-				a.edbRel.ensureIndex(a.mask)
-			}
+		}
+	}
+}
+
+// registerIndexes builds the join index of every indexed atom of cr on the
+// relation the atom reads.
+func (e *evaluator) registerIndexes(cr *cRule) {
+	for ai := range cr.atoms {
+		a := &cr.atoms[ai]
+		if !a.indexed() {
+			continue
+		}
+		if a.idbID >= 0 {
+			e.idbByID[a.idbID].ensureIndex(a.mask)
+		} else if a.edbRel != nil {
+			a.edbRel.ensureIndex(a.mask)
 		}
 	}
 }
@@ -293,18 +304,12 @@ func (e *evaluator) runNaive() error {
 			return err
 		}
 		e.rounds++
-		start := time.Now()
-		pending := e.collect(tasks)
-		if err := e.ctx.Err(); err != nil {
-			// Abort before the commit: the round's emissions are discarded,
-			// so the result stays a whole-rounds-only prefix.
+		anyNew, err := e.round(tasks, nil)
+		if err != nil {
 			e.rounds--
 			return err
 		}
-		fresh := e.commit(pending)
-		e.recordRound(RoundStats{Round: e.rounds, Tasks: len(tasks),
-			Derived: int64(len(pending)), New: int64(fresh), TimeNs: time.Since(start).Nanoseconds()})
-		if fresh == 0 {
+		if !anyNew {
 			return nil
 		}
 		if e.opt.MaxRounds > 0 && e.rounds >= e.opt.MaxRounds {
@@ -320,7 +325,7 @@ func (e *evaluator) runSemiNaive() error {
 		return err
 	}
 	e.rounds = 1
-	anyNew, err := e.deltaRound(e.allRuleTasks(), e.deltaPool[0])
+	anyNew, err := e.round(e.allRuleTasks(), e.deltaPool[0])
 	if err != nil {
 		e.rounds--
 		return err
@@ -358,7 +363,7 @@ func (e *evaluator) loopSemiNaive(cur int) error {
 				}
 			}
 		}
-		anyNew, err := e.deltaRound(e.tasks, e.deltaPool[1-cur])
+		anyNew, err := e.round(e.tasks, e.deltaPool[1-cur])
 		if err != nil {
 			e.rounds--
 			return err
@@ -378,7 +383,7 @@ func (e *evaluator) resumeFixpoint() error {
 	start := time.Now()
 	defer func() { e.elapsedNs += time.Since(start).Nanoseconds() }()
 	e.rounds++
-	anyNew, err := e.deltaRound(e.tasks, e.deltaPool[0])
+	anyNew, err := e.round(e.tasks, e.deltaPool[0])
 	if err != nil {
 		e.rounds--
 		return err
@@ -389,18 +394,21 @@ func (e *evaluator) resumeFixpoint() error {
 	return nil
 }
 
-// deltaRound fires tasks, commits the emissions into the IDB and the
-// delta relations in out, and records the round's counters. It aborts
-// without committing when the context ends during firing.
-func (e *evaluator) deltaRound(tasks []fireTask, out []*Relation) (bool, error) {
+// round fires tasks, commits the emissions into the IDB (and, in the
+// semi-naive loop, the delta relations in out) and records the round's
+// counters; it reports whether anything new was derived. It aborts without
+// committing when the context ends during firing: the round's emissions
+// are discarded, so the result stays a whole-rounds-only prefix.
+func (e *evaluator) round(tasks []fireTask, out []*Relation) (bool, error) {
 	start := time.Now()
-	pending := e.collect(tasks)
+	emitted := e.collect(tasks)
 	if err := e.ctx.Err(); err != nil {
 		return false, err
 	}
-	fresh := e.commitDelta(pending, out)
+	e.derivations += emitted
+	fresh := e.commit(tasks, out)
 	e.recordRound(RoundStats{Round: e.rounds, Tasks: len(tasks),
-		Derived: int64(len(pending)), New: int64(fresh), TimeNs: time.Since(start).Nanoseconds()})
+		Derived: int64(emitted), New: int64(fresh), TimeNs: time.Since(start).Nanoseconds()})
 	return fresh > 0, nil
 }
 
@@ -413,70 +421,58 @@ func (e *evaluator) allRuleTasks() []fireTask {
 	return e.tasks
 }
 
-// collect fires all tasks and returns the emitted facts in deterministic
-// task order, recording per-rule firing counters as it goes. With
-// Parallelism > 1 the tasks are distributed over a bounded worker pool;
-// each worker emits into a private buffer and the buffers are
-// concatenated in task order, which reproduces the sequential emission
-// order exactly (and hence identical Stage, Rounds and first-derivation
-// provenance commits). During firing the workers only read the
-// IDB/EDB/delta relations — every join index they probe was registered up
-// front — so no synchronization beyond the final join is needed. Workers
-// check the context between tasks and stop taking new ones once it ends.
-func (e *evaluator) collect(tasks []fireTask) []fact {
-	e.pending = e.pending[:0]
-	e.spans = e.spans[:0]
-	if e.par <= 1 || len(tasks) <= 1 {
-		for _, tk := range tasks {
+// collect fires all tasks into e.outs, one buffer per task in task order,
+// and merges their firing counters into the per-rule accumulators; it
+// returns the number of emissions. With Parallelism > 1 the tasks are
+// distributed over a bounded worker pool; since each task emits into its
+// own buffer and the commit reads the buffers in task order, the
+// sequential emission order is reproduced exactly (and hence identical
+// Stage, Rounds and first-derivation witnesses). During firing the workers
+// only read the IDB/EDB/delta relations — every join index they probe was
+// registered up front — so no synchronization beyond the final join is
+// needed. Workers check the context between tasks and stop taking new
+// ones once it ends.
+func (e *evaluator) collect(tasks []fireTask) int {
+	for len(e.outs) < len(tasks) {
+		e.outs = append(e.outs, taskOut{})
+	}
+	outs := e.outs[:len(tasks)]
+	for i := range outs {
+		outs[i].reset()
+	}
+	fire := func(i int) {
+		tk, o := tasks[i], &outs[i]
+		t0 := time.Now()
+		e.fireRule(e.compiled(tk), tk.rel, tk.deltaIdx, o)
+		o.durNs = time.Since(t0).Nanoseconds()
+		o.fired = true
+	}
+	if workers := min(e.par, len(tasks)); workers <= 1 {
+		for i := range tasks {
 			if e.ctx.Err() != nil {
 				break
 			}
-			cr := e.rules[tk.ri]
-			rc := &e.ruleStats[tk.ri]
-			begin := len(e.pending)
-			t0 := time.Now()
-			e.fireRule(cr, tk.rel, tk.deltaIdx, &rc.probes, func(t Tuple, d *Derivation) {
-				e.pending = append(e.pending, fact{predID: cr.headID, t: t, deriv: d})
-			})
-			rc.timeNs += time.Since(t0).Nanoseconds()
-			rc.firings++
-			rc.derived += int64(len(e.pending) - begin)
-			e.spans = append(e.spans, span{ri: tk.ri, start: begin, end: len(e.pending)})
+			fire(i)
 		}
-		return e.pending
-	}
-	outs := make([]taskOut, len(tasks))
-	workers := e.par
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if e.ctx.Err() != nil {
-					return
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for e.ctx.Err() == nil {
+					i := int(next.Add(1)) - 1
+					if i >= len(tasks) {
+						return
+					}
+					fire(i)
 				}
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				tk := tasks[i]
-				cr := e.rules[tk.ri]
-				o := &outs[i]
-				t0 := time.Now()
-				e.fireRule(cr, tk.rel, tk.deltaIdx, &o.probes, func(t Tuple, d *Derivation) {
-					o.buf = append(o.buf, fact{predID: cr.headID, t: t, deriv: d})
-				})
-				o.durNs = time.Since(t0).Nanoseconds()
-				o.fired = true
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
+	emitted := 0
 	for i := range outs {
 		o := &outs[i]
 		if !o.fired {
@@ -484,147 +480,136 @@ func (e *evaluator) collect(tasks []fireTask) []fact {
 		}
 		rc := &e.ruleStats[tasks[i].ri]
 		rc.firings++
-		rc.derived += int64(len(o.buf))
+		rc.derived += int64(len(o.heads))
 		rc.probes += o.probes
 		rc.timeNs += o.durNs
-		begin := len(e.pending)
-		e.pending = append(e.pending, o.buf...)
-		e.spans = append(e.spans, span{ri: tasks[i].ri, start: begin, end: len(e.pending)})
+		emitted += len(o.heads)
 	}
-	return e.pending
+	return emitted
 }
 
-// taskOut is one parallel task's private output: its emission buffer and
-// its locally-accumulated counters, merged in task order after the join.
+// taskOut is one task's private output: the head tuples it emitted, in
+// emission order, with their witnesses beside them — when witnesses are
+// kept, emission j's matched body tuples are body[j*n:(j+1)*n], n being
+// the rule's recorded atoms, aliasing the relations' own tuples — and its
+// locally-accumulated counters.
 type taskOut struct {
-	buf    []fact
+	heads  []Tuple
+	body   []Tuple
 	probes int64
 	durNs  int64
 	fired  bool
 }
 
-type fact struct {
-	predID int
-	t      Tuple
-	deriv  *Derivation
+// reset empties the buffer for the next round, keeping its capacity and
+// dropping the tuples it referenced.
+func (o *taskOut) reset() {
+	clear(o.heads)
+	clear(o.body)
+	*o = taskOut{heads: o.heads[:0], body: o.body[:0]}
 }
 
-// commit adds pending facts, recording stages and attributing new/dup
-// counts to the emitting rules via the collected spans; returns how many
-// facts were new.
-func (e *evaluator) commit(pending []fact) int {
-	e.derivations += len(pending)
-	fresh := 0
-	for _, sp := range e.spans {
-		rc := &e.ruleStats[sp.ri]
-		for _, f := range pending[sp.start:sp.end] {
-			if k, isNew := e.idbByID[f.predID].add(f.t); isNew {
-				e.stageByID[f.predID].m[k] = e.rounds
-				if e.provByID != nil {
-					e.provByID[f.predID][k] = f.deriv
-				}
-				if e.changes != nil {
-					e.changes[f.predID][k] = f.t
-				}
-				rc.fresh++
-				fresh++
-			} else {
-				rc.duplicates++
-			}
-		}
-	}
-	return fresh
-}
-
-// commitDelta adds pending facts into the IDB and the recycled delta
-// relations in out, returning how many were new.
-func (e *evaluator) commitDelta(pending []fact, out []*Relation) int {
-	e.derivations += len(pending)
+// commit adds the round's emissions to the IDB in task order, recording
+// the stage and witness of each new tuple and attributing new/duplicate
+// counts to the emitting rules; it returns how many tuples were new. With
+// out non-nil (the semi-naive loop) the new tuples also fill the recycled
+// delta relations in out.
+func (e *evaluator) commit(tasks []fireTask, out []*Relation) int {
 	for _, d := range out {
 		if d != nil {
 			d.reset()
 		}
 	}
 	fresh := 0
-	for _, sp := range e.spans {
-		rc := &e.ruleStats[sp.ri]
-		for _, f := range pending[sp.start:sp.end] {
-			if k, isNew := e.idbByID[f.predID].add(f.t); isNew {
-				e.stageByID[f.predID].m[k] = e.rounds
-				if e.provByID != nil {
-					e.provByID[f.predID][k] = f.deriv
-				}
-				if e.changes != nil {
-					e.changes[f.predID][k] = f.t
-				}
-				d := out[f.predID]
+	for i, tk := range tasks {
+		o := &e.outs[i]
+		if !o.fired {
+			continue
+		}
+		cr := e.compiled(tk)
+		rc := &e.ruleStats[tk.ri]
+		rel := e.idbByID[cr.headID]
+		n := 0
+		if e.wit.prov {
+			n = len(cr.atoms) - cr.skip
+		}
+		for j, head := range o.heads {
+			stored, k, isNew := rel.add(head)
+			if !isNew {
+				rc.duplicates++
+				continue
+			}
+			e.wit.record(cr, k, stored, e.rounds, o.body[j*n:(j+1)*n])
+			if e.changes != nil {
+				e.changes[cr.headID] = append(e.changes[cr.headID], stored)
+			}
+			if out != nil {
+				d := out[cr.headID]
 				if d == nil {
-					d = NewDLRelation(len(f.t))
+					d = NewDLRelation(len(stored))
 					if e.deltaMasks != nil {
-						for _, m := range e.deltaMasks[f.predID] {
+						for _, m := range e.deltaMasks[cr.headID] {
 							d.ensureIndex(m)
 						}
 					}
-					out[f.predID] = d
+					out[cr.headID] = d
 				}
-				d.Add(f.t)
-				rc.fresh++
-				fresh++
-			} else {
-				rc.duplicates++
+				d.Add(stored)
 			}
+			rc.fresh++
+			fresh++
 		}
 	}
 	return fresh
 }
 
 // fireRule enumerates all satisfying assignments of the compiled rule
-// body and emits the corresponding head tuples with (optional)
-// provenance, counting relation lookups into probes. deltaIdx >= 0
-// designates the body atom occurrence that must read from deltaRel
-// instead of its usual relation. fireRule only reads evaluator state, so
-// distinct tasks may run it concurrently (each with its own probes
-// counter).
-func (e *evaluator) fireRule(cr *cRule, deltaRel *Relation, deltaIdx int, probes *int64, emit func(Tuple, *Derivation)) {
+// body and emits the corresponding head tuples into out, each with its
+// matched body tuples when witnesses are kept, counting relation lookups
+// into out.probes. deltaIdx >= 0 designates the body atom occurrence that
+// must read from deltaRel instead of its usual relation. For a
+// head-seeded form (cr.skip == 1) deltaRel holds the candidate heads, and
+// the enumeration moves on to the next candidate at its first emission.
+// fireRule only reads evaluator state, so distinct tasks may run it
+// concurrently (each with its own out).
+func (e *evaluator) fireRule(cr *cRule, deltaRel *Relation, deltaIdx int, out *taskOut) {
 	if cr.never {
 		return
 	}
 	env := make([]int, cr.nv)
 	pat := make(Tuple, cr.maxAr)
 	var matched []Tuple
-	if e.prov != nil {
+	if e.wit.prov {
 		matched = make([]Tuple, len(cr.atoms))
 	}
+	seeded := cr.skip > 0
 
 	// finish enumerates the variables bound by no atom (head or constraint
-	// variables) over the whole universe, then emits the head.
-	var finish func(k int)
-	finish = func(k int) {
+	// variables) over the whole universe, then emits the head. Like try and
+	// step it reports whether the current candidate of a seeded rule is
+	// settled, which ends every enumeration below the seed atom.
+	var finish func(k int) bool
+	finish = func(k int) bool {
 		if k == len(cr.free) {
 			head := make(Tuple, len(cr.head))
 			for i, t := range cr.head {
 				head[i] = t.eval(env)
 			}
-			var deriv *Derivation
+			out.heads = append(out.heads, head)
 			if matched != nil {
-				deriv = &Derivation{Rule: cr.ri}
-				for i := range cr.atoms {
-					cp := make(Tuple, len(matched[i]))
-					copy(cp, matched[i])
-					deriv.Body = append(deriv.Body, Fact{Pred: cr.atoms[i].pred, Tuple: cp})
-				}
+				out.body = append(out.body, matched[cr.skip:]...)
 			}
-			emit(head, deriv)
-			return
+			return seeded
 		}
 		v := cr.free[k]
 		cons := cr.consAt[len(cr.atoms)+k]
 		for x := 0; x < e.db.N; x++ {
 			env[v] = x
-			if consOK(cons, env) {
-				finish(k + 1)
+			if consOK(cons, env) && finish(k+1) {
+				return true
 			}
 		}
+		return false
 	}
 
 	// try extends the assignment with one candidate tuple for atom ai.
@@ -632,28 +617,28 @@ func (e *evaluator) fireRule(cr *cRule, deltaRel *Relation, deltaIdx int, probes
 	// Binds are unconditional writes — every later read of a variable is
 	// statically downstream of its bind, so no unbinding is needed when
 	// backtracking.
-	var step func(ai int)
-	try := func(ai int, tup Tuple) {
+	var step func(ai int) bool
+	try := func(ai int, tup Tuple) bool {
 		a := &cr.atoms[ai]
 		for _, b := range a.binds {
 			env[b.varID] = tup[b.pos]
 		}
 		for _, c := range a.checks {
 			if env[c.varID] != tup[c.pos] {
-				return
+				return false
 			}
 		}
-		if consOK(cr.consAt[ai], env) {
-			if matched != nil {
-				matched[ai] = tup
-			}
-			step(ai + 1)
+		if !consOK(cr.consAt[ai], env) {
+			return false
 		}
+		if matched != nil {
+			matched[ai] = tup
+		}
+		return step(ai + 1)
 	}
-	step = func(ai int) {
+	step = func(ai int) bool {
 		if ai == len(cr.atoms) {
-			finish(0)
-			return
+			return finish(0)
 		}
 		a := &cr.atoms[ai]
 		var rel *Relation
@@ -666,25 +651,38 @@ func (e *evaluator) fireRule(cr *cRule, deltaRel *Relation, deltaIdx int, probes
 			rel = a.edbRel
 		}
 		if rel == nil || rel.Size() == 0 {
-			return
+			return false
 		}
 		for _, p := range a.pat {
 			pat[p.pos] = p.t.eval(env)
 		}
-		*probes++
+		out.probes++
 		switch {
+		case seeded && ai == 0:
+			// The candidate heads: visit every one that agrees with the
+			// head's constants (a.pat holds nothing else here, and deeper
+			// levels overwrite pat); a settled candidate only ends its own
+			// turn.
+			scan := rel.Cursor()
+		candidates:
+			for tup, ok := scan.Next(); ok; tup, ok = scan.Next() {
+				for _, p := range a.pat {
+					if tup[p.pos] != p.t.val {
+						continue candidates
+					}
+				}
+				try(ai, tup)
+			}
 		case a.mask == 0:
 			// Unbound atom: scan in place (a cursor, not Each, which would
 			// cost a closure per step).
 			scan := rel.Cursor()
 			for tup, ok := scan.Next(); ok; tup, ok = scan.Next() {
-				try(ai, tup)
+				if try(ai, tup) {
+					return true
+				}
 			}
-		case e.opt.UseIndexes:
-			for _, tup := range rel.ensureIndex(a.mask).matches(pat[:a.arity]) {
-				try(ai, tup)
-			}
-		default:
+		case !e.opt.UseIndexes:
 			// The index ablation: filter a full scan. Deeper levels reuse pat,
 			// so the candidates are collected before any of them is tried.
 			var cands []Tuple
@@ -695,9 +693,23 @@ func (e *evaluator) fireRule(cr *cRule, deltaRel *Relation, deltaIdx int, probes
 				return true
 			})
 			for _, tup := range cands {
-				try(ai, tup)
+				if try(ai, tup) {
+					return true
+				}
+			}
+		case !a.indexed():
+			// Every column bound: a membership test on the tuple set.
+			if tup := rel.get(keyOf(pat[:a.arity])); tup != nil {
+				return try(ai, tup)
+			}
+		default:
+			for _, tup := range rel.ensureIndex(a.mask).matches(pat[:a.arity]) {
+				if try(ai, tup) {
+					return true
+				}
 			}
 		}
+		return false
 	}
 	step(0)
 }

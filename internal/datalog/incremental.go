@@ -12,20 +12,38 @@ package datalog
 //     least one new fact; the resulting IDB delta then drives the
 //     ordinary semi-naive continuation to the new fixpoint.
 //
-//   - Deletions use delete-and-rederive (DRed) with the engine's
-//     first-derivation provenance bounding the over-deletion phase: every
-//     IDB tuple carries a witness derivation whose body facts come from
-//     strictly earlier stages, so walking the tuples in ascending stage
-//     order and over-deleting exactly those whose witness lost a body
-//     fact (a deleted EDB fact, or an IDB fact over-deleted earlier in
-//     the walk) is sound — surviving tuples keep an intact, acyclic
-//     witness. The over-deleted tuples are removed and the rederivation
-//     phase resumes the semi-naive loop over the survivors; anything that
-//     comes back gets a fresh (still acyclic) witness.
+//   - Deletions use delete-and-rederive (DRed), both phases driven by the
+//     witness table (witness.go) so that they cost in proportion to what
+//     the deletion affects, not to the view. Every IDB tuple has a row
+//     with the rule application that first derived it, citing its body
+//     facts by reference, and every fact — EDB or IDB — heads a use-list
+//     of the references citing it.
+//
+//     Over-deletion is a worklist over the use-lists: starting from the
+//     removed EDB facts, every head whose witness cites a dead fact is
+//     dead too and is followed in turn. A tuple is over-deleted exactly
+//     when its witness lost a body fact, directly or through an earlier
+//     over-deletion; a survivor's witness is intact, so it is certainly
+//     still derivable and is never visited. Witness bodies come from
+//     strictly earlier stages, so the references form a DAG and the
+//     worklist reaches exactly the set a walk over all tuples in
+//     ascending stage order would mark (the test-only reference in
+//     incremental_reference_test.go is that walk).
+//
+//     Rederivation is head-seeded: every rule has a second compiled form
+//     with a leading atom over the over-deleted tuples of its head
+//     predicate (compile.go, seedRule), so one round asks, per over-deleted
+//     tuple and rule, whether the survivors still derive it — bound probes
+//     and membership tests from the head outward, stopping at the first
+//     witness. What comes back is committed at a fresh stage and drives
+//     the ordinary semi-naive continuation, which re-derives whatever
+//     depended on it. The seeds are only read while rules fire; a tuple
+//     that returns is committed after the round, at a stage above that of
+//     every survivor its new witness cites.
 //
 // Stage numbers keep growing across updates (rounds are never reset), so
 // the witness-acyclicity invariant — every body fact of a recorded
-// derivation has a strictly smaller stage than its head — holds by
+// witness has a strictly smaller stage than its head — holds by
 // construction after any sequence of updates. Stages therefore order
 // derivations but no longer match a from-scratch evaluation; the
 // maintained IDB relations do, exactly.
@@ -43,7 +61,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // ErrViewBroken reports that an Incremental's maintenance was aborted
@@ -175,6 +192,12 @@ type Incremental struct {
 	// lastDelta is the net IDB change of the most recent successful
 	// Insert/Delete; see LastDelta.
 	lastDelta Delta
+	// over holds, per IDB predicate, the tuples the current (or last) delete
+	// run over-deleted — the candidates its head-seeded rules read — and
+	// work is that run's worklist of dead witness rows; both are recycled
+	// from run to run.
+	over []*Relation
+	work []uint32
 }
 
 // NewIncremental evaluates the program to its fixpoint on a private copy
@@ -212,7 +235,24 @@ func NewIncrementalContext(ctx context.Context, p *Program, db *Database, opt Op
 		return nil, err
 	}
 	e.ctx = context.Background()
-	return &Incremental{p: p, db: owned, e: e, arity: arity, edbSet: edbSet}, nil
+	// The head-seeded forms delete maintenance fires, and the candidate
+	// relations they read.
+	inc := &Incremental{p: p, db: owned, e: e, arity: arity, edbSet: edbSet}
+	e.seeded = make([]*cRule, len(e.rules))
+	for ri, r := range e.p.Rules {
+		sr, origin := seedRule(r)
+		cr := e.compileRule(ri, sr)
+		cr.skip, cr.origin = 1, origin
+		if e.opt.UseIndexes {
+			e.registerIndexes(cr)
+		}
+		e.seeded[ri] = cr
+	}
+	inc.over = make([]*Relation, len(e.idbNames))
+	for id, rel := range e.idbByID {
+		inc.over[id] = NewDLRelation(rel.Arity)
+	}
+	return inc, nil
 }
 
 // Program returns the maintained program.
@@ -242,59 +282,31 @@ func (inc *Incremental) LastDelta() Delta { return inc.lastDelta }
 
 // beginChanges arms the evaluator's new-tuple recording for one
 // maintenance run.
-func (e *evaluator) beginChanges() {
-	e.changes = make([]map[tupleKey]Tuple, len(e.idbNames))
-	for i := range e.changes {
-		e.changes[i] = map[tupleKey]Tuple{}
-	}
-}
+func (e *evaluator) beginChanges() { e.changes = make([][]Tuple, len(e.idbNames)) }
 
 // takeChanges disarms recording and returns what the run committed.
-func (e *evaluator) takeChanges() []map[tupleKey]Tuple {
+func (e *evaluator) takeChanges() [][]Tuple {
 	ch := e.changes
 	e.changes = nil
 	return ch
 }
 
-// deltaOf folds per-id added/removed tuple maps into a Delta keyed by
-// predicate name, each slice canonically sorted. A key present in both
-// maps of one id cancels out (the run removed and re-derived the tuple,
-// so the view is unchanged for it).
-func (inc *Incremental) deltaOf(added, removed []map[tupleKey]Tuple) Delta {
-	e := inc.e
-	var d Delta
-	fold := func(src, other []map[tupleKey]Tuple, out *map[string][]Tuple) {
-		if src == nil {
-			return
-		}
-		for id, m := range src {
-			var ts []Tuple
-			for k, t := range m {
-				if other != nil && other[id] != nil {
-					if _, both := other[id][k]; both {
-						continue
-					}
-				}
-				ts = append(ts, t)
-			}
-			if len(ts) == 0 {
-				continue
-			}
-			SortTuples(ts)
-			if *out == nil {
-				*out = map[string][]Tuple{}
-			}
-			(*out)[e.idbNames[id]] = ts
-		}
+// setDelta files one predicate's side of a Delta, canonically sorted; an
+// empty side stays absent. ts must be the caller's to give away.
+func (e *evaluator) setDelta(side *map[string][]Tuple, id int, ts []Tuple) {
+	if len(ts) == 0 {
+		return
 	}
-	fold(added, removed, &d.Added)
-	fold(removed, added, &d.Removed)
-	return d
+	SortTuples(ts)
+	if *side == nil {
+		*side = map[string][]Tuple{}
+	}
+	(*side)[e.idbNames[id]] = ts
 }
 
-// Result returns a live view of the maintained fixpoint: the IDB, stage
-// and provenance maps are shared with the evaluator, so the view reflects
-// every later update. Rounds and Derivations accumulate across updates,
+// Result returns a live view of the maintained fixpoint: the IDB relations
+// and the witness table behind Stage and Prove are shared with the
+// evaluator, so the view reflects every later update. Rounds and Derivations accumulate across updates,
 // as do the Stats counters.
 func (inc *Incremental) Result() *Result { return inc.e.result() }
 
@@ -414,7 +426,9 @@ func (inc *Incremental) InsertContext(ctx context.Context, facts ...Fact) error 
 	err := e.resumeFixpoint()
 	added := e.takeChanges()
 	if err == nil {
-		inc.lastDelta = inc.deltaOf(added, nil)
+		for id, ts := range added {
+			e.setDelta(&inc.lastDelta.Added, id, ts)
+		}
 	}
 	return inc.finish(err)
 }
@@ -426,11 +440,12 @@ func (inc *Incremental) Delete(facts ...Fact) error {
 }
 
 // DeleteContext removes EDB facts and maintains the fixpoint by DRed:
-// witnesses invalidated by the removals are over-deleted in ascending
-// stage order, then the semi-naive loop resumes over the survivors to
-// re-derive anything still supported. The batch is validated before any
-// mutation; a context abort mid-maintenance breaks the view (see
-// ErrViewBroken).
+// the tuples whose witness lost a fact are over-deleted by following
+// use-lists outward from the removed facts, then each rule is asked, head
+// first, which of them the survivors still derive, and the semi-naive
+// loop continues from what came back (see the package comment). The batch
+// is validated before any mutation; a context abort mid-maintenance breaks
+// the view (see ErrViewBroken).
 func (inc *Incremental) DeleteContext(ctx context.Context, facts ...Fact) error {
 	if err := inc.begin(ctx); err != nil {
 		return err
@@ -441,114 +456,89 @@ func (inc *Incremental) DeleteContext(ctx context.Context, facts ...Fact) error 
 	}
 	inc.updates++
 	inc.lastDelta = Delta{}
-	// Apply to the EDB, remembering what was actually removed.
-	var removed map[string]map[tupleKey]bool
+	e := inc.e
+	w := e.wit
+	// Apply to the EDB. A fact that was there and that some witness cites
+	// has a row: those rows start the worklist.
+	work := inc.work[:0]
 	for _, f := range facts {
-		if !inc.edbSet[f.Pred] {
+		if !inc.edbSet[f.Pred] || !inc.db.Relation(f.Pred).Remove(f.Tuple) {
 			continue
 		}
-		if inc.db.Relation(f.Pred).Remove(f.Tuple) {
-			if removed == nil {
-				removed = map[string]map[tupleKey]bool{}
+		if r := w.find(w.tabID[f.Pred], keyOf(f.Tuple), f.Tuple); r != 0 {
+			w.rows[r].stage = deadStage
+			work = append(work, r)
+		}
+	}
+	cited := len(work)
+	for _, over := range inc.over {
+		over.reset()
+	}
+	// Over-deletion: a head whose witness cites a dead fact is dead. Each
+	// row is marked when first reached, so it is queued once.
+	for i := 0; i < len(work); i++ {
+		for ref := w.rows[work[i]].uses; ref != 0; ref = w.refs[ref].next {
+			if h := w.refs[ref].head; w.rows[h].stage != deadStage {
+				w.rows[h].stage = deadStage
+				work = append(work, h)
 			}
-			m := removed[f.Pred]
-			if m == nil {
-				m = map[tupleKey]bool{}
-				removed[f.Pred] = m
-			}
-			m[keyOf(f.Tuple)] = true
 		}
 	}
-	if removed == nil {
-		return inc.finish(nil)
-	}
-	e := inc.e
-
-	// Over-deletion: walk every IDB tuple in ascending first-derivation
-	// stage order. A tuple is over-deleted exactly when its witness lost a
-	// body fact — a removed EDB fact, or an IDB fact over-deleted earlier
-	// in the walk (witness bodies always have strictly smaller stages, so
-	// they are decided first). Survivors keep an intact witness and are
-	// certainly still derivable.
-	type staged struct {
-		predID int
-		k      tupleKey
-		stage  int
-	}
-	var all []staged
-	for id := range e.idbNames {
-		// The stage table is keyed by exactly the view's tuples.
-		for k, stage := range e.stageByID[id].m {
-			all = append(all, staged{predID: id, k: k, stage: stage})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].stage < all[j].stage })
-	over := make([]map[tupleKey]bool, len(e.idbNames))
-	for i := range over {
-		over[i] = map[tupleKey]bool{}
-	}
-	overTotal := 0
-	for _, s := range all {
-		d := e.provByID[s.predID][s.k]
-		if d == nil {
-			continue // no recorded witness (cannot happen: provenance is forced on); treat as surviving
-		}
-		for _, bf := range d.Body {
-			if id, ok := e.idbID[bf.Pred]; ok {
-				if !over[id][keyOf(bf.Tuple)] {
-					continue
-				}
-			} else if !removed[bf.Pred][keyOf(bf.Tuple)] {
-				continue
-			}
-			over[s.predID][s.k] = true
-			overTotal++
-			break
-		}
-	}
-	if overTotal == 0 {
-		return inc.finish(nil)
-	}
-	// Snapshot the over-deleted tuples before removal: net with whatever
-	// the rederivation brings back, they are the run's view delta.
-	overTuples := make([]map[tupleKey]Tuple, len(e.idbNames))
-	for id, m := range over {
+	inc.work = work
+	// Remove the dead tuples from the view, keeping them in over as the
+	// candidates of the rederivation (and, net of what it brings back, the
+	// run's view delta), and free every dead row — a removed fact's too,
+	// even if nothing cites it any more.
+	for _, r := range work[cited:] {
+		id := w.tabOf(r)
 		rel := e.idbByID[id]
-		if len(m) > 0 {
-			overTuples[id] = make(map[tupleKey]Tuple, len(m))
-		}
-		for k := range m {
-			t := rel.get(k)
-			overTuples[id][k] = t
-			rel.Remove(t)
-			delete(e.stageByID[id].m, k)
-			delete(e.provByID[id], k)
-		}
+		stored := rel.get(w.keyOfRow(r))
+		inc.over[id].Add(stored)
+		rel.Remove(stored)
 	}
+	for _, r := range work {
+		w.release(r)
+	}
+	if len(work) == cited {
+		return inc.finish(nil) // no witness cited a removed fact
+	}
+	e.overDeleted += int64(len(work) - cited)
 
-	// Rederivation: resume the fixpoint over the survivors. Every firing
-	// over the shrunken IDB and EDB lands inside the old fixpoint, so the
-	// only tuples that can commit are over-deleted ones coming back; rules
-	// whose head predicate lost nothing can be skipped in the full
-	// re-firing round.
+	// Rederivation: one head-seeded task per rule whose head predicate lost
+	// anything, then the semi-naive continuation from whatever returned.
 	e.tasks = e.tasks[:0]
-	for ri, cr := range e.rules {
-		if len(over[cr.headID]) > 0 {
-			e.tasks = append(e.tasks, fireTask{ri: ri, deltaIdx: -1})
+	for ri, cr := range e.seeded {
+		if over := inc.over[cr.headID]; over.Size() > 0 && !cr.never {
+			e.tasks = append(e.tasks, fireTask{ri: ri, deltaIdx: 0, rel: over, seeded: true})
 		}
 	}
-	var err error
-	var readded []map[tupleKey]Tuple
-	if len(e.tasks) > 0 {
-		e.beginChanges()
-		err = e.resumeFixpoint()
-		readded = e.takeChanges()
+	e.beginChanges()
+	err := e.resumeFixpoint()
+	readded := e.takeChanges()
+	if err != nil {
+		return inc.finish(err)
 	}
-	if err == nil {
-		// Rederivation can only re-commit over-deleted tuples (every firing
-		// lands inside the old fixpoint), so the Added side nets to empty;
-		// deltaOf computes it anyway rather than assume it.
-		inc.lastDelta = inc.deltaOf(readded, overTuples)
+	// Every firing over the shrunken IDB and EDB lands inside the old
+	// fixpoint, so only over-deleted tuples can have been committed and the
+	// Added side nets to empty; it is computed anyway rather than assumed.
+	for id, over := range inc.over {
+		rel := e.idbByID[id]
+		var removed, added []Tuple
+		over.Each(func(t Tuple) bool {
+			if !rel.Has(t) {
+				removed = append(removed, t)
+			}
+			return true
+		})
+		for _, t := range readded[id] {
+			if over.Has(t) {
+				e.rederived++
+			} else {
+				added = append(added, t)
+			}
+		}
+		e.setDelta(&inc.lastDelta.Removed, id, removed)
+		e.setDelta(&inc.lastDelta.Added, id, added)
 	}
-	return inc.finish(err)
+	return inc.finish(nil)
 }

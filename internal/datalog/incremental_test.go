@@ -33,35 +33,99 @@ func sameIDB(inc *Incremental, scratch *Result) (string, bool) {
 	return "", true
 }
 
-// checkWitnesses verifies the DRed invariant: every maintained IDB tuple
-// has a recorded witness whose EDB body facts are present in the owned
-// database, whose IDB body facts are still derived, and whose body stages
-// are strictly smaller than the head's stage (acyclicity).
+// checkWitnesses verifies the DRed invariants on the witness table. Every
+// maintained IDB tuple has a row with a recorded witness whose EDB body
+// facts are present in the owned database, whose IDB body facts are still
+// derived, and whose body stages are strictly smaller than the head's
+// stage (acyclicity); no table indexes a freed row or a row of another
+// predicate. And the use-lists are consistent: every body reference of
+// every live witness is on exactly one use-list, the one of the fact it
+// cites, and no use-list holds anything else.
 func checkWitnesses(t *testing.T, inc *Incremental) {
 	t.Helper()
 	e := inc.e
+	w := e.wit
+	live := map[uint32]bool{}
+	for tab := range w.tabs {
+		n := 0
+		for _, r := range w.tabs[tab].slots {
+			if r == 0 {
+				continue
+			}
+			n++
+			if rw := w.rows[r]; rw.rule == freeRule || rw.stage == deadStage {
+				t.Fatalf("table %s indexes freed row %d", w.tabs[tab].name, r)
+			}
+			if got := w.tabOf(r); got != tab {
+				t.Fatalf("table %s indexes row %d of table %s", w.tabs[tab].name, r, w.tabs[got].name)
+			}
+			live[r] = true
+		}
+		if n != w.tabs[tab].n {
+			t.Fatalf("table %s counts %d rows, indexes %d", w.tabs[tab].name, w.tabs[tab].n, n)
+		}
+	}
+	cited := 0 // body references of live witnesses
 	for id, name := range e.idbNames {
+		if w.tabs[id].n != e.idbByID[id].Size() {
+			t.Fatalf("%s has %d tuples but %d witness rows", name, e.idbByID[id].Size(), w.tabs[id].n)
+		}
 		for _, tup := range e.idbByID[id].TuplesUnordered() {
-			k := keyOf(tup)
-			d := e.provByID[id][k]
+			r := w.find(id, keyOf(tup), tup)
+			if r == 0 {
+				t.Fatalf("%s%v has no witness row", name, tup)
+			}
+			d := w.derivation(r)
 			if d == nil {
 				t.Fatalf("%s%v has no recorded witness", name, tup)
 			}
-			head := e.stageByID[id].m[k]
-			for _, bf := range d.Body {
+			if got := e.p.Rules[d.Rule].Head.Pred; got != name {
+				t.Fatalf("witness of %s%v is an application of a rule for %s", name, tup, got)
+			}
+			head := w.rows[r].stage
+			cited += len(d.Body)
+			for i, bf := range d.Body {
+				tgt := w.refs[w.rows[r].body+uint32(i)].target
+				if !live[tgt] {
+					t.Fatalf("witness of %s%v cites freed row %d for %s", name, tup, tgt, bf)
+				}
 				if bid, ok := e.idbID[bf.Pred]; ok {
-					bk := keyOf(bf.Tuple)
-					if e.idbByID[bid].get(bk) == nil {
+					if e.idbByID[bid].get(keyOf(bf.Tuple)) == nil {
 						t.Fatalf("witness of %s%v cites dropped IDB fact %s", name, tup, bf)
 					}
-					if bs := e.stageByID[bid].m[bk]; bs >= head {
+					if bs := w.rows[tgt].stage; bs >= head {
 						t.Fatalf("witness of %s%v (stage %d) cites %s at stage %d", name, tup, head, bf, bs)
 					}
-				} else if r := inc.db.Relation(bf.Pred); r == nil || !r.Has(bf.Tuple) {
+				} else if rel := inc.db.Relation(bf.Pred); rel == nil || !rel.Has(bf.Tuple) {
 					t.Fatalf("witness of %s%v cites dropped EDB fact %s", name, tup, bf)
 				}
 			}
 		}
+	}
+	listed := map[uint32]bool{}
+	for r := range live {
+		prev := uint32(0)
+		for ref := w.rows[r].uses; ref != 0; prev, ref = ref, w.refs[ref].next {
+			rf := w.refs[ref]
+			if rf.target != r || rf.prev != prev {
+				t.Fatalf("use-list of row %d: reference %d has target %d, prev %d (want %d)", r, ref, rf.target, rf.prev, prev)
+			}
+			if !live[rf.head] {
+				t.Fatalf("use-list of row %d names freed head %d", r, rf.head)
+			}
+			if base := w.rows[rf.head].body; ref < base || ref >= base+uint32(w.bodyLen(rf.head)) {
+				t.Fatalf("use-list of row %d: reference %d is outside head %d's witness", r, ref, rf.head)
+			}
+			if listed[ref] {
+				t.Fatalf("reference %d is on two use-lists", ref)
+			}
+			listed[ref] = true
+		}
+	}
+	// Every listed reference belongs to a live witness and sits on the list
+	// of its own target, so equal counts mean each is on exactly one list.
+	if len(listed) != cited {
+		t.Fatalf("%d body references of live witnesses, %d on use-lists", cited, len(listed))
 	}
 }
 

@@ -154,3 +154,13 @@ func spillKey(t Tuple, mask uint64, masked bool) tupleKey {
 	}
 	return tupleKey{spill: string(b)}
 }
+
+// unpackKey reads back the tuple of the given arity a packed key encodes.
+func unpackKey(packed uint64, arity int) Tuple {
+	w := uint(4) << (packed >> packedBits)
+	t := make(Tuple, arity)
+	for i := range t {
+		t[i] = int(packed >> (uint(i) * w) & (1<<w - 1))
+	}
+	return t
+}

@@ -12,7 +12,8 @@ import (
 // the tests use to extract actual witness paths from the paper's programs.
 
 // Derivation is one rule application: the rule index in Program.Rules and
-// the body atom instantiations in body-atom order.
+// the body atom instantiations in body-atom order. The engine keeps
+// witnesses packed (see witness.go) and builds Derivations on demand.
 type Derivation struct {
 	Rule int
 	Body []Fact
@@ -83,7 +84,7 @@ func (p *Proof) String() string {
 // Prove unfolds the recorded provenance of a derived tuple into a proof
 // tree. Evaluation must have run with TrackProvenance set.
 func (res *Result) Prove(p *Program, pred string, t Tuple) (*Proof, error) {
-	if res.prov == nil {
+	if res.wit == nil || !res.wit.prov {
 		return nil, fmt.Errorf("datalog: evaluation did not track provenance")
 	}
 	idb := p.IDBs()
@@ -92,8 +93,8 @@ func (res *Result) Prove(p *Program, pred string, t Tuple) (*Proof, error) {
 		if !idb[f.Pred] {
 			return &Proof{Fact: f, Rule: -1}, nil
 		}
-		d, ok := res.prov[f.Pred][keyOf(f.Tuple)]
-		if !ok {
+		d := res.derivationOf(f)
+		if d == nil {
 			return nil, fmt.Errorf("datalog: no derivation recorded for %s", f)
 		}
 		node := &Proof{Fact: f, Rule: d.Rule}
@@ -107,4 +108,18 @@ func (res *Result) Prove(p *Program, pred string, t Tuple) (*Proof, error) {
 		return node, nil
 	}
 	return build(Fact{Pred: pred, Tuple: t})
+}
+
+// derivationOf returns the recorded witness of an IDB fact, or nil when
+// the fact was not derived.
+func (res *Result) derivationOf(f Fact) *Derivation {
+	tab, ok := res.wit.tabID[f.Pred]
+	if !ok || len(f.Tuple) != res.wit.tabs[tab].arity {
+		return nil
+	}
+	r := res.wit.find(tab, keyOf(f.Tuple), f.Tuple)
+	if r == 0 {
+		return nil
+	}
+	return res.wit.derivation(r)
 }

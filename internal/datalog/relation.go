@@ -327,7 +327,7 @@ func (r *Relation) indexes() []*index {
 
 // Add inserts a tuple and reports whether it was new.
 func (r *Relation) Add(t Tuple) bool {
-	_, isNew := r.add(t)
+	_, _, isNew := r.add(t)
 	return isNew
 }
 
@@ -346,9 +346,10 @@ func (r *Relation) find(k tupleKey, h uint64) (slot uint64, i int) {
 	return slot, -1
 }
 
-// add is Add, additionally returning the tuple's canonical key so commit
-// paths can reuse it for stage and provenance bookkeeping.
-func (r *Relation) add(t Tuple) (tupleKey, bool) {
+// add is Add, additionally returning the relation's own copy of the tuple
+// and its canonical key, which the commit path reuses for stage and
+// witness bookkeeping.
+func (r *Relation) add(t Tuple) (Tuple, tupleKey, bool) {
 	if len(t) != r.Arity {
 		panic(fmt.Sprintf("datalog: arity mismatch: tuple %v in relation of arity %d", t, r.Arity))
 	}
@@ -356,7 +357,7 @@ func (r *Relation) add(t Tuple) (tupleKey, bool) {
 	h := k.hash()
 	slot, i := r.find(k, h)
 	if i >= 0 {
-		return k, false
+		return r.set.dir[slot].vals[i], k, false
 	}
 	cp := make(Tuple, len(t))
 	copy(cp, t)
@@ -365,7 +366,7 @@ func (r *Relation) add(t Tuple) (tupleKey, bool) {
 	for _, ix := range r.indexes() {
 		ix.add(o, cp)
 	}
-	return k, true
+	return cp, k, true
 }
 
 // Remove deletes a tuple, maintaining every registered index, and reports

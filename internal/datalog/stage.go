@@ -2,33 +2,33 @@ package datalog
 
 // StageTable records, for every tuple of one IDB predicate, the stage Θ^n
 // (1-based round) at which the tuple was first derived — the paper's stage
-// semantics from Section 2. Internally it keys on the packed tuple
-// encoding, so stage recording stays off the string-allocation path.
+// semantics from Section 2. It is a view of the predicate's rows in the
+// evaluation's witness table, which holds exactly the relation's tuples.
 type StageTable struct {
 	rel *Relation // the predicate's fixpoint relation, for iteration
-	m   map[tupleKey]int
+	wit *witnessStore
+	tab int // the predicate's table in wit
 }
-
-func newStageTable(rel *Relation) *StageTable {
-	return &StageTable{rel: rel, m: map[tupleKey]int{}}
-}
-
-// set records the first-derivation stage of t (caller guarantees t is new).
-func (st *StageTable) set(t Tuple, stage int) { st.m[keyOf(t)] = stage }
 
 // Of returns the first-derivation stage of t and whether t was derived.
 func (st *StageTable) Of(t Tuple) (int, bool) {
-	s, ok := st.m[keyOf(t)]
-	return s, ok
+	r := st.wit.find(st.tab, keyOf(t), t)
+	if r == 0 {
+		return 0, false
+	}
+	return int(st.wit.rows[r].stage), true
 }
 
 // Len returns the number of staged tuples.
-func (st *StageTable) Len() int { return len(st.m) }
+func (st *StageTable) Len() int { return st.rel.Size() }
 
 // Each calls f for every derived tuple with its stage, in arbitrary order,
 // stopping early when f returns false.
 func (st *StageTable) Each(f func(Tuple, int) bool) {
-	st.rel.Each(func(t Tuple) bool { return f(t, st.m[keyOf(t)]) })
+	st.rel.Each(func(t Tuple) bool {
+		s, _ := st.Of(t)
+		return f(t, s)
+	})
 }
 
 // StageOf returns the first-derivation stage of a tuple of the named

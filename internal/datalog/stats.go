@@ -65,6 +65,12 @@ type EvalStats struct {
 	New        int64 `json:"new"`
 	Duplicates int64 `json:"duplicates"`
 	Probes     int64 `json:"index_probes"`
+	// OverDeleted and Rederived total, over an Incremental view's delete
+	// runs, the tuples DRed over-deleted (their witness lost a fact) and the
+	// ones among them rederivation brought back; the difference left the
+	// view. Both stay 0 for a plain evaluation.
+	OverDeleted int64 `json:"overdeleted"`
+	Rederived   int64 `json:"rederived"`
 	// TimeNs is the evaluation's accumulated wall time in nanoseconds
 	// (summed across updates for an Incremental view). Unlike the rule
 	// times it never double-counts overlapping parallel work.
@@ -94,6 +100,8 @@ func (e *evaluator) statsSnapshot() *EvalStats {
 		Rules:         make([]RuleStats, len(e.ruleStats)),
 		Rounds:        append([]RoundStats(nil), e.roundStats...),
 		RoundsDropped: e.roundsDropped,
+		OverDeleted:   e.overDeleted,
+		Rederived:     e.rederived,
 	}
 	for ri, rc := range e.ruleStats {
 		st.Rules[ri] = RuleStats{

@@ -65,6 +65,7 @@ func (reg *registration) snapshot(prev *publishedProg, delta datalog.Delta) *pub
 	}
 	if res.Stats != nil {
 		pp.stats.Rules = res.Stats.Rules
+		pp.stats.OverDeleted, pp.stats.Rederived = res.Stats.OverDeleted, res.Stats.Rederived
 	}
 	if reg.coord != nil {
 		sh := reg.coord.Stats()

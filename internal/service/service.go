@@ -166,6 +166,8 @@ type serviceMetrics struct {
 	streamFallbacks  *obs.Counter
 	deprecatedReqs   *obs.Counter
 	viewReads        *obs.Counter
+	dredOverDeleted  *obs.Counter
+	dredRederived    *obs.Counter
 	streamsActive    *obs.Gauge
 	streamPeakBuf    *obs.Gauge
 	querySeconds     *obs.Histogram
@@ -411,6 +413,8 @@ func (s *Service) initMetrics() {
 		streamFallbacks: r.Counter("datalog_stream_fallbacks_total", "streaming queries that fell back to materialized evaluation (recursive slice)"),
 		deprecatedReqs:  r.Counter("datalog_deprecated_requests_total", "requests served on the legacy unversioned HTTP paths"),
 		viewReads:       r.Counter("datalog_view_reads_total", "unbound reads of a registered program served from its published sorted view"),
+		dredOverDeleted: r.Counter("datalog_dred_overdeleted_total", "view tuples delete maintenance over-deleted: their recorded witness lost a fact"),
+		dredRederived:   r.Counter("datalog_dred_rederived_total", "over-deleted view tuples rederivation brought back; the rest left their view"),
 		streamsActive:   r.Gauge("datalog_streams_active", "streaming queries currently open"),
 		streamPeakBuf:   r.Gauge("datalog_stream_peak_buffered_rows", "high-water mark of rows buffered by any single streaming query"),
 		querySeconds:    r.Histogram("datalog_query_seconds", "end-to-end query latency", nil),
@@ -832,9 +836,12 @@ func (s *Service) commitLocked(insert, del []datalog.Fact, persist bool) (Commit
 		reg.maintainTotal += reg.maintainLast
 		info.Maintained[reg.name] = reg.maintainLast
 		pstart := time.Now()
-		reg.pub = reg.snapshot(reg.pub, delta)
+		prev := reg.pub
+		reg.pub = reg.snapshot(prev, delta)
 		if persist {
 			s.met.evalRounds.Add(int64(reg.inc.Rounds() - roundsBefore))
+			s.met.dredOverDeleted.Add(reg.pub.stats.OverDeleted - prev.stats.OverDeleted)
+			s.met.dredRederived.Add(reg.pub.stats.Rederived - prev.stats.Rederived)
 			s.met.maintainSeconds.Observe(reg.maintainLast.Seconds())
 			s.met.viewPublishSecs.Observe(time.Since(pstart).Seconds())
 		}
@@ -1302,17 +1309,22 @@ func (s *Service) ExplainContext(ctx context.Context, req ExplainRequest) (Expla
 // published version. IDBSizes and Rules are shared with every other caller:
 // read-only.
 type ProgramStats struct {
-	Name            string              `json:"name"`
-	Hash            string              `json:"hash"`
-	Version         int64               `json:"version"`
-	Goal            string              `json:"goal"`
-	Updates         int                 `json:"updates"`
-	Rounds          int                 `json:"rounds"`
-	Derivations     int                 `json:"derivations"`
-	IDBSizes        map[string]int      `json:"idb_sizes"`
-	MaintainTotalNs int64               `json:"maintain_total_ns"`
-	MaintainLastNs  int64               `json:"maintain_last_ns"`
-	Rules           []datalog.RuleStats `json:"rules"`
+	Name            string         `json:"name"`
+	Hash            string         `json:"hash"`
+	Version         int64          `json:"version"`
+	Goal            string         `json:"goal"`
+	Updates         int            `json:"updates"`
+	Rounds          int            `json:"rounds"`
+	Derivations     int            `json:"derivations"`
+	IDBSizes        map[string]int `json:"idb_sizes"`
+	MaintainTotalNs int64          `json:"maintain_total_ns"`
+	MaintainLastNs  int64          `json:"maintain_last_ns"`
+	// OverDeleted and Rederived total the program's delete maintenance: the
+	// view tuples whose witness lost a fact, and the ones among them that
+	// were derived again (datalog.EvalStats).
+	OverDeleted int64               `json:"overdeleted"`
+	Rederived   int64               `json:"rederived"`
+	Rules       []datalog.RuleStats `json:"rules"`
 	// Sharding carries the coordinator's cross-shard counters when the
 	// service runs with Config.Shards > 1; nil on a single-node service.
 	Sharding *shard.Stats `json:"sharding,omitempty"`

@@ -29,7 +29,7 @@
 //
 // Recursive slices cannot be computed in one streaming pass; Open returns
 // ErrRecursive and callers fall back to semi-naive materialization (which
-// already streams within each rule firing via its emit callbacks).
+// already streams within each rule firing, into its per-task buffers).
 package stream
 
 import (
