@@ -1,45 +1,36 @@
 GO ?= go
+# bench-json pipes: a failed `go test` must fail the target.
+SHELL := bash
 
-# Benchmarks that gate evaluation-core performance work (E1: transitive
-# closure semi-naive; E5: disjoint paths; E14: index ablation; E24:
-# incremental maintenance vs. from-scratch re-evaluation).
-BENCH_PATTERN := BenchmarkE1_TransitiveClosureSemiNaive|BenchmarkE5_DisjointPathsProgram|BenchmarkE14_IndexAblation|BenchmarkE24_IncrementalMaintenance|BenchmarkE24_FullReeval
+# The microbenchmark suites, one per subsystem: `make bench-json SUITE=plan`
+# runs the suite's benchmarks (the pattern BENCH_<suite> below) with
+# allocation counts, five rounds each, and writes BENCH_<suite>.json via
+# cmd/benchjson — stamped with the commit hash, UTC timestamp and Go
+# version, so files from different commits compare directly (name,
+# iterations, ns/op, B/op, allocs/op per entry). The raw `go test -bench`
+# text goes to stderr. `make bench-suites` prints the suite names; CI loops
+# over it with BENCHFLAGS='-benchtime 1x' as a does-it-still-run smoke.
+#
+#   eval       E1 transitive closure semi-naive, E5 disjoint paths, E14
+#              index ablation, E24 incremental maintenance vs re-evaluation
+#   pebble     E25 packed worklist game solver vs the reference algorithm
+#   magic      E26 magic-set rewrite vs saturation vs top-down tabling
+#   plan       E27 planned vs textual join order, planning/stats/cache cost
+#   storage    E28 commit latency per fsync policy, cold-start recovery
+#   stream     E29 streamed vs materialized drain, limit-N early stop
+#   subscribe  E30 commit-to-notification latency, subscriber fan-out
+SUITES := eval pebble magic plan storage stream subscribe
+BENCH_eval      := BenchmarkE1_TransitiveClosureSemiNaive|BenchmarkE5_DisjointPathsProgram|BenchmarkE14_IndexAblation|BenchmarkE24_IncrementalMaintenance|BenchmarkE24_FullReeval
+BENCH_pebble    := BenchmarkE25_
+BENCH_magic     := BenchmarkE26_
+BENCH_plan      := BenchmarkE27_
+BENCH_storage   := BenchmarkE28_
+BENCH_stream    := BenchmarkE29_
+BENCH_subscribe := BenchmarkE30_
+SUITE ?= eval
+BENCHFLAGS ?= -count 5
 
-# Benchmarks that gate pebble-game solver performance work (E25: packed
-# worklist solver vs the retained reference algorithm, parallelism sweep,
-# and the homomorphism-variant guard).
-BENCH_PEBBLE_PATTERN := BenchmarkE25_
-
-# Benchmarks that gate goal-directed evaluation (E26: magic-set rewrite
-# vs full saturation vs top-down tabling on bound queries).
-BENCH_MAGIC_PATTERN := BenchmarkE26_
-
-# Benchmarks that gate the cost-based join planner (E27: adversarially
-# ordered rule bodies planned vs textual, planning/stats/cache-hit cost,
-# and the subsumption pre-pass).
-BENCH_PLAN_PATTERN := BenchmarkE27_
-
-# Benchmarks that gate the durable storage subsystem (E28: commit latency
-# per fsync policy vs the memory-only floor, and cold-start recovery time
-# vs WAL length with and without checkpoints).
-BENCH_STORAGE_PATTERN := BenchmarkE28_
-
-# Benchmarks that gate the streaming execution layer (E29: full drain of
-# a layered join streamed vs materialized, and limit-N early
-# termination).
-BENCH_STREAM_PATTERN := BenchmarkE29_
-
-# Benchmarks that gate live subscriptions (E30: commit-to-notification
-# latency through maintenance, delta extraction and hub delivery, and
-# fan-out scaling across concurrent subscribers).
-BENCH_SUBSCRIBE_PATTERN := BenchmarkE30_
-
-# Benchmarks that gate the sharded evaluation subsystem (E31: saturation
-# fixpoint and commit maintenance throughput at N workers vs the
-# single-node engine, and the cross-shard exchange overhead).
-BENCH_SHARD_PATTERN := BenchmarkE31_
-
-.PHONY: build test verify bench-e2e bench-e2e-smoke bench-e2e-compare bench bench-json bench-pebble bench-pebble-json bench-magic bench-magic-json bench-plan bench-plan-json bench-storage bench-storage-json bench-stream bench-stream-json bench-subscribe bench-subscribe-json bench-shard bench-shard-json clean
+.PHONY: build test verify bench-e2e bench-e2e-smoke bench-e2e-compare bench-json bench-suites clean
 
 build:
 	$(GO) build ./...
@@ -62,7 +53,7 @@ verify:
 	$(GO) test ./...
 	$(GO) test -C benchmark .
 	$(GO) vet ./...
-	$(GO) test -race ./internal/datalog/... ./internal/magic/... ./internal/pebble/... ./internal/service/... ./internal/obs/... ./internal/plan/... ./internal/storage/... ./internal/shard/...
+	$(GO) test -race ./internal/datalog/... ./internal/magic/... ./internal/pebble/... ./internal/service/... ./internal/obs/... ./internal/plan/... ./internal/storage/...
 	$(GO) test -race -count=3 ./internal/stream/...
 
 # bench-e2e runs the end-to-end benchmark BENCHMARK.json declares (see
@@ -89,73 +80,12 @@ bench-e2e-smoke:
 bench-e2e-compare:
 	bash benchmark/run.sh -compare $(A) $(B)
 
-# bench runs the evaluation-core benchmarks with allocation counts and
-# keeps the raw text output in BENCH_eval.txt.
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count 5 . | tee BENCH_eval.txt
-
-# bench-json additionally converts the raw output to BENCH_eval.json via
-# cmd/benchjson, stamped with the commit hash, UTC timestamp, and Go
-# version so bench files from different commits are directly comparable
-# (name, iterations, ns/op, B/op, allocs/op per entry).
 bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count 5 . | tee BENCH_eval.txt | $(GO) run ./cmd/benchjson > BENCH_eval.json
+	@test -n '$(BENCH_$(SUITE))' || { echo 'bench-json: no suite "$(SUITE)"; SUITE is one of: $(SUITES)' >&2; exit 2; }
+	set -o pipefail; $(GO) test -run '^$$' -bench '$(BENCH_$(SUITE))' -benchmem $(BENCHFLAGS) . | tee /dev/stderr | $(GO) run ./cmd/benchjson > BENCH_$(SUITE).json
 
-# bench-pebble / bench-pebble-json are the same harness pointed at the
-# E25 game-solver benchmarks, producing BENCH_pebble.{txt,json}.
-bench-pebble:
-	$(GO) test -run '^$$' -bench '$(BENCH_PEBBLE_PATTERN)' -benchmem -count 5 . | tee BENCH_pebble.txt
-
-bench-pebble-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_PEBBLE_PATTERN)' -benchmem -count 5 . | tee BENCH_pebble.txt | $(GO) run ./cmd/benchjson > BENCH_pebble.json
-
-# bench-magic / bench-magic-json point the same harness at the E26
-# goal-directed evaluation benchmarks, producing BENCH_magic.{txt,json}.
-bench-magic:
-	$(GO) test -run '^$$' -bench '$(BENCH_MAGIC_PATTERN)' -benchmem -count 5 . | tee BENCH_magic.txt
-
-bench-magic-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_MAGIC_PATTERN)' -benchmem -count 5 . | tee BENCH_magic.txt | $(GO) run ./cmd/benchjson > BENCH_magic.json
-
-# bench-plan / bench-plan-json point the same harness at the E27 join
-# planner benchmarks, producing BENCH_plan.{txt,json}.
-bench-plan:
-	$(GO) test -run '^$$' -bench '$(BENCH_PLAN_PATTERN)' -benchmem -count 5 . | tee BENCH_plan.txt
-
-bench-plan-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_PLAN_PATTERN)' -benchmem -count 5 . | tee BENCH_plan.txt | $(GO) run ./cmd/benchjson > BENCH_plan.json
-
-# bench-storage / bench-storage-json point the same harness at the E28
-# durable-storage benchmarks, producing BENCH_storage.{txt,json}.
-bench-storage:
-	$(GO) test -run '^$$' -bench '$(BENCH_STORAGE_PATTERN)' -benchmem -count 5 . | tee BENCH_storage.txt
-
-bench-storage-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_STORAGE_PATTERN)' -benchmem -count 5 . | tee BENCH_storage.txt | $(GO) run ./cmd/benchjson > BENCH_storage.json
-
-# bench-stream / bench-stream-json point the same harness at the E29
-# streaming-execution benchmarks, producing BENCH_stream.{txt,json}.
-bench-stream:
-	$(GO) test -run '^$$' -bench '$(BENCH_STREAM_PATTERN)' -benchmem -count 5 . | tee BENCH_stream.txt
-
-bench-stream-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_STREAM_PATTERN)' -benchmem -count 5 . | tee BENCH_stream.txt | $(GO) run ./cmd/benchjson > BENCH_stream.json
-
-# bench-subscribe / bench-subscribe-json point the same harness at the
-# E30 live-subscription benchmarks, producing BENCH_subscribe.{txt,json}.
-bench-subscribe:
-	$(GO) test -run '^$$' -bench '$(BENCH_SUBSCRIBE_PATTERN)' -benchmem -count 5 . | tee BENCH_subscribe.txt
-
-bench-subscribe-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_SUBSCRIBE_PATTERN)' -benchmem -count 5 . | tee BENCH_subscribe.txt | $(GO) run ./cmd/benchjson > BENCH_subscribe.json
-
-# bench-shard / bench-shard-json point the same harness at the E31
-# sharded-evaluation benchmarks, producing BENCH_shard.{txt,json}.
-bench-shard:
-	$(GO) test -run '^$$' -bench '$(BENCH_SHARD_PATTERN)' -benchmem -count 5 . | tee BENCH_shard.txt
-
-bench-shard-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_SHARD_PATTERN)' -benchmem -count 5 . | tee BENCH_shard.txt | $(GO) run ./cmd/benchjson > BENCH_shard.json
+bench-suites:
+	@echo $(SUITES)
 
 clean:
-	rm -f BENCH_eval.txt BENCH_eval.json BENCH_pebble.txt BENCH_pebble.json BENCH_magic.txt BENCH_magic.json BENCH_plan.txt BENCH_plan.json BENCH_storage.txt BENCH_storage.json BENCH_stream.txt BENCH_stream.json BENCH_subscribe.txt BENCH_subscribe.json BENCH_shard.txt BENCH_shard.json
+	rm -f $(SUITES:%=BENCH_%.json)

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	serve [-addr :8344] [-universe 64] [-history 64] [-cache 256]
-//	      [-workers 0] [-parallel 0] [-shards 0] [-query-timeout 0] [-pprof]
+//	      [-workers 0] [-parallel 0] [-query-timeout 0] [-pprof]
 //	      [-facts db.facts] [-program prog.dl] [-name main]
 //	      [-data-dir dir] [-fsync always] [-fsync-interval 2ms]
 //	      [-checkpoint-every 256] [-segment-bytes 8388608]
@@ -13,10 +13,6 @@
 //
 // With -facts the file's database is committed as version 1 at startup;
 // with -program the file is registered under -name before serving.
-// -shards N (N > 1) evaluates registered programs on the sharded
-// subsystem (internal/shard): the EDB is hash-partitioned across N
-// in-process workers and commits run distributed semi-naive rounds with
-// cross-shard delta exchange; queries and subscriptions are unchanged.
 // -query-timeout bounds each query's queueing plus evaluation; -pprof
 // exposes net/http/pprof under /debug/pprof/ on the same listener.
 //
@@ -69,7 +65,6 @@ func main() {
 	cache := flag.Int("cache", 256, "query-result LRU capacity")
 	workers := flag.Int("workers", 0, "max concurrent from-scratch evaluations (0 = GOMAXPROCS)")
 	parallel := flag.Int("parallel", 0, "evaluator parallelism (0 = GOMAXPROCS, 1 = sequential)")
-	shards := flag.Int("shards", 0, "shard workers for registered programs (0 or 1 = unsharded)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline covering queueing and evaluation (0 = none)")
 	withPprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	factsPath := flag.String("facts", "", "facts file committed as version 1 at startup")
@@ -92,7 +87,6 @@ func main() {
 		CacheEntries:     *cache,
 		Workers:          *workers,
 		Parallelism:      *parallel,
-		Shards:           *shards,
 		QueryTimeout:     *queryTimeout,
 		DataDir:          *dataDir,
 		Fsync:            *fsync,

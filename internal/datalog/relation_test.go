@@ -322,7 +322,7 @@ func BenchmarkFork(b *testing.B) {
 }
 
 // BenchmarkCloneThenMutate is the same work through Relation.Clone, which
-// every reader-side copy (Incremental, the shard coordinator) goes through.
+// an Incremental's private copy of the EDB goes through.
 func BenchmarkCloneThenMutate(b *testing.B) {
 	r := churnBase()
 	rng := rand.New(rand.NewSource(7))

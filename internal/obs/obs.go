@@ -285,8 +285,8 @@ func quantile(uppers []float64, counts []int64, samples int64, q float64) float6
 }
 
 // summaryQuantiles are the latency percentiles both renderings attach to
-// every non-empty histogram, so loadgen-style consumers read p50/p95/p99
-// straight off /v1/metrics without external tooling.
+// every non-empty histogram, so a consumer reads p50/p95/p99 straight off
+// /v1/metrics without external tooling.
 var summaryQuantiles = []struct {
 	name string
 	q    float64

@@ -10,18 +10,17 @@ import (
 // maintained view at a version is a value: the writer (register, commit,
 // unregister — all under s.mu) builds the next published state beside the
 // current one and installs it with one pointer store, after validation,
-// the store fork, the WAL append and every program's maintenance have
-// succeeded and before the subscription hub sees the commit's frame.
-// Readers load the pointer and never take s.mu, so a commit in flight
-// neither stalls them nor shows them a half-state: they keep reading the
-// previous version until the swap. A commit that fails before the swap
-// (a refused WAL append) publishes nothing.
+// the store fork, the WAL append, the store install and every program's
+// maintenance have succeeded and before the subscription hub sees the
+// commit's frame. Readers load the pointer and never take s.mu, so a
+// commit in flight neither stalls them nor shows them a half-state: they
+// keep reading the previous version until the swap. A refused WAL append
+// comes before the install, so it leaves no version behind at all.
 
 // published is the immutable state every reader sees.
 type published struct {
 	// version is the latest version a reader is served: "latest" in a
-	// query, Stats().Version, the datalog_published_version gauge. It
-	// trails store.Version() only while a commit is in flight.
+	// query, Stats().Version, the datalog_published_version gauge.
 	version int64
 	snap    *Snapshot
 	progs   map[string]*publishedProg
@@ -66,10 +65,6 @@ func (reg *registration) snapshot(prev *publishedProg, delta datalog.Delta) *pub
 	if res.Stats != nil {
 		pp.stats.Rules = res.Stats.Rules
 		pp.stats.OverDeleted, pp.stats.Rederived = res.Stats.OverDeleted, res.Stats.Rederived
-	}
-	if reg.coord != nil {
-		sh := reg.coord.Stats()
-		pp.stats.Sharding = &sh
 	}
 	return pp
 }

@@ -155,6 +155,24 @@ func TestFailedWALAppendPublishesNothing(t *testing.T) {
 	if _, err := s.Commit([]datalog.Fact{edge(2, 3)}, nil); err == nil || !strings.Contains(err.Error(), "persisting commit") {
 		t.Fatalf("commit with a refused append: %v", err)
 	}
+	// The refused version was forked but never installed: the store has
+	// not moved, the version cannot be named, and the two gauges agree.
+	if v := s.store.Version(); v != 1 {
+		t.Fatalf("store.Version() = %d after the refused append, want 1", v)
+	}
+	if _, ok := s.store.At(2); ok {
+		t.Fatal("the refused version 2 is addressable in the store")
+	}
+	if _, err := s.Query(QueryRequest{Program: "tc", Version: 2}); err == nil {
+		t.Fatal("a query pinned to the refused version 2 was answered")
+	}
+	var prom strings.Builder
+	s.Metrics().WritePrometheus(&prom)
+	for _, want := range []string{"\ndatalog_store_version 1\n", "\ndatalog_published_version 1\n"} {
+		if !strings.Contains(prom.String(), want) {
+			t.Fatalf("metrics after the refused append lack %q:\n%s", want, prom.String())
+		}
+	}
 
 	page, err := s.Query(QueryRequest{Program: "tc", Version: -1, Limit: 2})
 	if err != nil {

@@ -16,7 +16,6 @@ import (
 	"repro/internal/magic"
 	"repro/internal/obs"
 	"repro/internal/plan"
-	"repro/internal/shard"
 	"repro/internal/storage"
 	"repro/internal/stream"
 )
@@ -42,13 +41,6 @@ type Config struct {
 	// Parallelism is passed to the evaluator (datalog.Options.Parallelism)
 	// for both incremental maintenance and from-scratch queries.
 	Parallelism int
-	// Shards > 1 evaluates registered programs on the sharded subsystem
-	// (internal/shard): the EDB is hash-partitioned across that many
-	// in-process workers and commits fan partition deltas out through
-	// distributed semi-naive rounds. Queries and subscriptions read the
-	// coordinator's merged view through the same code paths as the
-	// single-node engine. 0 or 1 means unsharded (the default).
-	Shards int
 	// QueryTimeout bounds each query's queueing plus evaluation time when
 	// > 0; queries exceeding it fail with context.DeadlineExceeded.
 	QueryTimeout time.Duration
@@ -182,10 +174,10 @@ type serviceMetrics struct {
 // cost model nailed it, 3 means it was 8x off in either direction.
 var planEstErrorBuckets = []float64{0.5, 1, 2, 3, 4, 6, 8, 12}
 
-// view is the maintenance surface a registration's materialized fixpoint
-// exposes: implemented by *datalog.Incremental (single-node) and
-// *shard.Coordinator (Config.Shards > 1), so the maintenance path is
-// agnostic to where the fixpoint lives (and a test can make one fail).
+// view is the maintenance surface of a registration's materialized
+// fixpoint. Production has one implementation, *datalog.Incremental; the
+// interface is the seam through which a test substitutes a view whose
+// maintenance fails (TestMaintenanceFailureDropsOnlyThatProgram).
 type view interface {
 	Check(facts ...datalog.Fact) error
 	InsertContext(ctx context.Context, facts ...datalog.Fact) error
@@ -194,7 +186,6 @@ type view interface {
 	Result() *datalog.Result
 	Rounds() int
 	Updates() int
-	Err() error
 }
 
 // registration is one registered program and its maintained view: the
@@ -206,8 +197,6 @@ type registration struct {
 	prog    *datalog.Program
 	inc     view
 	version int64 // EDB version the materialization reflects
-	// coord is non-nil when inc is a sharded coordinator (Config.Shards).
-	coord *shard.Coordinator
 
 	maintainTotal time.Duration
 	maintainLast  time.Duration
@@ -361,9 +350,9 @@ func (s *Service) openStorage() error {
 }
 
 // replayRecord applies one recovered WAL record through the same code
-// paths a live request would take, minus the WAL append: commits run
-// store.Commit plus incremental maintenance of every registration live at
-// that point in the log, so recovered views are re-derived by the
+// paths a live request would take, minus the WAL append: commits run the
+// store's Fork and Install plus incremental maintenance of every
+// registration live at that point in the log, so recovered views are re-derived by the
 // maintenance engine, not deserialized.
 func (s *Service) replayRecord(r *storage.Record) error {
 	switch r.Type {
@@ -426,7 +415,7 @@ func (s *Service) initMetrics() {
 	r.GaugeFunc("datalog_store_version", "latest EDB version in the store", func() float64 {
 		return float64(s.store.Version())
 	})
-	r.GaugeFunc("datalog_published_version", "version readers are served as latest; trails datalog_store_version only while a commit is in flight", func() float64 {
+	r.GaugeFunc("datalog_published_version", "version readers are served as latest", func() float64 {
 		return float64(s.pub.Load().version)
 	})
 	r.GaugeFunc("datalog_store_oldest_version", "oldest retained EDB version", func() float64 {
@@ -491,20 +480,6 @@ func (s *Service) initMetrics() {
 			return float64(s.recovered.Version)
 		})
 	}
-	if s.cfg.Shards > 1 {
-		r.GaugeFunc("datalog_shard_workers", "shard workers per registered program", func() float64 {
-			return float64(s.cfg.Shards)
-		})
-		r.CounterFunc("datalog_shard_exchange_rounds_total", "cross-shard exchange barrier rounds", func() int64 {
-			return s.shardStats().ExchangeRounds
-		})
-		r.CounterFunc("datalog_shard_exchanged_tuples_total", "tuples routed shard-to-shard", func() int64 {
-			return s.shardStats().ExchangedTuples
-		})
-		r.CounterFunc("datalog_shard_rebuilds_total", "delete-triggered sharded view rebuilds", func() int64 {
-			return s.shardStats().Rebuilds
-		})
-	}
 	if s.planner != nil {
 		s.met.planEstError = r.Histogram("datalog_plan_estimation_error",
 			"per-rule |log2(estimated/actual)| derived rows", planEstErrorBuckets)
@@ -531,23 +506,6 @@ func (s *Service) initMetrics() {
 
 // Metrics returns the service's metrics registry (served at /v1/metrics).
 func (s *Service) Metrics() *obs.Registry { return s.reg }
-
-// shardStats aggregates the cross-shard counters of every registered
-// program's coordinator as of the published version (zero-valued on a
-// single-node service).
-func (s *Service) shardStats() shard.Stats {
-	var agg shard.Stats
-	for _, pp := range s.pub.Load().progs {
-		st := pp.stats.Sharding
-		if st == nil {
-			continue
-		}
-		agg.ExchangeRounds += st.ExchangeRounds
-		agg.ExchangedTuples += st.ExchangedTuples
-		agg.Rebuilds += st.Rebuilds
-	}
-	return agg
-}
 
 // Close aborts in-flight evaluations, makes every later operation fail
 // with ErrClosed and — with durable storage — flushes and closes the WAL,
@@ -666,22 +624,9 @@ func (s *Service) registerLocked(ctx context.Context, name, source string, persi
 	}
 	snap := s.store.Latest()
 	start := time.Now()
-	var inc view
-	var coord *shard.Coordinator
-	if s.cfg.Shards > 1 {
-		coord, err = shard.NewContext(ctx, prog, snap.DB, shard.Config{
-			Workers: s.cfg.Shards,
-			Options: s.optsFor(snap),
-		})
-		if err != nil {
-			return RegisterInfo{}, err
-		}
-		inc = coord
-	} else {
-		inc, err = datalog.NewIncrementalContext(ctx, prog, snap.DB, s.optsFor(snap))
-		if err != nil {
-			return RegisterInfo{}, err
-		}
+	inc, err := datalog.NewIncrementalContext(ctx, prog, snap.DB, s.optsFor(snap))
+	if err != nil {
+		return RegisterInfo{}, err
 	}
 	if persist {
 		s.met.evalRounds.Add(int64(inc.Rounds()))
@@ -693,7 +638,6 @@ func (s *Service) registerLocked(ctx context.Context, name, source string, persi
 		source:       source,
 		prog:         prog,
 		inc:          inc,
-		coord:        coord,
 		version:      snap.Version,
 		maintainLast: time.Since(start),
 	}
@@ -797,20 +741,21 @@ func (s *Service) commitLocked(insert, del []datalog.Fact, persist bool) (Commit
 			return CommitInfo{}, fmt.Errorf("program %s: %w", reg.name, err)
 		}
 	}
-	snap, err := s.store.Commit(insert, del)
+	snap, err := s.store.Fork(insert, del)
 	if err != nil {
 		return CommitInfo{}, err
 	}
 	if persist && s.log != nil {
 		if _, err := s.log.AppendCommit(snap.Version, insert, del); err != nil {
-			// The store holds the version but nothing was published, so no
-			// reader at "latest" sees it. The log's sticky error refuses every
-			// later append, so no subsequent commit can be acknowledged either
-			// — the durable prefix stays a prefix, and a restart recovers to
-			// the last logged version.
+			// The fork is dropped uninstalled: the store, the views and the
+			// published state all stay at the previous version. The log's
+			// sticky error refuses every later append, so no subsequent commit
+			// can be acknowledged either — the durable prefix stays a prefix,
+			// and a restart recovers to the last logged version.
 			return CommitInfo{}, fmt.Errorf("service: persisting commit %d: %w", snap.Version, err)
 		}
 	}
+	s.store.Install(snap)
 	info := CommitInfo{Version: snap.Version, Inserted: snap.Inserted, Deleted: snap.Deleted,
 		Maintained: map[string]time.Duration{}}
 	deltas := map[string]datalog.Delta{}
@@ -1325,9 +1270,6 @@ type ProgramStats struct {
 	OverDeleted int64               `json:"overdeleted"`
 	Rederived   int64               `json:"rederived"`
 	Rules       []datalog.RuleStats `json:"rules"`
-	// Sharding carries the coordinator's cross-shard counters when the
-	// service runs with Config.Shards > 1; nil on a single-node service.
-	Sharding *shard.Stats `json:"sharding,omitempty"`
 }
 
 // SnapshotStats describes one retained EDB version in Stats.
@@ -1384,14 +1326,6 @@ type Stats struct {
 		History   int   `json:"history"`
 		Window    int   `json:"window"`
 	} `json:"subscribe"`
-	Sharding struct {
-		Enabled bool `json:"enabled"`
-		Workers int  `json:"workers"`
-		// Aggregates across every registered program's coordinator.
-		ExchangeRounds  int64 `json:"exchange_rounds"`
-		ExchangedTuples int64 `json:"exchanged_tuples"`
-		Rebuilds        int64 `json:"rebuilds"`
-	} `json:"sharding"`
 	DeprecatedRequests int64 `json:"deprecated_requests"`
 	Planner            struct {
 		Enabled     bool   `json:"enabled"`
@@ -1463,14 +1397,6 @@ func (s *Service) Stats() Stats {
 	st.Subscribe.History = s.subs.histLen()
 	st.Subscribe.Window = s.subs.window
 	st.DeprecatedRequests = s.met.deprecatedReqs.Value()
-	if s.cfg.Shards > 1 {
-		st.Sharding.Enabled = true
-		st.Sharding.Workers = s.cfg.Shards
-		agg := s.shardStats()
-		st.Sharding.ExchangeRounds = agg.ExchangeRounds
-		st.Sharding.ExchangedTuples = agg.ExchangedTuples
-		st.Sharding.Rebuilds = agg.Rebuilds
-	}
 	st.Executor.Workers = s.exec.workers()
 	st.Executor.InFlight = s.exec.inFlight.Load()
 	st.Executor.Peak = s.exec.peak.Load()

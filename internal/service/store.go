@@ -37,7 +37,7 @@ type Snapshot struct {
 	Deleted  int // facts actually removed by that commit
 	Facts    int // total facts across all relations
 	// Stats is the planner's statistics catalog for this version. Like the
-	// database it is immutable; Commit refreshes only the relations the
+	// database it is immutable; Fork refreshes only the relations the
 	// batch touched and shares the rest with the previous snapshot, so the
 	// per-commit cost is proportional to the changed relations, not the
 	// whole EDB.
@@ -158,16 +158,17 @@ func (s *Store) validate(db *datalog.Database, batch []datalog.Fact) error {
 	return nil
 }
 
-// Commit atomically applies a batch — deletions against the current
-// snapshot first, then insertions — and publishes the next version. The
-// whole batch is validated up front; on error no new version is created.
-// It returns the new snapshot. Prior snapshots are untouched: only the
-// relations the batch names are forked, and within them only the buckets
-// the batch lands in are copied.
-func (s *Store) Commit(insert, del []datalog.Fact) (*Snapshot, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev := s.snaps[len(s.snaps)-1]
+// Fork validates a batch against the current snapshot and builds the next
+// version beside it — deletions first, then insertions — without
+// installing it: until Install the store still ends at the snapshot it
+// forked from, so a caller whose write-ahead append is refused drops the
+// fork and nothing happened. On a validation error no version is built.
+// Prior snapshots are untouched: only the relations the batch names are
+// forked, and within them only the buckets the batch lands in are copied.
+// Fork and Install are the writer's two halves of one commit; the service
+// calls them under its writer lock.
+func (s *Store) Fork(insert, del []datalog.Fact) (*Snapshot, error) {
+	prev := s.Latest()
 	if err := s.validate(prev.DB, del); err != nil {
 		return nil, err
 	}
@@ -198,10 +199,17 @@ func (s *Store) Commit(insert, del []datalog.Fact) (*Snapshot, error) {
 		next.Facts += db.Relation(name).Size()
 	}
 	next.Stats = prev.Stats.Refresh(db, names...)
+	return next, nil
+}
+
+// Install makes a snapshot Fork returned the current version, trimming
+// the history window.
+func (s *Store) Install(next *Snapshot) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.snaps = append(s.snaps, next)
 	if len(s.snaps) > s.history {
 		copy(s.snaps, s.snaps[len(s.snaps)-s.history:])
 		s.snaps = s.snaps[:s.history]
 	}
-	return next, nil
 }

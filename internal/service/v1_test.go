@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -160,6 +161,27 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if snap["datalog_eval_rounds_total"].Value <= 0 {
 		t.Errorf("datalog_eval_rounds_total = %v, want > 0", snap["datalog_eval_rounds_total"].Value)
+	}
+	// The surface is pinned whole, so a block or series that is dropped —
+	// or comes back — fails here: a memory-only service with the planner on
+	// serves 47 series, and /v1/stats these top-level keys and no other.
+	if len(snap) != 47 {
+		t.Errorf("/v1/metrics serves %d series, want 47", len(snap))
+	}
+	rw = httptest.NewRecorder()
+	h.ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var stats map[string]json.RawMessage
+	if err := json.Unmarshal(rw.Body.Bytes(), &stats); err != nil {
+		t.Fatalf("/v1/stats did not parse: %v\n%s", err, rw.Body)
+	}
+	var keys []string
+	for k := range stats {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, " "), "cache commits deprecated_requests executor magic oldest_version "+
+		"planner programs queries scratch_evals snapshots storage stream subscribe universe version"; got != want {
+		t.Errorf("/v1/stats keys:\n got %s\nwant %s", got, want)
 	}
 
 	req = httptest.NewRequest(http.MethodGet, "/v1/metrics?format=prometheus", nil)
