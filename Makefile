@@ -30,7 +30,7 @@ BENCH_subscribe := BenchmarkE30_
 SUITE ?= eval
 BENCHFLAGS ?= -count 5
 
-.PHONY: build test verify bench-e2e bench-e2e-smoke bench-e2e-compare bench-json bench-suites clean
+.PHONY: build test verify loc bench-e2e bench-e2e-smoke bench-e2e-compare bench-json bench-suites clean
 
 build:
 	$(GO) build ./...
@@ -42,7 +42,8 @@ test:
 # detector over the packages with concurrent code paths (the parallel
 # rule-firing worker pool, the pebble-game referee, the incremental
 # service with its concurrent query/commit front end and subscription
-# hub, the WAL with its group-commit flusher, and the metrics registry).
+# hub, the WAL with its group-commit flusher, the metrics registry, and the
+# LRU the caches share).
 # The streaming executor gets its own -count=3 race pass: its property
 # suite is seeded-random, and repeated runs vary the operator-tree
 # shapes the env-ownership assertions see. The end-to-end benchmark is a
@@ -53,8 +54,17 @@ verify:
 	$(GO) test ./...
 	$(GO) test -C benchmark .
 	$(GO) vet ./...
-	$(GO) test -race ./internal/datalog/... ./internal/magic/... ./internal/pebble/... ./internal/service/... ./internal/obs/... ./internal/plan/... ./internal/storage/...
+	$(GO) test -race ./internal/datalog/... ./internal/magic/... ./internal/pebble/... ./internal/service/... ./internal/obs/... ./internal/plan/... ./internal/storage/... ./internal/lru/...
 	$(GO) test -race -count=3 ./internal/stream/...
+
+# loc prints the non-test Go lines of every package under internal/ and
+# cmd/ and the repo total (tracked files; benchmark/, a module of its own,
+# left out): the numbers ROADMAP's line gates quote.
+loc:
+	@for d in $$(git ls-files 'internal/*.go' 'cmd/*.go' | grep -v _test.go | xargs -n1 dirname | sort -u); do \
+		printf '%6d %s\n' $$(git ls-files ":(glob)$$d/*.go" | grep -v _test.go | xargs cat | wc -l) $$d; \
+	done
+	@printf '%6d total\n' $$(git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l)
 
 # bench-e2e runs the end-to-end benchmark BENCHMARK.json declares (see
 # benchmark/README.md): every workload by default, or whatever ARGS says,

@@ -382,7 +382,7 @@ func explainRemote(base, name, progSrc string, db *datalog.Database, g datalog.G
 			return err
 		}
 	}
-	req := service.ExplainRequestJSON{Program: name, Pred: g.Pred}
+	req := service.QueryRequestJSON{Program: name, Pred: g.Pred}
 	for i, b := range g.Bound {
 		if b {
 			v := g.Value[i]

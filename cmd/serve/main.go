@@ -25,12 +25,13 @@
 // replay length (and WAL disk footprint) in commits, and -segment-bytes
 // sizes WAL segment files.
 //
-// Endpoints (versioned; the unversioned paths remain as aliases):
+// Endpoints (all under /v1; the unversioned paths they replaced are 404):
 //
 //	POST /v1/register    {"name":"tc","program":"S(x,y) :- E(x,y). ... goal S."}
 //	POST /v1/unregister  {"name":"tc"}
 //	POST /v1/commit      {"insert":[{"pred":"E","tuple":[0,1]}],"delete":[...]}
 //	POST /v1/query       {"program":"tc","pred":"S","version":3,"tuple":[0,1]}
+//	POST /v1/explain     {"program":"tc","bind":[0,null]}
 //	GET  /v1/subscribe   ?program=tc&preds=S&goal=S(0,_)&from=-1  (SSE delta stream)
 //	GET  /v1/stats
 //	GET  /v1/metrics     (?format=prometheus for exposition text)

@@ -109,6 +109,16 @@ func TestEvalGoalTransitiveClosure(t *testing.T) {
 	} {
 		checkGoal(t, p, db, g)
 	}
+	// Two components: the saturated relation filtered by the goal — what a
+	// bound-goal subscriber keeps of a view's deltas — is the goal-directed
+	// answer set, with nothing of the component the goal cannot reach.
+	db = datalog.NewDatabase(8)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {4, 5}} {
+		db.AddFact("E", e[0], e[1])
+	}
+	if mg := checkGoal(t, p, db, datalog.NewGoal("S", 2, map[int]int{0: 0})); len(mg.Answers) != 3 {
+		t.Fatalf("S(0,_) on 0->1->2->3, 4->5 = %v, want 3 answers", mg.Answers)
+	}
 }
 
 // TestEvalGoalShrinksDemand is the headline property: with the source

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/datalog"
+	"repro/internal/lru"
 )
 
 // Config tunes the planner. The zero value is usable; New fills in the
@@ -48,7 +49,7 @@ type Planner struct {
 	rulesPruned atomic.Int64
 	atomsPruned atomic.Int64
 
-	cache *planCache
+	cache *lru.Cache[planKey, *ProgramPlan]
 }
 
 // New returns a planner with defaults applied.
@@ -65,7 +66,7 @@ func New(cfg Config) *Planner {
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 128
 	}
-	return &Planner{cfg: cfg, cache: newPlanCache(cfg.CacheEntries)}
+	return &Planner{cfg: cfg, cache: lru.New[planKey, *ProgramPlan](cfg.CacheEntries)}
 }
 
 // Counters is a snapshot of the planner's lifetime activity.
@@ -86,7 +87,7 @@ func (pl *Planner) Counters() Counters {
 		CacheMisses:  pl.misses.Load(),
 		RulesPruned:  pl.rulesPruned.Load(),
 		AtomsPruned:  pl.atomsPruned.Load(),
-		CacheEntries: int64(pl.cache.len()),
+		CacheEntries: int64(pl.cache.Len()),
 	}
 }
 
@@ -142,18 +143,31 @@ func HashProgram(p *datalog.Program) string {
 	return hex.EncodeToString(h[:])
 }
 
+// planKey identifies one cacheable planning problem: the program (by
+// content hash), the statistics epoch it was costed under, and the
+// strategy knobs that shaped the search. A magic-rewritten program
+// hashes differently per binding, so goal-directed plans get their own
+// lines; a commit that moves no cardinality across a power-of-two
+// boundary keeps the epoch, so its plans keep hitting. Plans are immutable
+// once built, so a hit is returned without copying.
+type planKey struct {
+	hash     string
+	epoch    uint64
+	strategy string
+}
+
 // PlanProgram returns the plan for p under the catalog's statistics,
 // consulting the cache first; the second result reports a cache hit.
 func (pl *Planner) PlanProgram(p *datalog.Program, cat *Catalog) (*ProgramPlan, bool) {
 	key := planKey{hash: HashProgram(p), epoch: cat.Fingerprint(), strategy: pl.Strategy()}
-	if pp := pl.cache.get(key); pp != nil {
+	if pp, ok := pl.cache.Get(key); ok {
 		pl.hits.Add(1)
 		return pp, true
 	}
 	pl.misses.Add(1)
 	pp := pl.build(p, cat)
 	pl.built.Add(1)
-	pl.cache.put(key, pp)
+	pl.cache.Put(key, pp)
 	return pp, false
 }
 

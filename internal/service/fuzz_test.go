@@ -73,7 +73,7 @@ func FuzzHTTPQuery(f *testing.F) {
 		f.Add([]byte(sd))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		fuzzPost(t, s, "/query", body)
+		fuzzPost(t, s, "/v1/query", body)
 	})
 }
 
@@ -100,6 +100,6 @@ func FuzzHTTPCommit(f *testing.F) {
 		f.Add([]byte(sd))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		fuzzPost(t, s, "/commit", body)
+		fuzzPost(t, s, "/v1/commit", body)
 	})
 }

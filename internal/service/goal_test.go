@@ -279,7 +279,7 @@ func TestGoalQueryCancellationDoesNotPoison(t *testing.T) {
 func TestQuickGoalQueryEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const universe = 10
-	s, err := New(Config{Universe: universe, CacheEntries: 8, RewriteCacheEntries: 4})
+	s, err := New(Config{Universe: universe, CacheEntries: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -36,12 +37,9 @@ import (
 // trailer line with the count and pagination state. A client that
 // disconnects mid-stream cancels the evaluation.
 //
-// Errors under /v1 are the structured envelope {"code": ..., "message":
-// ...}. The original unversioned paths (/register, /commit, ...) remain
-// as deprecated aliases with the legacy {"error": ...} shape so existing
-// clients keep working: they serve the same handlers but mark every
-// response with a Deprecation header and a Link to the /v1 successor,
-// and the first such request logs a warning.
+// Errors are the structured envelope {"code": ..., "message": ...}. The
+// unversioned paths (/register, /commit, ...) that /v1 replaced have served
+// their deprecation cycle and are gone: they answer 404.
 //
 // Commits apply deletions then insertions atomically and advance the EDB
 // version; queries default to the latest version and the program's goal,
@@ -50,24 +48,14 @@ import (
 // which FuzzHTTPQuery/FuzzHTTPCommit enforce.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	routes := []struct {
-		path string
-		h    http.HandlerFunc
-	}{
-		{"/register", s.handleRegister},
-		{"/unregister", s.handleUnregister},
-		{"/commit", s.handleCommit},
-		{"/query", s.handleQuery},
-		{"/explain", s.handleExplain},
-		{"/stats", s.handleStats},
-		{"/metrics", s.handleMetrics},
-	}
-	for _, rt := range routes {
-		mux.HandleFunc("/v1"+rt.path, rt.h)
-		mux.HandleFunc(rt.path, s.deprecated(rt.path, rt.h))
-	}
-	// Subscriptions were born versioned; no legacy alias.
+	mux.HandleFunc("/v1/register", s.handleRegister)
+	mux.HandleFunc("/v1/unregister", s.handleUnregister)
+	mux.HandleFunc("/v1/commit", s.handleCommit)
+	mux.HandleFunc("/v1/query", s.handleQuery)
+	mux.HandleFunc("/v1/explain", s.handleExplain)
 	mux.HandleFunc("/v1/subscribe", s.handleSubscribe)
+	mux.HandleFunc("/v1/stats", s.handleStats)
+	mux.HandleFunc("/v1/metrics", s.handleMetrics)
 	return mux
 }
 
@@ -100,7 +88,7 @@ func (s *Service) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if g := q.Get("goal"); g != "" {
 		goal, err := datalog.ParseGoal(g)
 		if err != nil {
-			writeError(w, r, http.StatusBadRequest, err)
+			writeError(w, http.StatusBadRequest, err)
 			return
 		}
 		req.Goal = &goal
@@ -108,7 +96,7 @@ func (s *Service) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if f := q.Get("from"); f != "" {
 		v, err := strconv.ParseInt(f, 10, 64)
 		if err != nil {
-			writeError(w, r, http.StatusBadRequest, errors.New("service: from must be an integer version"))
+			writeError(w, http.StatusBadRequest, errors.New("service: from must be an integer version"))
 			return
 		}
 		req.FromVersion = v
@@ -116,14 +104,14 @@ func (s *Service) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if b := q.Get("buffer"); b != "" {
 		v, err := strconv.Atoi(b)
 		if err != nil || v < 0 {
-			writeError(w, r, http.StatusBadRequest, errors.New("service: buffer must be a non-negative integer"))
+			writeError(w, http.StatusBadRequest, errors.New("service: buffer must be a non-negative integer"))
 			return
 		}
 		req.Buffer = v
 	}
 	sub, err := s.Subscribe(req)
 	if err != nil {
-		writeError(w, r, errorStatus(err), err)
+		writeError(w, errorStatus(err), err)
 		return
 	}
 	defer sub.Close()
@@ -166,35 +154,12 @@ func (s *Service) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// deprecated wraps a legacy unversioned route: the response advertises
-// the deprecation (RFC 9745 Deprecation header) and its /v1 successor,
-// the hit is counted in datalog_deprecated_requests_total, and the first
-// hit across all legacy routes logs one warning.
-func (s *Service) deprecated(path string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1"+path+`>; rel="successor-version"`)
-		s.met.deprecatedReqs.Inc()
-		s.deprecateOnce.Do(func() {
-			slog.Warn("deprecated unversioned API path used; migrate to /v1",
-				slog.String("path", path))
-		})
-		h(w, r)
-	}
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v) // the status line is already out; nothing to recover
-}
-
-// isV1 reports whether the request came in on the versioned surface and
-// should get the structured error envelope.
-func isV1(r *http.Request) bool {
-	return strings.HasPrefix(r.URL.Path, "/v1/")
 }
 
 // errorCode maps an HTTP status to the envelope's stable machine code.
@@ -227,17 +192,13 @@ func errorStatus(err error) int {
 	}
 }
 
-func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
-	if isV1(r) {
-		writeJSON(w, status, ErrorEnvelope{Code: errorCode(status), Message: err.Error()})
-		return
-	}
-	writeJSON(w, status, ErrorResponse{Error: err.Error()})
+func writeError(w http.ResponseWriter, status int, err error) {
+	writeJSON(w, status, ErrorEnvelope{Code: errorCode(status), Message: err.Error()})
 }
 
 func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	if r.Method != method {
-		writeError(w, r, http.StatusMethodNotAllowed, errors.New("use "+method))
+		writeError(w, http.StatusMethodNotAllowed, errors.New("use "+method))
 		return false
 	}
 	return true
@@ -249,12 +210,12 @@ func (s *Service) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	var req RegisterRequest
 	if err := DecodeJSON(r.Body, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	info, err := s.RegisterContext(r.Context(), req.Name, req.Program)
 	if err != nil {
-		writeError(w, r, errorStatus(err), err)
+		writeError(w, errorStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, RegisterResponse{
@@ -270,12 +231,12 @@ func (s *Service) handleUnregister(w http.ResponseWriter, r *http.Request) {
 		Name string `json:"name"`
 	}
 	if err := DecodeJSON(r.Body, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	removed, err := s.Unregister(req.Name)
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"removed": removed})
@@ -287,22 +248,22 @@ func (s *Service) handleCommit(w http.ResponseWriter, r *http.Request) {
 	}
 	var req CommitRequest
 	if err := DecodeJSON(r.Body, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	insert, err := factsFromWire(req.Insert)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	del, err := factsFromWire(req.Delete)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	info, err := s.Commit(insert, del)
 	if err != nil {
-		writeError(w, r, errorStatus(err), err)
+		writeError(w, errorStatus(err), err)
 		return
 	}
 	resp := CommitResponse{Version: info.Version, Inserted: info.Inserted, Deleted: info.Deleted, Dropped: info.Dropped}
@@ -315,29 +276,44 @@ func (s *Service) handleCommit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// decodeQuery strictly decodes the body /v1/query and /v1/explain share;
+// an omitted version means the latest.
+func decodeQuery(r *http.Request) (QueryRequestJSON, QueryRequest, error) {
+	var wire QueryRequestJSON
+	if err := DecodeJSON(r.Body, &wire); err != nil {
+		return wire, QueryRequest{}, err
+	}
+	req := QueryRequest{
+		Program: wire.Program, Source: wire.Source, Pred: wire.Pred, Version: -1,
+		Bind: wire.Bind, Limit: wire.Limit, Cursor: wire.Cursor,
+	}
+	if wire.Version != nil {
+		req.Version = *wire.Version
+	}
+	return wire, req, nil
+}
+
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var req QueryRequestJSON
-	if err := DecodeJSON(r.Body, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	version := int64(-1)
-	if req.Version != nil {
-		version = *req.Version
-	}
-	if req.Stream || strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
-		s.handleQueryStream(w, r, req, version)
-		return
-	}
-	res, err := s.QueryContext(r.Context(), QueryRequest{
-		Program: req.Program, Source: req.Source, Pred: req.Pred, Version: version,
-		Bind: req.Bind, Limit: req.Limit, Cursor: req.Cursor,
-	})
+	wire, req, err := decodeQuery(r)
 	if err != nil {
-		writeError(w, r, errorStatus(err), err)
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if wire.Stream || strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
+		if wire.Tuple != nil {
+			writeError(w, http.StatusBadRequest,
+				errors.New("service: tuple membership is not available on a streamed response"))
+			return
+		}
+		s.handleQueryStream(w, r, req)
+		return
+	}
+	res, err := s.QueryContext(r.Context(), req)
+	if err != nil {
+		writeError(w, errorStatus(err), err)
 		return
 	}
 	resp := QueryResponse{Pred: res.Pred, Version: res.Version, Count: len(res.Tuples), Origin: res.Origin, Goal: res.Goal, NextCursor: res.NextCursor}
@@ -345,24 +321,11 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		demand := res.GoalStats.DemandFacts
 		resp.DemandFacts = &demand
 	}
-	if req.Tuple != nil {
-		has := false
-		for _, t := range res.Tuples {
-			if len(t) != len(req.Tuple) {
-				continue
-			}
-			same := true
-			for i := range t {
-				if t[i] != req.Tuple[i] {
-					same = false
-					break
-				}
-			}
-			if same {
-				has = true
-				break
-			}
-		}
+	if wire.Tuple != nil {
+		// The answer is canonically sorted by contract: binary search.
+		want := datalog.Tuple(wire.Tuple)
+		i := sort.Search(len(res.Tuples), func(i int) bool { return datalog.CompareTuples(res.Tuples[i], want) >= 0 })
+		has := i < len(res.Tuples) && datalog.CompareTuples(res.Tuples[i], want) == 0
 		resp.Has = &has
 	} else {
 		resp.Tuples = tuplesToWire(res.Tuples)
@@ -376,18 +339,10 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 // iterator, so the client sees first answers before evaluation finishes
 // and a disconnect (r.Context() ends) cancels the evaluation within one
 // context-poll interval.
-func (s *Service) handleQueryStream(w http.ResponseWriter, r *http.Request, req QueryRequestJSON, version int64) {
-	if req.Tuple != nil {
-		writeError(w, r, http.StatusBadRequest,
-			errors.New("service: tuple membership is not available on a streamed response"))
-		return
-	}
-	q, err := s.QueryStream(r.Context(), QueryRequest{
-		Program: req.Program, Source: req.Source, Pred: req.Pred, Version: version,
-		Bind: req.Bind, Limit: req.Limit, Cursor: req.Cursor,
-	})
+func (s *Service) handleQueryStream(w http.ResponseWriter, r *http.Request, req QueryRequest) {
+	q, err := s.QueryStream(r.Context(), req)
 	if err != nil {
-		writeError(w, r, errorStatus(err), err)
+		writeError(w, errorStatus(err), err)
 		return
 	}
 	defer q.Close()
@@ -429,27 +384,24 @@ func (s *Service) handleQueryStream(w http.ResponseWriter, r *http.Request, req 
 }
 
 // handleExplain plans a query and reports the chosen join orders with
-// estimated and actual row counts (POST /v1/explain, same request shape
-// as /v1/query minus the membership tuple).
+// estimated and actual row counts (POST /v1/explain). The body is
+// /v1/query's; the fields that shape a response rather than a plan — tuple,
+// limit, cursor, stream — are refused, as every unknown field is.
 func (s *Service) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var req ExplainRequestJSON
-	if err := DecodeJSON(r.Body, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+	wire, req, err := decodeQuery(r)
+	if err == nil && (wire.Tuple != nil || wire.Limit != 0 || wire.Cursor != "" || wire.Stream) {
+		err = errors.New("service: explain takes no tuple, limit, cursor or stream")
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	version := int64(-1)
-	if req.Version != nil {
-		version = *req.Version
-	}
-	res, err := s.ExplainContext(r.Context(), ExplainRequest{
-		Program: req.Program, Source: req.Source, Pred: req.Pred, Version: version,
-		Bind: req.Bind,
-	})
+	res, err := s.ExplainContext(r.Context(), req)
 	if err != nil {
-		writeError(w, r, errorStatus(err), err)
+		writeError(w, errorStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, explainToWire(res))

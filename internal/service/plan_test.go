@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -47,23 +48,20 @@ func sortedTuples(in []datalog.Tuple) []datalog.Tuple {
 	return out
 }
 
-// TestPlannedServiceEquivalence runs the same queries on a planning and a
-// NoPlanner service: free queries, bound (magic) queries and historical
-// versions must return identical tuple sets.
+// TestPlannedServiceEquivalence checks the service's planned answers — free
+// queries, bound (magic) queries and historical versions — against the
+// engine evaluating the same program on the same snapshot in textual body
+// order (datalog.DefaultOptions carries no planner): identical tuple sets.
 func TestPlannedServiceEquivalence(t *testing.T) {
-	mk := func(noPlanner bool) *Service {
-		s, err := New(Config{Universe: 16, NoPlanner: noPlanner})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		advCommit(t, s)
-		if _, err := s.Commit([]datalog.Fact{{Pred: "R", Tuple: datalog.Tuple{4, 5}}}, nil); err != nil {
-			t.Fatal(err)
-		}
-		return s
+	s, err := New(Config{Universe: 16})
+	if err != nil {
+		t.Fatal(err)
 	}
-	planned, textual := mk(false), mk(true)
+	t.Cleanup(func() { s.Close() })
+	advCommit(t, s)
+	if _, err := s.Commit([]datalog.Fact{{Pred: "R", Tuple: datalog.Tuple{4, 5}}}, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	zero := 0
 	reqs := []QueryRequest{
@@ -73,15 +71,29 @@ func TestPlannedServiceEquivalence(t *testing.T) {
 		{Source: advProgram, Version: -1, Bind: []*int{&zero, nil}}, // magic pipeline
 	}
 	for i, req := range reqs {
-		a, err := planned.Query(req)
+		a, err := s.Query(req)
 		if err != nil {
 			t.Fatalf("req %d planned: %v", i, err)
 		}
-		b, err := textual.Query(req)
+		snap, ok := s.Store().At(a.Version)
+		if !ok {
+			t.Fatalf("req %d: version %d is not retained", i, a.Version)
+		}
+		prog, err := datalog.Parse(req.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := datalog.EvalContext(context.Background(), prog, snap.DB, datalog.DefaultOptions)
 		if err != nil {
 			t.Fatalf("req %d textual: %v", i, err)
 		}
-		at, bt := sortedTuples(a.Tuples), sortedTuples(b.Tuples)
+		var textual []datalog.Tuple
+		for _, tup := range ref.Goal(prog).Tuples() {
+			if req.Bind == nil || tup[0] == zero {
+				textual = append(textual, tup)
+			}
+		}
+		at, bt := sortedTuples(a.Tuples), sortedTuples(textual)
 		if len(at) != len(bt) {
 			t.Fatalf("req %d: %d vs %d tuples", i, len(at), len(bt))
 		}
@@ -93,11 +105,8 @@ func TestPlannedServiceEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if c := planned.Stats().Planner; !c.Enabled || c.Built == 0 {
-		t.Fatalf("planning service did not plan: %+v", c)
-	}
-	if c := textual.Stats().Planner; c.Enabled || c.Built != 0 {
-		t.Fatalf("NoPlanner service planned anyway: %+v", c)
+	if c := s.Stats().Planner; !c.Enabled || c.Built == 0 {
+		t.Fatalf("the service did not plan: %+v", c)
 	}
 }
 
@@ -112,7 +121,7 @@ func TestExplainLocal(t *testing.T) {
 	defer s.Close()
 	advCommit(t, s)
 
-	res, err := s.Explain(ExplainRequest{Source: advProgram, Version: -1})
+	res, err := s.Explain(QueryRequest{Source: advProgram, Version: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +147,7 @@ func TestExplainLocal(t *testing.T) {
 	if res.CacheHit {
 		t.Fatal("first explain reported a plan-cache hit")
 	}
-	again, err := s.Explain(ExplainRequest{Source: advProgram, Version: -1})
+	again, err := s.Explain(QueryRequest{Source: advProgram, Version: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +158,7 @@ func TestExplainLocal(t *testing.T) {
 	// Bound explain goes through the magic rewrite: the plan covers the
 	// seeded rewritten program, not the source rules.
 	zero := 0
-	bound, err := s.Explain(ExplainRequest{Source: advProgram, Version: -1, Bind: []*int{&zero, nil}})
+	bound, err := s.Explain(QueryRequest{Source: advProgram, Version: -1, Bind: []*int{&zero, nil}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,19 +205,10 @@ func TestExplainHTTP(t *testing.T) {
 		t.Fatalf("wire actual rows %+v", resp.Rules[0])
 	}
 
-	// A planner-less service refuses to explain.
-	s2, err := New(Config{Universe: 16, NoPlanner: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if w := post(t, s2.Handler(), "/v1/explain", `{"source":"`+advProgram+`"}`); w.Code != http.StatusBadRequest {
-		t.Fatalf("NoPlanner explain: %d %s", w.Code, w.Body)
-	}
 }
 
 // TestPlannerMetricsSeries checks the planner's obs series are exported
-// (and absent with NoPlanner) and move with traffic.
+// and move with traffic.
 func TestPlannerMetricsSeries(t *testing.T) {
 	s, err := New(Config{Universe: 16})
 	if err != nil {
@@ -265,20 +265,6 @@ func TestPlannerMetricsSeries(t *testing.T) {
 		}
 	}
 
-	s2, err := New(Config{Universe: 16, NoPlanner: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	rw = httptest.NewRecorder()
-	s2.Handler().ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/v1/metrics", nil))
-	var snap2 map[string]json.RawMessage
-	if err := json.Unmarshal(rw.Body.Bytes(), &snap2); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := snap2["datalog_plans_built_total"]; ok {
-		t.Error("NoPlanner service still exports planner series")
-	}
 }
 
 // TestSnapshotStatsPerVersion pins the per-snapshot statistics contract:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/datalog"
+	"repro/internal/magic"
 )
 
 // The publish point. A program has one least fixpoint per EDB, so a
@@ -80,7 +81,7 @@ func (s *Service) publishLocked(snap *Snapshot) {
 }
 
 // resolved is a query or explain request bound to the published state it
-// was resolved against.
+// was resolved against (see Service.resolve).
 type resolved struct {
 	pub *published
 	// pp is non-nil iff the request named a registration.
@@ -89,14 +90,126 @@ type resolved struct {
 	hash    string
 	pred    string
 	version int64
+	// goal is the binding pattern of a bound request and bind its canonical
+	// string ("S(0,_)"); nil and empty when every position is free.
+	goal *datalog.Goal
+	bind string
+	// rw and seeded are the bound request's magic rewrite and that rewrite
+	// seeded with the bound values; Service.target fills them on first use.
+	rw     *magic.Rewrite
+	seeded *datalog.Program
+}
+
+// resolve binds a query or explain request to the published state it is
+// answered from — one load of it — and is the one place a request is
+// validated: the program (registered by name or parsed from inline source),
+// the target predicate (defaulting to the program's goal), the pinned
+// version (<0 means latest: the published version), the limit, and the
+// binding, whose bound positions become the request's datalog.Goal. The
+// result is returned by value and handed on by address, so it stays on the
+// caller's stack: a page read allocates nothing for it.
+func (s *Service) resolve(req QueryRequest) (resolved, error) {
+	if err := s.root.Err(); err != nil {
+		return resolved{}, ErrClosed
+	}
+	if req.Limit < 0 {
+		return resolved{}, fmt.Errorf("service: negative limit %d", req.Limit)
+	}
+	q := resolved{pub: s.pub.Load(), pred: req.Pred, version: req.Version}
+	switch {
+	case req.Program != "" && req.Source != "":
+		return resolved{}, fmt.Errorf("service: query must name a registered program or carry source, not both")
+	case req.Program != "":
+		q.pp = q.pub.progs[req.Program]
+		if q.pp == nil {
+			return resolved{}, fmt.Errorf("service: no program registered as %q", req.Program)
+		}
+		q.prog, q.hash = q.pp.prog, q.pp.stats.Hash
+	case req.Source != "":
+		p, err := datalog.Parse(req.Source)
+		if err != nil {
+			return resolved{}, err
+		}
+		if err := datalog.Validate(p); err != nil {
+			return resolved{}, err
+		}
+		q.prog, q.hash = p, ProgramHash(p)
+	default:
+		return resolved{}, fmt.Errorf("service: query names no program and carries no source")
+	}
+	if q.pred == "" {
+		q.pred = q.prog.Goal
+	}
+	if !q.prog.IDBs()[q.pred] {
+		return resolved{}, fmt.Errorf("service: %q is not an IDB predicate of the program", q.pred)
+	}
+	if q.version < 0 {
+		q.version = q.pub.version
+	}
+	// An all-free (or nil) binding leaves q.goal nil: the unbound request.
+	for i, b := range req.Bind {
+		if b == nil {
+			continue
+		}
+		if q.goal == nil {
+			arity := q.prog.Arities()[q.pred]
+			if len(req.Bind) != arity {
+				return resolved{}, fmt.Errorf("service: bind has %d positions, predicate %s has arity %d", len(req.Bind), q.pred, arity)
+			}
+			g := datalog.NewGoal(q.pred, arity, nil)
+			q.goal = &g
+		}
+		q.goal.Bound[i], q.goal.Value[i] = true, *b
+	}
+	if q.goal != nil {
+		q.bind = q.goal.String()
+	}
+	return q, nil
+}
+
+// target names what evaluating q runs: the source program and the
+// requested predicate or, for a bound request, the magic-set rewrite seeded
+// with the bound values and its answer predicate, read under q.goal as the
+// filter. The rewrite depends only on the program and the binding pattern,
+// so it comes through the rewrite cache; this is the one place one is built.
+func (s *Service) target(q *resolved) (*datalog.Program, string, error) {
+	if q.goal == nil {
+		return q.prog, q.pred, nil
+	}
+	if q.seeded == nil {
+		rk := rewriteKey{hash: q.hash, pred: q.pred, adornment: magic.AdornmentOf(*q.goal), sip: magic.BoundFirstSIP{}.Name()}
+		rw, ok := s.rewrites.Get(rk)
+		if ok {
+			s.met.rewriteHits.Inc()
+		} else {
+			s.met.rewriteMisses.Inc()
+			var err error
+			if rw, err = magic.NewRewrite(q.prog, *q.goal, magic.BoundFirstSIP{}); err != nil {
+				return nil, "", err
+			}
+			s.rewrites.Put(rk, rw)
+		}
+		seeded, err := rw.Seeded(*q.goal)
+		if err != nil {
+			return nil, "", err
+		}
+		q.rw, q.seeded = rw, seeded
+	}
+	return q.seeded, q.rw.GoalPred, nil
+}
+
+// key is the result cache's key for the request's answer.
+func (q *resolved) key() cacheKey {
+	return cacheKey{hash: q.hash, pred: q.pred, version: q.version, bind: q.bind}
 }
 
 // readView returns the sorted materialized view the request reads, when it
-// names a registered program at the published version — the only version
-// whose views are kept; older pinned versions are evaluated from their
-// snapshot. The slice is shared with every other reader: read-only.
-func (s *Service) readView(q resolved) ([]datalog.Tuple, bool) {
-	if q.pp == nil || q.version != q.pub.version {
+// is an unbound read of a registered program at the published version — the
+// only version whose views are kept; older pinned versions are evaluated
+// from their snapshot. The slice is shared with every other reader:
+// read-only.
+func (s *Service) readView(q *resolved) ([]datalog.Tuple, bool) {
+	if q.pp == nil || q.goal != nil || q.version != q.pub.version {
 		return nil, false
 	}
 	s.met.viewReads.Inc()
@@ -104,7 +217,7 @@ func (s *Service) readView(q resolved) ([]datalog.Tuple, bool) {
 }
 
 // snapshotOf returns the EDB snapshot the request is pinned to.
-func (s *Service) snapshotOf(q resolved) (*Snapshot, error) {
+func (s *Service) snapshotOf(q *resolved) (*Snapshot, error) {
 	if q.version == q.pub.version {
 		return q.pub.snap, nil
 	}

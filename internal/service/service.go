@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/datalog"
+	"repro/internal/lru"
 	"repro/internal/magic"
 	"repro/internal/obs"
 	"repro/internal/plan"
@@ -32,9 +33,6 @@ type Config struct {
 	History int
 	// CacheEntries bounds the query-result LRU (default 256).
 	CacheEntries int
-	// RewriteCacheEntries bounds the magic-set rewrite LRU, keyed by
-	// (program hash, goal predicate, adornment) (default 64).
-	RewriteCacheEntries int
 	// Workers bounds concurrent from-scratch evaluations for historical
 	// and ad-hoc queries (default GOMAXPROCS).
 	Workers int
@@ -44,12 +42,6 @@ type Config struct {
 	// QueryTimeout bounds each query's queueing plus evaluation time when
 	// > 0; queries exceeding it fail with context.DeadlineExceeded.
 	QueryTimeout time.Duration
-	// NoPlanner disables the cost-based join planner; evaluation falls
-	// back to textual body order. On by default because planning is
-	// answer-preserving and cached.
-	NoPlanner bool
-	// PlanCacheEntries bounds the planner's plan cache (default 128).
-	PlanCacheEntries int
 	// SubscribeBuffer is the default per-subscriber event buffer for
 	// /v1/subscribe (default 64; requests may ask for more, capped at
 	// 4096). A subscriber whose buffer overflows is dropped with a gap
@@ -94,12 +86,11 @@ type Service struct {
 	cfg      Config
 	opts     datalog.Options
 	store    *Store
-	cache    *resultCache
-	rewrites *rewriteCache
+	cache    *lru.Cache[cacheKey, []datalog.Tuple]
+	rewrites *lru.Cache[rewriteKey, *magic.Rewrite]
 	exec     *executor
-	// planner is the shared cost-based join planner (nil with
-	// Config.NoPlanner); evaluations bind it to their snapshot's
-	// statistics catalog via optsFor.
+	// planner is the shared cost-based join planner; evaluations bind it
+	// to their snapshot's statistics catalog via optsFor.
 	planner *plan.Planner
 
 	// log is the durable write-ahead log (nil without Config.DataDir).
@@ -119,10 +110,6 @@ type Service struct {
 	reg *obs.Registry
 	met serviceMetrics
 
-	// deprecateOnce gates the one-time warning the first legacy
-	// (unversioned) HTTP request logs.
-	deprecateOnce sync.Once
-
 	mu    sync.Mutex // serializes writers; guards progs and every registration
 	progs map[string]*registration
 	// pub is what readers see; stored only under mu, loaded without it.
@@ -132,9 +119,9 @@ type Service struct {
 	// subscriptions (see subscribe.go).
 	subs *subHub
 
-	commits     atomic.Int64
-	queries     atomic.Int64
-	scratchEval atomic.Int64
+	// commits counts applied commits, replayed ones included (met.commits
+	// counts only those this process served).
+	commits atomic.Int64
 }
 
 // serviceMetrics is the service's obs instrumentation; see initMetrics
@@ -156,7 +143,6 @@ type serviceMetrics struct {
 	streamQueries    *obs.Counter
 	streamRows       *obs.Counter
 	streamFallbacks  *obs.Counter
-	deprecatedReqs   *obs.Counter
 	viewReads        *obs.Counter
 	dredOverDeleted  *obs.Counter
 	dredRederived    *obs.Counter
@@ -223,12 +209,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.CacheEntries == 0 {
 		cfg.CacheEntries = 256
 	}
-	if cfg.RewriteCacheEntries == 0 {
-		cfg.RewriteCacheEntries = 64
-	}
-	if cfg.PlanCacheEntries == 0 {
-		cfg.PlanCacheEntries = 128
-	}
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = 256
 	}
@@ -243,16 +223,14 @@ func New(cfg Config) (*Service, error) {
 		cfg:      cfg,
 		opts:     datalog.DefaultOptions.WithParallelism(cfg.Parallelism),
 		store:    NewStore(cfg.Universe, cfg.History),
-		cache:    newResultCache(cfg.CacheEntries),
-		rewrites: newRewriteCache(cfg.RewriteCacheEntries),
+		cache:    lru.New[cacheKey, []datalog.Tuple](cfg.CacheEntries),
+		rewrites: lru.New[rewriteKey, *magic.Rewrite](rewriteCacheEntries),
 		exec:     newExecutor(cfg.Workers),
+		planner:  plan.New(plan.Config{}),
 		root:     root,
 		stop:     stop,
 		progs:    map[string]*registration{},
 		subs:     newSubHub(cfg.SubscribeHistory, 0),
-	}
-	if !cfg.NoPlanner {
-		s.planner = plan.New(plan.Config{CacheEntries: cfg.PlanCacheEntries})
 	}
 	if cfg.DataDir != "" {
 		if err := s.openStorage(); err != nil {
@@ -400,7 +378,6 @@ func (s *Service) initMetrics() {
 		streamQueries:   r.Counter("datalog_stream_queries_total", "queries served through the streaming executor (QueryStream / NDJSON)"),
 		streamRows:      r.Counter("datalog_stream_rows_total", "tuples delivered by streaming queries"),
 		streamFallbacks: r.Counter("datalog_stream_fallbacks_total", "streaming queries that fell back to materialized evaluation (recursive slice)"),
-		deprecatedReqs:  r.Counter("datalog_deprecated_requests_total", "requests served on the legacy unversioned HTTP paths"),
 		viewReads:       r.Counter("datalog_view_reads_total", "unbound reads of a registered program served from its published sorted view"),
 		dredOverDeleted: r.Counter("datalog_dred_overdeleted_total", "view tuples delete maintenance over-deleted: their recorded witness lost a fact"),
 		dredRederived:   r.Counter("datalog_dred_rederived_total", "over-deleted view tuples rederivation brought back; the rest left their view"),
@@ -411,6 +388,7 @@ func (s *Service) initMetrics() {
 		maintainSeconds: r.Histogram("datalog_maintain_seconds", "per-program incremental maintenance latency", nil),
 		viewPublishSecs: r.Histogram("datalog_view_publish_seconds", "per-program cost of building the next published views: one merge of each changed view with the commit's delta", nil),
 		demandFacts:     r.Histogram("datalog_magic_demand_facts", "demand-set size (magic facts) per goal-directed query", nil),
+		planEstError:    r.Histogram("datalog_plan_estimation_error", "per-rule |log2(estimated/actual)| derived rows", planEstErrorBuckets),
 	}
 	r.GaugeFunc("datalog_store_version", "latest EDB version in the store", func() float64 {
 		return float64(s.store.Version())
@@ -449,12 +427,10 @@ func (s *Service) initMetrics() {
 		return s.store.IndexBuilds()
 	})
 	r.GaugeFunc("datalog_cache_entries", "live query-result cache entries", func() float64 {
-		_, _, _, entries := s.cache.counters()
-		return float64(entries)
+		return float64(s.cache.Len())
 	})
 	r.GaugeFunc("datalog_rewrite_cache_entries", "live magic rewrite cache entries", func() float64 {
-		_, _, _, entries := s.rewrites.counters()
-		return float64(entries)
+		return float64(s.rewrites.Len())
 	})
 	if s.log != nil {
 		s.met.checkpointErrors = r.Counter("datalog_checkpoint_errors_total", "checkpoint writes that failed (retried on a later commit)")
@@ -480,28 +456,24 @@ func (s *Service) initMetrics() {
 			return float64(s.recovered.Version)
 		})
 	}
-	if s.planner != nil {
-		s.met.planEstError = r.Histogram("datalog_plan_estimation_error",
-			"per-rule |log2(estimated/actual)| derived rows", planEstErrorBuckets)
-		r.CounterFunc("datalog_plans_built_total", "join plans constructed", func() int64 {
-			return s.planner.Counters().Built
-		})
-		r.CounterFunc("datalog_plan_cache_hits_total", "plan cache hits", func() int64 {
-			return s.planner.Counters().CacheHits
-		})
-		r.CounterFunc("datalog_plan_cache_misses_total", "plan cache misses", func() int64 {
-			return s.planner.Counters().CacheMisses
-		})
-		r.CounterFunc("datalog_plan_rules_pruned_total", "subsumed rules dropped by the containment pre-pass", func() int64 {
-			return s.planner.Counters().RulesPruned
-		})
-		r.CounterFunc("datalog_plan_atoms_pruned_total", "redundant body atoms removed by CQ minimization", func() int64 {
-			return s.planner.Counters().AtomsPruned
-		})
-		r.GaugeFunc("datalog_plan_cache_entries", "live plan cache entries", func() float64 {
-			return float64(s.planner.Counters().CacheEntries)
-		})
-	}
+	r.CounterFunc("datalog_plans_built_total", "join plans constructed", func() int64 {
+		return s.planner.Counters().Built
+	})
+	r.CounterFunc("datalog_plan_cache_hits_total", "plan cache hits", func() int64 {
+		return s.planner.Counters().CacheHits
+	})
+	r.CounterFunc("datalog_plan_cache_misses_total", "plan cache misses", func() int64 {
+		return s.planner.Counters().CacheMisses
+	})
+	r.CounterFunc("datalog_plan_rules_pruned_total", "subsumed rules dropped by the containment pre-pass", func() int64 {
+		return s.planner.Counters().RulesPruned
+	})
+	r.CounterFunc("datalog_plan_atoms_pruned_total", "redundant body atoms removed by CQ minimization", func() int64 {
+		return s.planner.Counters().AtomsPruned
+	})
+	r.GaugeFunc("datalog_plan_cache_entries", "live plan cache entries", func() float64 {
+		return float64(s.planner.Counters().CacheEntries)
+	})
 }
 
 // Metrics returns the service's metrics registry (served at /v1/metrics).
@@ -557,9 +529,6 @@ func ProgramHash(p *datalog.Program) string {
 // catalog. Binding per snapshot (rather than sharing one catalog) keeps
 // historical queries planned against the statistics of their own version.
 func (s *Service) optsFor(snap *Snapshot) datalog.Options {
-	if s.planner == nil {
-		return s.opts
-	}
 	return s.opts.WithPlanner(s.planner.With(snap.Stats))
 }
 
@@ -568,7 +537,7 @@ func (s *Service) optsFor(snap *Snapshot) datalog.Options {
 // rule's |log2(estimated/actual)| derived-row error in the
 // datalog_plan_estimation_error histogram.
 func (s *Service) observeEstimation(prog *datalog.Program, snap *Snapshot, st *datalog.EvalStats) {
-	if s.planner == nil || st == nil {
+	if st == nil {
 		return
 	}
 	pp, _ := s.planner.PlanProgram(prog, snap.Stats)
@@ -798,7 +767,10 @@ func (s *Service) commitLocked(insert, del []datalog.Fact, persist bool) (Commit
 	// empty commits keeps the history's version range contiguous, which
 	// is what makes resume gap detection sound.
 	s.publishCommit(snap.Version, deltas)
-	s.cache.invalidateBelow(s.store.Oldest())
+	// Results below the oldest retained version can no longer be recomputed
+	// and only occupy LRU slots.
+	oldest := s.store.Oldest()
+	s.cache.RemoveIf(func(k cacheKey) bool { return k.version < oldest })
 	s.commits.Add(1)
 	s.sinceCkpt++
 	if persist {
@@ -849,7 +821,9 @@ func (s *Service) maybeCheckpointLocked() {
 	s.sinceCkpt = 0
 }
 
-// QueryRequest asks for one IDB relation of a program at a version.
+// QueryRequest asks for one IDB relation of a program at a version. Explain
+// takes the same request (and does not read Limit or Cursor), so a plan is
+// resolved by the code that resolves the query it explains.
 type QueryRequest struct {
 	// Program names a registration; Source is inline program text for
 	// ad-hoc queries. Exactly one must be set.
@@ -908,31 +882,29 @@ func (s *Service) Query(req QueryRequest) (QueryResult, error) {
 	return s.QueryContext(context.Background(), req)
 }
 
-// QueryContext returns the tuples of one IDB predicate at an EDB version.
-// Latest-version queries of registered programs read the published sorted
-// view — no lock, no copy, no cache; a page is a binary search plus a
-// slice of it. Anything else — historical versions, ad-hoc programs — is
-// evaluated from the pinned snapshot on the bounded executor under ctx
-// (plus the per-query timeout and the service lifetime): a cancelled
-// client stops queueing immediately and aborts a running evaluation
-// within one fixpoint round. Evaluated results are cached by (program
-// hash, predicate, version), goal-directed results additionally by
-// binding pattern. A request with bound positions (Bind) is answered
-// through the magic-set pipeline (see goalQuery).
+// QueryContext returns the tuples of one IDB predicate at an EDB version:
+// the request is resolved once, its sorted answer taken from answer, and
+// the page cut out of it. Latest-version queries of registered programs
+// read the published sorted view — no lock, no copy, no cache; a page is
+// a binary search plus a slice of it. Anything else — historical versions,
+// ad-hoc programs, bound requests — is evaluated from the pinned snapshot
+// on the bounded executor under ctx (plus the per-query timeout and the
+// service lifetime): a cancelled client stops queueing immediately and
+// aborts a running evaluation within one fixpoint round.
 func (s *Service) QueryContext(ctx context.Context, req QueryRequest) (QueryResult, error) {
-	s.queries.Add(1)
 	s.met.queries.Inc()
 	start := time.Now()
 	var res QueryResult
-	var err error
-	if req.Limit < 0 {
-		err = fmt.Errorf("service: negative limit %d", req.Limit)
-	} else {
-		res, err = s.queryContext(ctx, req)
+	q, err := s.resolve(req)
+	if err == nil {
+		if q.goal != nil {
+			s.met.goalQueries.Inc()
+		}
+		res, err = s.answer(ctx, &q)
 	}
 	if err == nil && (req.Limit > 0 || req.Cursor != "") {
-		// Every non-streaming origin returns the canonical sorted order
-		// (see datalog.CompareTuples), so the page boundary is stable
+		// Whatever its origin, answer's slice is in the canonical sorted
+		// order (see datalog.CompareTuples), so the page boundary is stable
 		// across repeated reads of the same version.
 		res.Tuples, res.NextCursor, err = pageTuples(res.Tuples, req.Cursor, req.Limit)
 	}
@@ -941,198 +913,87 @@ func (s *Service) QueryContext(ctx context.Context, req QueryRequest) (QueryResu
 		s.met.queryErrors.Inc()
 		return QueryResult{}, err
 	}
-	return res, err
+	return res, nil
 }
 
-// resolveQuery resolves the program (registered by name or parsed from
-// inline source), target predicate (defaulting to the program's goal) and
-// pinned version (<0 means latest: the published version) of a query or
-// explain request, all against one load of the published state.
-func (s *Service) resolveQuery(program, source, pred string, version int64) (resolved, error) {
-	q := resolved{pub: s.pub.Load(), pred: pred, version: version}
-	switch {
-	case program != "" && source != "":
-		return resolved{}, fmt.Errorf("service: query must name a registered program or carry source, not both")
-	case program != "":
-		q.pp = q.pub.progs[program]
-		if q.pp == nil {
-			return resolved{}, fmt.Errorf("service: no program registered as %q", program)
-		}
-		q.prog, q.hash = q.pp.prog, q.pp.stats.Hash
-	case source != "":
-		p, err := datalog.Parse(source)
-		if err != nil {
-			return resolved{}, err
-		}
-		if err := datalog.Validate(p); err != nil {
-			return resolved{}, err
-		}
-		q.prog, q.hash = p, ProgramHash(p)
-	default:
-		return resolved{}, fmt.Errorf("service: query names no program and carries no source")
-	}
-	if q.pred == "" {
-		q.pred = q.prog.Goal
-	}
-	if !q.prog.IDBs()[q.pred] {
-		return resolved{}, fmt.Errorf("service: %q is not an IDB predicate of the program", q.pred)
-	}
-	if q.version < 0 {
-		q.version = q.pub.version
-	}
-	return q, nil
-}
-
-func (s *Service) queryContext(ctx context.Context, req QueryRequest) (QueryResult, error) {
-	if err := s.root.Err(); err != nil {
-		return QueryResult{}, ErrClosed
-	}
-	q, err := s.resolveQuery(req.Program, req.Source, req.Pred, req.Version)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	if boundCount(req.Bind) > 0 {
-		return s.goalQuery(ctx, q, req.Bind)
-	}
+// atHand returns the request's sorted answer when it exists already: the
+// published view (an unbound read of a registered program at the published
+// version), else the result cache's entry under (program hash, predicate,
+// version, binding). On a miss it returns the answer's header for answer to
+// fill.
+func (s *Service) atHand(q *resolved) (QueryResult, bool) {
+	res := QueryResult{Pred: q.pred, Version: q.version, Goal: q.bind}
 	if tuples, ok := s.readView(q); ok {
-		return QueryResult{Pred: q.pred, Version: q.version, Tuples: tuples, Origin: "materialized"}, nil
+		res.Tuples, res.Origin = tuples, "materialized"
+		return res, true
 	}
-	key := cacheKey{hash: q.hash, pred: q.pred, version: q.version}
-	if tuples, ok := s.cache.get(key); ok {
+	if tuples, ok := s.cache.Get(q.key()); ok {
 		s.met.cacheHits.Inc()
-		return QueryResult{Pred: q.pred, Version: q.version, Tuples: tuples, Origin: "cache"}, nil
+		res.Tuples, res.Origin = tuples, "cache"
+		return res, true
 	}
 	s.met.cacheMisses.Inc()
-
-	// Historical or ad-hoc: evaluate the pinned snapshot, read in place.
-	snap, err := s.snapshotOf(q)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	ctx, done := s.scoped(ctx, s.cfg.QueryTimeout)
-	defer done()
-	var tuples []datalog.Tuple
-	var evalErr error
-	err = s.exec.do(ctx, func() {
-		s.scratchEval.Add(1)
-		s.met.scratchEvals.Inc()
-		res, err := datalog.EvalContext(ctx, q.prog, snap.DB, s.optsFor(snap))
-		if res != nil {
-			s.met.evalRounds.Add(int64(res.Rounds))
-		}
-		if err != nil {
-			evalErr = err
-			return
-		}
-		s.observeEstimation(q.prog, snap, res.Stats)
-		tuples = res.IDB[q.pred].Tuples()
-	})
-	if err != nil {
-		return QueryResult{}, err
-	}
-	if evalErr != nil {
-		return QueryResult{}, evalErr
-	}
-	s.cache.put(key, tuples)
-	return QueryResult{Pred: q.pred, Version: q.version, Tuples: tuples, Origin: "eval"}, nil
+	return res, false
 }
 
-// boundCount counts the bound positions of a wire binding.
-func boundCount(bind []*int) int {
-	n := 0
-	for _, b := range bind {
-		if b != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// goalQuery answers a bound query through the magic-set pipeline: the
-// program is rewritten for the binding's adornment (cached by program
-// hash + adornment), the rewrite is seeded with the bound values, and
-// the rewritten program is evaluated against the pinned snapshot on the
-// bounded executor. Evaluation derives into relations of its own and only
-// reads the snapshot, so a cancelled or failed goal query leaves nothing
-// behind — not in the snapshot, and not in the registered incremental
-// view, which it never touches.
-func (s *Service) goalQuery(ctx context.Context, q resolved, bind []*int) (QueryResult, error) {
-	prog, hash, pred, version := q.prog, q.hash, q.pred, q.version
-	arity := prog.Arities()[pred]
-	if len(bind) != arity {
-		return QueryResult{}, fmt.Errorf("service: bind has %d positions, predicate %s has arity %d", len(bind), pred, arity)
-	}
-	goal := datalog.Goal{Pred: pred, Bound: make([]bool, arity), Value: make([]int, arity)}
-	for i, b := range bind {
-		if b != nil {
-			goal.Bound[i] = true
-			goal.Value[i] = *b
-		}
-	}
-	s.met.goalQueries.Inc()
-	key := cacheKey{hash: hash, pred: pred, version: version, bind: goal.String()}
-	if tuples, ok := s.cache.get(key); ok {
-		s.met.cacheHits.Inc()
-		return QueryResult{Pred: pred, Version: version, Tuples: tuples, Origin: "cache", Goal: goal.String()}, nil
-	}
-	s.met.cacheMisses.Inc()
-
-	rk := rewriteKey{hash: hash, pred: pred, adornment: magic.AdornmentOf(goal), sip: magic.BoundFirstSIP{}.Name()}
-	rw, ok := s.rewrites.get(rk)
+// answer is the one source of a request's whole answer in the canonical
+// sorted order: what is at hand, else one evaluation of the pinned snapshot
+// on the bounded executor — the source program, or for a bound request its
+// seeded magic rewrite — whose answer the result cache then keeps.
+// Evaluation derives into relations of its own and only reads the snapshot,
+// so a cancelled or failed one leaves nothing behind — not in the snapshot,
+// and not in the registered incremental view, which it never touches.
+func (s *Service) answer(ctx context.Context, q *resolved) (QueryResult, error) {
+	res, ok := s.atHand(q)
 	if ok {
-		s.met.rewriteHits.Inc()
-	} else {
-		s.met.rewriteMisses.Inc()
-		var err error
-		rw, err = magic.NewRewrite(prog, goal, magic.BoundFirstSIP{})
-		if err != nil {
-			return QueryResult{}, err
-		}
-		s.rewrites.put(rk, rw)
+		return res, nil
 	}
-
+	prog, _, err := s.target(q)
+	if err != nil {
+		return QueryResult{}, err
+	}
 	snap, err := s.snapshotOf(q)
 	if err != nil {
 		return QueryResult{}, err
 	}
 	ctx, done := s.scoped(ctx, s.cfg.QueryTimeout)
 	defer done()
-	var goalRes *magic.GoalResult
 	var evalErr error
 	err = s.exec.do(ctx, func() {
-		s.scratchEval.Add(1)
 		s.met.scratchEvals.Inc()
-		goalRes, evalErr = magic.EvalRewritten(ctx, rw, snap.DB, goal, s.optsFor(snap))
-		if goalRes != nil && goalRes.Result != nil {
-			s.met.evalRounds.Add(int64(goalRes.Result.Rounds))
+		var run *datalog.Result
+		if q.goal == nil {
+			run, evalErr = datalog.EvalContext(ctx, prog, snap.DB, s.optsFor(snap))
+			if evalErr == nil {
+				res.Tuples, res.Origin = run.IDB[q.pred].Tuples(), "eval"
+			}
+		} else {
+			var goalRes *magic.GoalResult
+			goalRes, evalErr = magic.EvalRewritten(ctx, q.rw, snap.DB, *q.goal, s.optsFor(snap))
+			if goalRes != nil {
+				run = goalRes.Result
+				stats := goalRes.Stats
+				res.Tuples, res.Origin, res.GoalStats = goalRes.Answers, "magic", &stats
+			}
+		}
+		if run != nil {
+			s.met.evalRounds.Add(int64(run.Rounds))
+		}
+		if evalErr == nil {
+			s.observeEstimation(prog, snap, run.Stats)
 		}
 	})
+	if err == nil {
+		err = evalErr
+	}
 	if err != nil {
 		return QueryResult{}, err
 	}
-	if evalErr != nil {
-		return QueryResult{}, evalErr
+	if res.GoalStats != nil {
+		s.met.demandFacts.Observe(float64(res.GoalStats.DemandFacts))
 	}
-	if seeded, err := rw.Seeded(goal); err == nil {
-		s.observeEstimation(seeded, snap, goalRes.Result.Stats)
-	}
-	s.met.demandFacts.Observe(float64(goalRes.Stats.DemandFacts))
-	s.cache.put(key, goalRes.Answers)
-	stats := goalRes.Stats
-	return QueryResult{
-		Pred: pred, Version: version, Tuples: goalRes.Answers,
-		Origin: "magic", Goal: goal.String(), GoalStats: &stats,
-	}, nil
-}
-
-// ExplainRequest asks for the join plan of a query without serving its
-// tuples from cache: same resolution fields as QueryRequest.
-type ExplainRequest struct {
-	Program string
-	Source  string
-	Pred    string
-	Version int64
-	Bind    []*int
+	s.cache.Put(q.key(), res.Tuples)
+	return res, nil
 }
 
 // ExplainResult is the planner's account of how a query would run (and,
@@ -1162,61 +1023,35 @@ type ExplainResult struct {
 }
 
 // Explain is ExplainContext with a background context.
-func (s *Service) Explain(req ExplainRequest) (ExplainResult, error) {
+func (s *Service) Explain(req QueryRequest) (ExplainResult, error) {
 	return s.ExplainContext(context.Background(), req)
 }
 
-// ExplainContext plans a query and evaluates the planned program against
-// the pinned snapshot to report estimated versus actual rows per rule.
-// Bound requests are explained as the service would run them: the plan
-// shown is the plan of the magic-set-rewritten, seeded program. Requires
-// the planner (Config.NoPlanner unset).
-func (s *Service) ExplainContext(ctx context.Context, req ExplainRequest) (ExplainResult, error) {
-	if err := s.root.Err(); err != nil {
-		return ExplainResult{}, ErrClosed
-	}
-	if s.planner == nil {
-		return ExplainResult{}, fmt.Errorf("service: planner is disabled")
-	}
-	q, err := s.resolveQuery(req.Program, req.Source, req.Pred, req.Version)
+// ExplainContext plans a query — resolved exactly as QueryContext resolves
+// it; Limit and Cursor say nothing about a plan and are not read — and
+// evaluates the planned program against the pinned snapshot to report
+// estimated versus actual rows per rule, without serving tuples from a
+// cache. Bound requests are explained as the service runs them: the plan
+// shown is the plan of the magic-set-rewritten, seeded program.
+func (s *Service) ExplainContext(ctx context.Context, req QueryRequest) (ExplainResult, error) {
+	q, err := s.resolve(req)
 	if err != nil {
 		return ExplainResult{}, err
 	}
-	snap, err := s.snapshotOf(q)
+	snap, err := s.snapshotOf(&q)
 	if err != nil {
 		return ExplainResult{}, err
 	}
-	prog, pred, version := q.prog, q.pred, q.version
-	out := ExplainResult{Pred: pred, Version: version, Strategy: s.planner.Strategy()}
-
-	// For a bound request, explain the program the service actually
-	// evaluates: the magic rewrite seeded with the bound values.
-	target := prog
-	if boundCount(req.Bind) > 0 {
-		arity := prog.Arities()[pred]
-		if len(req.Bind) != arity {
-			return ExplainResult{}, fmt.Errorf("service: bind has %d positions, predicate %s has arity %d", len(req.Bind), pred, arity)
-		}
-		goal := datalog.Goal{Pred: pred, Bound: make([]bool, arity), Value: make([]int, arity)}
-		for i, b := range req.Bind {
-			if b != nil {
-				goal.Bound[i] = true
-				goal.Value[i] = *b
-			}
-		}
-		rw, err := magic.NewRewrite(prog, goal, magic.BoundFirstSIP{})
-		if err != nil {
-			return ExplainResult{}, err
-		}
-		if target, err = rw.Seeded(goal); err != nil {
-			return ExplainResult{}, err
-		}
-		out.Goal = goal.String()
+	prog, pred, err := s.target(&q)
+	if err != nil {
+		return ExplainResult{}, err
 	}
-
-	pp, hit := s.planner.PlanProgram(target, snap.Stats)
-	out.Plan, out.CacheHit, out.Epoch = pp, hit, pp.Epoch
-	if sd, err := stream.Explain(target, pred, pp); err == nil {
+	pp, hit := s.planner.PlanProgram(prog, snap.Stats)
+	out := ExplainResult{
+		Pred: q.pred, Version: q.version, Goal: q.bind,
+		Strategy: s.planner.Strategy(), Epoch: pp.Epoch, CacheHit: hit, Plan: pp,
+	}
+	if sd, err := stream.Explain(prog, pred, pp); err == nil {
 		out.Stream = sd
 	}
 
@@ -1226,7 +1061,6 @@ func (s *Service) ExplainContext(ctx context.Context, req ExplainRequest) (Expla
 	defer done()
 	var evalErr error
 	err = s.exec.do(ctx, func() {
-		s.scratchEval.Add(1)
 		s.met.scratchEvals.Inc()
 		res, err := datalog.EvalContext(ctx, pp.Program(), snap.DB, s.opts)
 		if res != nil {
@@ -1326,8 +1160,7 @@ type Stats struct {
 		History   int   `json:"history"`
 		Window    int   `json:"window"`
 	} `json:"subscribe"`
-	DeprecatedRequests int64 `json:"deprecated_requests"`
-	Planner            struct {
+	Planner struct {
 		Enabled     bool   `json:"enabled"`
 		Built       int64  `json:"plans_built"`
 		CacheHits   int64  `json:"cache_hits"`
@@ -1364,8 +1197,8 @@ func (s *Service) Stats() Stats {
 	var st Stats
 	st.Universe = s.cfg.Universe
 	st.Commits = s.commits.Load()
-	st.Queries = s.queries.Load()
-	st.Evals = s.scratchEval.Load()
+	st.Queries = s.met.queries.Value()
+	st.Evals = s.met.scratchEvals.Value()
 	for _, snap := range s.store.Snapshots() {
 		st.Snapshots = append(st.Snapshots, SnapshotStats{
 			Version: snap.Version, Facts: snap.Facts,
@@ -1379,11 +1212,11 @@ func (s *Service) Stats() Stats {
 		st.Programs = append(st.Programs, pp.stats)
 	}
 	sort.Slice(st.Programs, func(i, j int) bool { return st.Programs[i].Name < st.Programs[j].Name })
-	st.Cache.Hits, st.Cache.Misses, st.Cache.Evictions, st.Cache.Entries = s.cache.counters()
-	st.Cache.Capacity = s.cache.cap
+	st.Cache.Hits, st.Cache.Misses = s.met.cacheHits.Value(), s.met.cacheMisses.Value()
+	st.Cache.Evictions, st.Cache.Entries, st.Cache.Capacity = s.cache.Evictions(), s.cache.Len(), s.cache.Cap()
 	st.Magic.GoalQueries = s.met.goalQueries.Value()
-	st.Magic.RewriteHits, st.Magic.RewriteMisses, _, st.Magic.Entries = s.rewrites.counters()
-	st.Magic.Capacity = s.rewrites.cap
+	st.Magic.RewriteHits, st.Magic.RewriteMisses = s.met.rewriteHits.Value(), s.met.rewriteMisses.Value()
+	st.Magic.Entries, st.Magic.Capacity = s.rewrites.Len(), s.rewrites.Cap()
 	st.Stream.Queries = s.met.streamQueries.Value()
 	st.Stream.Rows = s.met.streamRows.Value()
 	st.Stream.Fallbacks = s.met.streamFallbacks.Value()
@@ -1396,22 +1229,19 @@ func (s *Service) Stats() Stats {
 	st.Subscribe.PeakQueue = s.subs.peakQueue.Load()
 	st.Subscribe.History = s.subs.histLen()
 	st.Subscribe.Window = s.subs.window
-	st.DeprecatedRequests = s.met.deprecatedReqs.Value()
 	st.Executor.Workers = s.exec.workers()
 	st.Executor.InFlight = s.exec.inFlight.Load()
 	st.Executor.Peak = s.exec.peak.Load()
 	st.Executor.Total = s.exec.total.Load()
-	if s.planner != nil {
-		c := s.planner.Counters()
-		st.Planner.Enabled = true
-		st.Planner.Built = c.Built
-		st.Planner.CacheHits = c.CacheHits
-		st.Planner.CacheMisses = c.CacheMisses
-		st.Planner.RulesPruned = c.RulesPruned
-		st.Planner.AtomsPruned = c.AtomsPruned
-		st.Planner.Entries = c.CacheEntries
-		st.Planner.Epoch = fmt.Sprintf("%016x", pub.snap.Stats.Fingerprint())
-	}
+	pc := s.planner.Counters()
+	st.Planner.Enabled = true
+	st.Planner.Built = pc.Built
+	st.Planner.CacheHits = pc.CacheHits
+	st.Planner.CacheMisses = pc.CacheMisses
+	st.Planner.RulesPruned = pc.RulesPruned
+	st.Planner.AtomsPruned = pc.AtomsPruned
+	st.Planner.Entries = pc.CacheEntries
+	st.Planner.Epoch = fmt.Sprintf("%016x", pub.snap.Stats.Fingerprint())
 	if s.log != nil {
 		c := s.log.Counters()
 		st.Storage.Enabled = true

@@ -9,8 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/datalog"
-	"repro/internal/magic"
-	"repro/internal/plan"
 	"repro/internal/stream"
 )
 
@@ -163,120 +161,70 @@ func (q *QueryStream) Close() {
 
 // QueryStream opens req as a pull stream of answer tuples.
 //
-// Requests that already have a complete sorted answer at hand — a
-// registered program's published view at the latest version, cache hits,
-// any request carrying a Cursor (cursors are defined only over the
-// canonical sorted order), and recursive programs (which fall back to
-// materialized evaluation) — serve that answer tuple by tuple with exact
-// pagination. Everything else runs on the streaming executor
-// (internal/stream): the non-recursive slice reachable from the predicate
-// is compiled into an iterator tree over the pinned snapshot and answers
-// are delivered as they are derived, with a reached Limit terminating
-// evaluation early. Bound requests stream the seeded magic-set rewrite's
-// answer predicate under the goal filter.
+// A request with no Cursor and no sorted answer already at hand is tried on
+// the streaming executor (internal/stream): the non-recursive slice
+// reachable from the resolved target's predicate is compiled into an
+// iterator tree over the pinned snapshot and answers are delivered as they
+// are derived, with a reached Limit terminating evaluation early. Bound
+// requests stream the seeded magic-set rewrite's answer predicate under the
+// goal filter. What the code observes decides, never an option: a Cursor
+// (cursors are defined only over the canonical sorted order), an unbound
+// request's view or cached evaluation at hand, or stream.ErrRecursive from
+// the compile (the streaming executor has no fixpoint operator) each send
+// the request to answer instead, whose sorted tuples are served one by one
+// with exact pagination. A bound request is not looked up before it is
+// streamed: goal answers enter the cache only through answer, so a lookup
+// per streamed goal would count little but misses.
 //
-// The stream holds an executor worker slot (streamed and fallback-eval
-// origins) for its whole life, so a slow consumer occupies a slot;
-// Close releases it. Streamed results are not cached: they may be
-// truncated and arrive unordered.
-func (s *Service) QueryStream(ctx context.Context, req QueryRequest) (*QueryStream, error) {
-	if err := s.root.Err(); err != nil {
-		return nil, ErrClosed
-	}
-	s.queries.Add(1)
+// A streamed origin holds an executor worker slot for its whole life, so a
+// slow consumer occupies a slot; Close releases it. Streamed results are
+// not cached: they may be truncated and arrive unordered.
+func (s *Service) QueryStream(ctx context.Context, req QueryRequest) (qs *QueryStream, err error) {
 	s.met.queries.Inc()
 	s.met.streamQueries.Inc()
-	q, err := s.queryStream(ctx, req)
+	defer func() {
+		if err != nil {
+			s.met.queryErrors.Inc()
+			return
+		}
+		s.met.streamsActive.Add(1)
+		qs.cleanup = append(qs.cleanup, func() { s.met.streamsActive.Add(-1) })
+	}()
+	q, err := s.resolve(req)
 	if err != nil {
-		s.met.queryErrors.Inc()
 		return nil, err
 	}
-	s.met.streamsActive.Add(1)
-	q.cleanup = append(q.cleanup, func() { s.met.streamsActive.Add(-1) })
-	return q, nil
+	if q.goal != nil {
+		s.met.goalQueries.Inc()
+	}
+	if req.Cursor == "" {
+		if q.goal == nil {
+			if res, ok := s.atHand(&q); ok {
+				return s.sliceStream(res, res.Tuples, req.Limit), nil
+			}
+		}
+		if qs, err = s.openStream(ctx, &q, req.Limit); !errors.Is(err, stream.ErrRecursive) {
+			return qs, err
+		}
+		s.met.streamFallbacks.Inc()
+	}
+	res, err := s.answer(ctx, &q)
+	if err != nil {
+		return nil, err
+	}
+	page, _, err := pageTuples(res.Tuples, req.Cursor, 0)
+	if err != nil {
+		return nil, err
+	}
+	return s.sliceStream(res, page, req.Limit), nil
 }
 
-func (s *Service) queryStream(ctx context.Context, req QueryRequest) (*QueryStream, error) {
-	q, err := s.resolveQuery(req.Program, req.Source, req.Pred, req.Version)
-	if err != nil {
-		return nil, err
-	}
-	if req.Limit < 0 {
-		return nil, fmt.Errorf("service: negative limit %d", req.Limit)
-	}
-
-	// A cursor pins the canonical sorted order, so the request is served
-	// from the complete sorted answer set (the published view, or a cache
-	// hit on pages after the first) and streamed out from the page boundary.
-	if req.Cursor != "" {
-		res, err := s.queryContext(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		page, _, err := pageTuples(res.Tuples, req.Cursor, 0)
-		if err != nil {
-			return nil, err
-		}
-		return s.sliceStream(res, page, req.Limit), nil
-	}
-
-	if boundCount(req.Bind) > 0 {
-		return s.goalStream(ctx, q, req)
-	}
-
-	// Sorted fast paths: the published view, then a cached result.
-	if tuples, ok := s.readView(q); ok {
-		res := QueryResult{Pred: q.pred, Version: q.version, Tuples: tuples, Origin: "materialized"}
-		return s.sliceStream(res, tuples, req.Limit), nil
-	}
-	key := cacheKey{hash: q.hash, pred: q.pred, version: q.version}
-	if tuples, ok := s.cache.get(key); ok {
-		s.met.cacheHits.Inc()
-		res := QueryResult{Pred: q.pred, Version: q.version, Tuples: tuples, Origin: "cache"}
-		return s.sliceStream(res, tuples, req.Limit), nil
-	}
-	s.met.cacheMisses.Inc()
-
-	snap, err := s.snapshotOf(q)
-	if err != nil {
-		return nil, err
-	}
-	return s.openStream(ctx, q.prog, snap, q.pred, q.pred, q.version, req, nil, "")
-}
-
-// goalStream streams a bound query: the magic-set rewrite (cached like
-// goalQuery's) is seeded with the bound values and its answer predicate
-// is streamed under the goal filter — the answer-projection stage of
-// goal-directed evaluation, produced tuple by tuple.
-func (s *Service) goalStream(ctx context.Context, q resolved, req QueryRequest) (*QueryStream, error) {
-	prog, hash, pred, version := q.prog, q.hash, q.pred, q.version
-	arity := prog.Arities()[pred]
-	if len(req.Bind) != arity {
-		return nil, fmt.Errorf("service: bind has %d positions, predicate %s has arity %d", len(req.Bind), pred, arity)
-	}
-	goal := datalog.Goal{Pred: pred, Bound: make([]bool, arity), Value: make([]int, arity)}
-	for i, b := range req.Bind {
-		if b != nil {
-			goal.Bound[i] = true
-			goal.Value[i] = *b
-		}
-	}
-	s.met.goalQueries.Inc()
-
-	rk := rewriteKey{hash: hash, pred: pred, adornment: magic.AdornmentOf(goal), sip: magic.BoundFirstSIP{}.Name()}
-	rw, ok := s.rewrites.get(rk)
-	if ok {
-		s.met.rewriteHits.Inc()
-	} else {
-		s.met.rewriteMisses.Inc()
-		var err error
-		rw, err = magic.NewRewrite(prog, goal, magic.BoundFirstSIP{})
-		if err != nil {
-			return nil, err
-		}
-		s.rewrites.put(rk, rw)
-	}
-	seeded, err := rw.Seeded(goal)
+// openStream runs q's target over its pinned snapshot, read in place, on
+// the streaming executor; stream.ErrRecursive reports a slice it cannot
+// run. A bound request evaluates the rewrite's answer predicate under the
+// goal filter but reports the predicate that was asked for.
+func (s *Service) openStream(ctx context.Context, q *resolved, limit int) (*QueryStream, error) {
+	prog, pred, err := s.target(q)
 	if err != nil {
 		return nil, err
 	}
@@ -284,26 +232,12 @@ func (s *Service) goalStream(ctx context.Context, q resolved, req QueryRequest) 
 	if err != nil {
 		return nil, err
 	}
-	return s.openStream(ctx, seeded, snap, rw.GoalPred, pred, version, req, &goal, goal.String())
-}
-
-// openStream runs prog's pred over snap, read in place, on the streaming
-// executor; a recursive slice falls back to materialized evaluation.
-// filter restricts answers to the goal's bound positions (bound
-// requests); showPred and goalStr are echoed on the stream (a bound
-// query evaluates the rewrite's answer predicate but reports the
-// original one).
-func (s *Service) openStream(ctx context.Context, prog *datalog.Program, snap *Snapshot, pred, showPred string, version int64, req QueryRequest, filter *datalog.Goal, goalStr string) (*QueryStream, error) {
-	opt := stream.Options{Eval: s.optsFor(snap), Filter: filter}
-	var pp *plan.ProgramPlan
-	if s.planner != nil {
-		pp, _ = s.planner.PlanProgram(prog, snap.Stats)
-		opt.Plan = pp
-	}
-	if req.Limit > 0 {
+	pp, _ := s.planner.PlanProgram(prog, snap.Stats)
+	opt := stream.Options{Eval: s.optsFor(snap), Filter: q.goal, Plan: pp}
+	if limit > 0 {
 		// One past the caller's limit so the wrapper's lookahead can
 		// report whether the answer set was truncated.
-		opt.Limit = req.Limit + 1
+		opt.Limit = limit + 1
 	}
 
 	sctx, done := s.scoped(ctx, s.cfg.QueryTimeout)
@@ -311,42 +245,26 @@ func (s *Service) openStream(ctx context.Context, prog *datalog.Program, snap *S
 	if err == nil {
 		// The evaluation spans the whole drain, so the worker slot is
 		// held from here until Close.
-		if aerr := s.exec.acquire(sctx); aerr != nil {
+		if err = s.exec.acquire(sctx); err != nil {
 			st.Close()
-			done()
-			return nil, aerr
 		}
-		s.scratchEval.Add(1)
-		s.met.scratchEvals.Inc()
-		q := &QueryStream{
-			Pred: showPred, Version: version, Origin: "stream", Goal: goalStr, Sorted: false,
-			s:     s,
-			next:  st.Next,
-			errf:  st.Err,
-			limit: req.Limit,
-		}
-		q.cleanup = append(q.cleanup, done, s.exec.release, func() {
-			c := st.Counters()
-			s.met.streamPeakBuf.SetMax(c.PeakBuffered)
-			st.Close()
-		})
-		return q, nil
 	}
-	done()
-	if !errors.Is(err, stream.ErrRecursive) {
-		return nil, err
-	}
-
-	// Recursive slice: materialize through the ordinary query path (which
-	// caches the sorted answer set) and stream the slice out.
-	s.met.streamFallbacks.Inc()
-	fb := req
-	fb.Cursor, fb.Limit = "", 0
-	res, err := s.queryContext(ctx, fb)
 	if err != nil {
+		done()
 		return nil, err
 	}
-	return s.sliceStream(res, res.Tuples, req.Limit), nil
+	s.met.scratchEvals.Inc()
+	return &QueryStream{
+		Pred: q.pred, Version: q.version, Origin: "stream", Goal: q.bind, Sorted: false,
+		s:     s,
+		next:  st.Next,
+		errf:  st.Err,
+		limit: limit,
+		cleanup: []func(){done, s.exec.release, func() {
+			s.met.streamPeakBuf.SetMax(st.Counters().PeakBuffered)
+			st.Close()
+		}},
+	}, nil
 }
 
 // sliceStream wraps an already-complete, canonically sorted answer slice

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/datalog"
-	"repro/internal/magic"
 )
 
 // Live subscriptions. Every commit's incremental maintenance already
@@ -85,9 +84,8 @@ type SubscribeRequest struct {
 	Preds []string
 	// Goal, when non-nil with at least one bound position, restricts the
 	// goal predicate's deltas to tuples matching the binding — the same
-	// demand slice a bound /v1/query answers, via the same cached
-	// magic-set rewrite. The goal's predicate is implicitly added to the
-	// watched set.
+	// slice a bound /v1/query answers. The goal's predicate is implicitly
+	// added to the watched set.
 	Goal *datalog.Goal
 	// FromVersion < 0 subscribes live from the current version. >= 0
 	// resumes: events for every commit after FromVersion are replayed
@@ -345,28 +343,10 @@ func (s *Service) Subscribe(req SubscribeRequest) (*Subscription, error) {
 		if ar := reg.prog.Arities()[g.Pred]; len(g.Bound) != ar {
 			return nil, fmt.Errorf("service: goal for %s has %d positions, predicate has arity %d", g.Pred, len(g.Bound), ar)
 		}
-		// The binding's filter comes through the same cached rewrite a
-		// bound /v1/query uses, so the subscribed slice and the query
-		// answer set stay on one contract (and the cache is shared).
-		rk := rewriteKey{hash: reg.stats.Hash, pred: g.Pred, adornment: magic.AdornmentOf(g), sip: magic.BoundFirstSIP{}.Name()}
-		rw, ok := s.rewrites.get(rk)
-		if ok {
-			s.met.rewriteHits.Inc()
-		} else {
-			s.met.rewriteMisses.Inc()
-			var err error
-			rw, err = magic.NewRewrite(reg.prog, g, magic.BoundFirstSIP{})
-			if err != nil {
-				return nil, err
-			}
-			s.rewrites.put(rk, rw)
-		}
-		var err error
-		match, err = magic.DeltaFilter(rw, g)
-		if err != nil {
-			return nil, err
-		}
-		goalPred = g.Pred
+		// The view holds the goal predicate's whole relation, and a bound
+		// /v1/query answers exactly its tuples that match the binding; so the
+		// subscribed slice is a tuple match on the view's deltas, no rewrite.
+		match, goalPred = g.Matches, g.Pred
 		if preds != nil {
 			preds[g.Pred] = true
 		}

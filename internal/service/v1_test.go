@@ -17,8 +17,7 @@ import (
 
 const tcProgram = "S(x,y) :- E(x,y). S(x,y) :- E(x,z), S(z,y). goal S."
 
-// TestV1Routes drives the whole versioned surface and checks it behaves
-// exactly like the legacy paths it aliases.
+// TestV1Routes drives the whole versioned surface.
 func TestV1Routes(t *testing.T) {
 	s, err := New(Config{Universe: 8})
 	if err != nil {
@@ -41,16 +40,8 @@ func TestV1Routes(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &q); err != nil {
 		t.Fatal(err)
 	}
-	if q.Count != 3 || q.Pred != "S" || q.Version != 1 {
+	if q.Origin != "materialized" || q.Count != 3 || q.Pred != "S" || q.Version != 1 {
 		t.Fatalf("query response %+v", q)
-	}
-	// The same query on the legacy alias reads the same published view.
-	w = post(t, h, "/query", `{"program":"tc"}`)
-	if err := json.Unmarshal(w.Body.Bytes(), &q); err != nil {
-		t.Fatal(err)
-	}
-	if q.Origin != "materialized" || q.Count != 3 || q.Version != 1 {
-		t.Fatalf("legacy alias did not share state with /v1: %+v", q)
 	}
 	if w := post(t, h, "/v1/unregister", `{"name":"tc"}`); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "true") {
 		t.Fatalf("/v1/unregister: %d %s", w.Code, w.Body)
@@ -65,8 +56,8 @@ func TestV1Routes(t *testing.T) {
 	}
 }
 
-// TestErrorEnvelopeByPath pins the error shapes: /v1 carries the
-// structured {code, message} envelope, the legacy paths keep {"error"}.
+// TestErrorEnvelopeByPath pins the error shape: every failure carries the
+// structured {code, message} envelope; the legacy paths are gone.
 func TestErrorEnvelopeByPath(t *testing.T) {
 	s, err := New(Config{Universe: 8})
 	if err != nil {
@@ -87,16 +78,11 @@ func TestErrorEnvelopeByPath(t *testing.T) {
 		t.Fatalf("v1 envelope %+v", env)
 	}
 
-	w = post(t, h, "/query", `{"program":"missing"}`)
-	var legacy ErrorResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Error == "" || strings.Contains(w.Body.String(), `"code"`) {
-		t.Fatalf("legacy path leaked the v1 envelope: %s", w.Body)
+	if w = post(t, h, "/query", `{"program":"missing"}`); w.Code != http.StatusNotFound {
+		t.Fatalf("legacy /query: %d, want 404", w.Code)
 	}
 
-	// Method errors go through the same split.
+	// Method errors carry the envelope too.
 	req := httptest.NewRequest(http.MethodGet, "/v1/query", nil)
 	rw := httptest.NewRecorder()
 	h.ServeHTTP(rw, req)
@@ -164,9 +150,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	// The surface is pinned whole, so a block or series that is dropped —
 	// or comes back — fails here: a memory-only service with the planner on
-	// serves 47 series, and /v1/stats these top-level keys and no other.
-	if len(snap) != 47 {
-		t.Errorf("/v1/metrics serves %d series, want 47", len(snap))
+	// serves 46 series, and /v1/stats these top-level keys and no other.
+	if len(snap) != 46 {
+		t.Errorf("/v1/metrics serves %d series, want 46", len(snap))
 	}
 	rw = httptest.NewRecorder()
 	h.ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
@@ -179,7 +165,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	if got, want := strings.Join(keys, " "), "cache commits deprecated_requests executor magic oldest_version "+
+	if got, want := strings.Join(keys, " "), "cache commits executor magic oldest_version "+
 		"planner programs queries scratch_evals snapshots storage stream subscribe universe version"; got != want {
 		t.Errorf("/v1/stats keys:\n got %s\nwant %s", got, want)
 	}

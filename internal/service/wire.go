@@ -71,7 +71,10 @@ type RegisterResponse struct {
 // last tuple of the previous page. Stream (or an Accept header of
 // application/x-ndjson) switches the response to NDJSON: a header line,
 // one JSON array per tuple produced as it is derived, and a trailer
-// line with the count and pagination state.
+// line with the count and pagination state. /v1/explain takes the same
+// body, and refuses the fields that shape a response rather than a plan:
+// Tuple, Limit, Cursor and Stream. A bind with a bound position explains
+// the magic-set-rewritten, seeded program the service would actually run.
 type QueryRequestJSON struct {
 	Program string `json:"program,omitempty"`
 	Source  string `json:"source,omitempty"`
@@ -122,17 +125,6 @@ type StreamTrailerJSON struct {
 	NextCursor string `json:"next_cursor,omitempty"`
 	Truncated  bool   `json:"truncated,omitempty"`
 	Error      string `json:"error,omitempty"`
-}
-
-// ExplainRequestJSON asks for the join plan of a query: same resolution
-// fields as QueryRequestJSON. A bind with a bound position explains the
-// magic-set-rewritten, seeded program the service would actually run.
-type ExplainRequestJSON struct {
-	Program string `json:"program,omitempty"`
-	Source  string `json:"source,omitempty"`
-	Pred    string `json:"pred,omitempty"`
-	Version *int64 `json:"version,omitempty"`
-	Bind    []*int `json:"bind,omitempty"`
 }
 
 // ExplainStepJSON is one join step of a planned rule body. Exec and Via
@@ -251,14 +243,8 @@ func explainToWire(res ExplainResult) ExplainResponse {
 	return out
 }
 
-// ErrorResponse carries a request failure on the legacy unversioned
-// paths.
-type ErrorResponse struct {
-	Error string `json:"error"`
-}
-
-// ErrorEnvelope carries a request failure on the /v1 surface: a stable
-// machine-readable code plus a human-readable message.
+// ErrorEnvelope carries a request failure: a stable machine-readable code
+// plus a human-readable message.
 type ErrorEnvelope struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
