@@ -1,5 +1,7 @@
 package datalog
 
+import "slices"
+
 // Rule compilation. Eval compiles every rule once into a numeric form the
 // join loop can interpret with no string hashing and no per-tuple
 // allocations:
@@ -20,13 +22,19 @@ package datalog
 //     slots) or, for EDB atoms, to direct *Relation pointers.
 //
 // The compiled form is per-evaluation (it captures resolved EDB
-// relations), so compilation cost is one pass over the program per Eval.
-//
-// An Incremental compiles every rule a second time in head-seeded form
-// (seedRule): the same rule behind a leading atom that binds the head's
-// arguments from a set of candidate head tuples, which is how delete
-// maintenance asks "is this over-deleted tuple still derivable?" of one
-// rule at the cost of a bound probe instead of a full firing.
+// relations). Compilation has two steps. A rule is translated once
+// (translate): names become numbers, and nothing in the result depends on
+// the order its atoms are joined in. It is then scheduled (schedule) once
+// per order it is fired in — levels, masks, actions and constraint
+// placement are what an order decides. The order as written (or as
+// planned) is the one the naive loop and round 1 fire. Every other firing
+// is led by an atom (leadOrder): one body atom moved to the front, where it
+// reads a plain list of tuples instead of a relation, and the rest of the
+// body reordered to follow it. The semi-naive loop leads with each IDB
+// atom and hands it that predicate's delta; an Incremental also leads with
+// each EDB atom (the inserted facts) and with a synthetic atom over the
+// head's own arguments (the over-deleted tuples: "is this one still
+// derivable?" at the cost of a bound probe instead of a full firing).
 
 // cTerm is a term with its variable renamed: varID >= 0 indexes the
 // environment, varID < 0 means the constant val.
@@ -54,13 +62,20 @@ type cPat struct {
 	t   cTerm
 }
 
-// cAtom is a body atom with its probe mask and post-probe actions.
+// cSrcAtom is a body atom translated to numbers.
+type cSrcAtom struct {
+	pred  string
+	idbID int // >= 0: IDB predicate id; -1: EDB
+	tab   int // the predicate's table in the witness store
+	args  []cTerm
+}
+
+// cAtom is a body atom at its place in a join order, with its probe mask
+// and post-probe actions.
 type cAtom struct {
-	pred   string
+	cSrcAtom
 	arity  int
-	idbID  int       // >= 0: IDB predicate id; -1: EDB
-	edbRel *Relation // resolved EDB relation when idbID == -1
-	tab    int       // the predicate's table in the witness store
+	edbRel *Relation // resolved EDB relation when idbID == -1; see evaluator.resolve
 	mask   uint64
 	pat    []cPat    // mask positions to fill into the probe pattern
 	binds  []cAction // first-occurrence variables: env[varID] = tup[pos]
@@ -73,25 +88,35 @@ type cCons struct {
 	neq  bool
 }
 
-// cRule is the compiled form of one rule.
-type cRule struct {
+// cSrc is a rule translated to numbers, before an atom order is chosen:
+// what every compiled form of the rule shares.
+type cSrc struct {
 	ri     int
 	headID int // IDB id of the head predicate
 	head   []cTerm
-	atoms  []cAtom
-	free   []int // var ids bound by no atom, in Vars() order
+	atoms  []cSrcAtom // in the program's (planned, else textual) order
+	cons   []cCons
+	never  bool // a constant-only constraint is violated: the rule is dead
+	maxAr  int
+	nv     int
+}
+
+// cRule is one compiled form of a rule: its cSrc scheduled in one order.
+type cRule struct {
+	*cSrc
+	atoms []cAtom
+	free  []int // var ids bound by no atom, ascending
 	// consAt[lvl] holds the constraints first fully bound after completing
 	// level lvl: levels 0..len(atoms)-1 are body atoms, len(atoms)+k is
 	// the k-th free variable.
 	consAt [][]cCons
-	never  bool // a constant-only constraint is violated: the rule is dead
-	maxAr  int
-	nv     int
-	// skip is 1 for a head-seeded form, whose atom 0 is the seed: it binds
-	// the head from a candidate tuple and is no part of a witness, and one
-	// emission per candidate is enough. origin then maps each atom to its
-	// body position in the program's rule (seedRule reorders the body); nil
-	// is the identity.
+	// led marks a leading-atom form: atom 0 reads the list its task carries
+	// and is probed on nothing. origin then maps each atom to its position
+	// in the source's body (leadOrder reorders it); nil is the identity.
+	// skip is 1 when the leading atom is the head seed, which binds the head
+	// from a candidate tuple and is no part of a witness — and one emission
+	// per candidate is enough.
+	led    bool
 	skip   int
 	origin []int
 }
@@ -108,37 +133,100 @@ func (a *cAtom) indexed() bool {
 // not an identifier the lexer accepts, so no program predicate has it.
 const seedPred = "\x00seed"
 
-// seedRule returns r in head-seeded form: a leading atom over the head's
-// own arguments — fired with that atom reading a set of candidate head
-// tuples, the rule derives exactly the candidates r can derive — followed
-// by r's body atoms, reordered so that each next atom is the one with the
-// most columns bound by then (ties to the textual order): with the head
-// bound up front the textual order, chosen for an unbound head, may open
-// with an atom the seed binds nothing of. origin[i] is the position in
-// r's body of the seeded rule's atom i, -1 for the seed.
-func seedRule(r Rule) (Rule, []int) {
-	atoms := r.Atoms()
-	bound := map[string]bool{}
-	bind := func(a Atom) {
-		for _, t := range a.Args {
-			if t.IsVar() {
-				bound[t.Var] = true
-			}
+// translate renames rule ri's variables to dense ids in first-occurrence
+// order (head first, then body) and resolves its predicates through the
+// evaluator's tables; nil tables leave every atom unresolved, which is
+// enough to order a body.
+func translate(ri int, r Rule, idbID, tabID map[string]int) *cSrc {
+	// A rule has a handful of variables: a scan beats a map.
+	var vars []string
+	term := func(t Term) cTerm {
+		if !t.IsVar() {
+			return cTerm{varID: -1, val: t.Const}
+		}
+		i := slices.Index(vars, t.Var)
+		if i < 0 {
+			i = len(vars)
+			vars = append(vars, t.Var)
+		}
+		return cTerm{varID: i}
+	}
+	src := &cSrc{ri: ri, headID: idbID[r.Head.Pred]}
+	width := len(r.Head.Args)
+	for _, b := range r.Body {
+		if b.Atom != nil {
+			width += len(b.Atom.Args)
 		}
 	}
-	bind(r.Head)
-	out := Rule{Head: r.Head, Body: []BodyItem{{Atom: &Atom{Pred: seedPred, Args: r.Head.Args}}}}
-	origin := []int{-1}
-	placed := make([]bool, len(atoms))
-	for range atoms {
+	terms := make([]cTerm, 0, width) // one backing array for every argument list
+	args := func(ts []Term) []cTerm {
+		from := len(terms)
+		for _, t := range ts {
+			terms = append(terms, term(t))
+		}
+		return terms[from:len(terms):len(terms)]
+	}
+	src.head = args(r.Head.Args)
+	for _, b := range r.Body {
+		if a := b.Atom; a != nil {
+			sa := cSrcAtom{pred: a.Pred, idbID: -1, tab: tabID[a.Pred], args: args(a.Args)}
+			if id, ok := idbID[a.Pred]; ok {
+				sa.idbID = id
+			}
+			src.maxAr = max(src.maxAr, len(sa.args))
+			src.atoms = append(src.atoms, sa)
+			continue
+		}
+		c := cCons{l: term(b.Constraint.Left), r: term(b.Constraint.Right), neq: b.Constraint.Neq}
+		if c.l.varID < 0 && c.r.varID < 0 {
+			// Both sides constant: decide once.
+			if (c.l.val == c.r.val) == c.neq {
+				src.never = true
+			}
+			continue
+		}
+		src.cons = append(src.cons, c)
+	}
+	src.nv = len(vars)
+	return src
+}
+
+// leadOrder returns the order of src's atoms for a firing led by body atom
+// lead: lead first, then the other atoms so that each next one is the atom
+// with the most columns bound by then (ties to src's own order, the
+// planner's when there is one) — src's order was chosen for a firing that
+// starts with nothing bound, and may open with an atom the leading one
+// binds nothing of. With lead < 0 the leading atom is the head seed, -1 in
+// the result: a synthetic atom over the head's own arguments — fired with
+// it reading a list of candidate head tuples, the rule derives exactly the
+// candidates it can derive.
+func (src *cSrc) leadOrder(lead int) []int {
+	bound := make([]bool, src.nv)
+	placed := make([]bool, len(src.atoms))
+	order := make([]int, 0, len(src.atoms)+1)
+	place := func(i int, args []cTerm) {
+		for _, t := range args {
+			if t.varID >= 0 {
+				bound[t.varID] = true
+			}
+		}
+		order = append(order, i)
+	}
+	if lead < 0 {
+		place(-1, src.head)
+	} else {
+		placed[lead] = true
+		place(lead, src.atoms[lead].args)
+	}
+	for {
 		best, bestBound := -1, -1
-		for i, a := range atoms {
+		for i := range src.atoms {
 			if placed[i] {
 				continue
 			}
 			n := 0
-			for _, t := range a.Args {
-				if !t.IsVar() || bound[t.Var] {
+			for _, t := range src.atoms[i].args {
+				if t.varID < 0 || bound[t.varID] {
 					n++
 				}
 			}
@@ -146,10 +234,28 @@ func seedRule(r Rule) (Rule, []int) {
 				best, bestBound = i, n
 			}
 		}
+		if best < 0 {
+			return order
+		}
 		placed[best] = true
-		bind(atoms[best])
-		out.Body = append(out.Body, BodyItem{Atom: &atoms[best]})
-		origin = append(origin, best)
+		place(best, src.atoms[best].args)
+	}
+}
+
+// seedRule renders leadOrder's head-seeded order of r as a rule: a leading
+// seedPred atom over the head's arguments, then r's atoms in that order,
+// then its constraints. origin[i] is the position in r's body of the
+// result's atom i, -1 for the seed.
+func seedRule(r Rule) (Rule, []int) {
+	origin := translate(0, r, nil, nil).leadOrder(-1)
+	atoms := r.Atoms()
+	out := Rule{Head: r.Head}
+	for _, o := range origin {
+		a := &Atom{Pred: seedPred, Args: r.Head.Args}
+		if o >= 0 {
+			a = &atoms[o]
+		}
+		out.Body = append(out.Body, BodyItem{Atom: a})
 	}
 	for _, b := range r.Body {
 		if b.Constraint != nil {
@@ -159,104 +265,104 @@ func seedRule(r Rule) (Rule, []int) {
 	return out, origin
 }
 
-// compileRule translates rule ri into its numeric form using the
-// evaluator's predicate tables.
-func (e *evaluator) compileRule(ri int, r Rule) *cRule {
-	atoms := r.Atoms()
-	vars := r.Vars()
-	ids := make(map[string]int, len(vars))
-	for i, v := range vars {
-		ids[v] = i
+// schedule compiles src with its atoms joined in the given order (nil: as
+// they stand; -1: the head seed): what each level binds, probes and checks,
+// and where each constraint is first decidable.
+func (src *cSrc) schedule(order []int) *cRule {
+	n := len(src.atoms)
+	if order != nil {
+		n = len(order)
 	}
-	cr := &cRule{ri: ri, headID: e.idbID[r.Head.Pred], nv: len(vars)}
-
+	cr := &cRule{cSrc: src, atoms: make([]cAtom, n), origin: order}
 	// Bind level of each variable: the first atom containing it, or, for
-	// variables in no atom, len(atoms) + its position in the free list.
-	level := make([]int, len(vars))
-	for i := range level {
-		level[i] = -1
+	// variables in no atom, n + its position in the free list.
+	level := make([]int, src.nv)
+	for v := range level {
+		level[v] = -1
 	}
-	for ai, a := range atoms {
-		for _, t := range a.Args {
-			if t.IsVar() && level[ids[t.Var]] < 0 {
-				level[ids[t.Var]] = ai
+	width := 0
+	for ai := range cr.atoms {
+		ca := &cr.atoms[ai]
+		ca.cSrcAtom = cSrcAtom{pred: seedPred, idbID: -1, args: src.head}
+		if o := cr.from(ai); o >= 0 {
+			ca.cSrcAtom = src.atoms[o]
+		}
+		ca.arity = len(ca.args)
+		width += ca.arity
+		for _, t := range ca.args {
+			if t.varID >= 0 && level[t.varID] < 0 {
+				level[t.varID] = ai
 			}
 		}
 	}
-	for _, v := range vars {
-		if level[ids[v]] < 0 {
-			level[ids[v]] = len(atoms) + len(cr.free)
-			cr.free = append(cr.free, ids[v])
+	for v := range level {
+		if level[v] < 0 {
+			level[v] = n + len(cr.free)
+			cr.free = append(cr.free, v)
 		}
 	}
-
-	term := func(t Term) cTerm {
-		if t.IsVar() {
-			return cTerm{varID: ids[t.Var]}
-		}
-		return cTerm{varID: -1, val: t.Const}
-	}
-
-	cr.head = make([]cTerm, len(r.Head.Args))
-	for i, t := range r.Head.Args {
-		cr.head[i] = term(t)
-	}
-
-	cr.atoms = make([]cAtom, len(atoms))
-	for ai, a := range atoms {
-		ca := cAtom{pred: a.Pred, arity: len(a.Args), idbID: -1}
-		if id, ok := e.idbID[a.Pred]; ok {
-			ca.idbID = id
-		} else {
-			ca.edbRel = e.edb[a.Pred]
-		}
-		ca.tab = e.wit.tabID[a.Pred]
-		if ca.arity > cr.maxAr {
-			cr.maxAr = ca.arity
-		}
-		seen := map[int]bool{}
-		for i, t := range a.Args {
+	// One backing array each for the probe patterns and the binds of all
+	// atoms; checks are rare and grow their own.
+	pats := make([]cPat, 0, width)
+	binds := make([]cAction, 0, width)
+	var checks []cAction
+	for ai := range cr.atoms {
+		ca := &cr.atoms[ai]
+		p0, b0, c0 := len(pats), len(binds), len(checks)
+		for i, t := range ca.args {
 			switch {
-			case !t.IsVar():
+			case t.varID < 0 || level[t.varID] < ai:
 				ca.mask |= 1 << uint(i)
-				ca.pat = append(ca.pat, cPat{pos: i, t: term(t)})
-			case level[ids[t.Var]] < ai:
-				ca.mask |= 1 << uint(i)
-				ca.pat = append(ca.pat, cPat{pos: i, t: term(t)})
-			case seen[ids[t.Var]]:
-				ca.checks = append(ca.checks, cAction{pos: i, varID: ids[t.Var]})
+				pats = append(pats, cPat{pos: i, t: t})
+			case slices.ContainsFunc(binds[b0:], func(b cAction) bool { return b.varID == t.varID }):
+				checks = append(checks, cAction{pos: i, varID: t.varID})
 			default:
-				seen[ids[t.Var]] = true
-				ca.binds = append(ca.binds, cAction{pos: i, varID: ids[t.Var]})
+				binds = append(binds, cAction{pos: i, varID: t.varID})
 			}
 		}
-		cr.atoms[ai] = ca
+		ca.pat = pats[p0:len(pats):len(pats)]
+		ca.binds = binds[b0:len(binds):len(binds)]
+		ca.checks = checks[c0:len(checks):len(checks)]
 	}
-
 	// Schedule each constraint at the level where both sides are bound.
-	cr.consAt = make([][]cCons, len(atoms)+len(cr.free))
-	for _, c := range r.Constraints() {
-		l, rt := term(c.Left), term(c.Right)
+	cr.consAt = make([][]cCons, n+len(cr.free))
+	for _, c := range src.cons {
 		ready := -1
-		if l.varID >= 0 && level[l.varID] > ready {
-			ready = level[l.varID]
+		if c.l.varID >= 0 {
+			ready = level[c.l.varID]
 		}
-		if rt.varID >= 0 && level[rt.varID] > ready {
-			ready = level[rt.varID]
+		if c.r.varID >= 0 {
+			ready = max(ready, level[c.r.varID])
 		}
-		if ready < 0 {
-			// Both sides constant: decide once.
-			if (l.val == rt.val) == c.Neq {
-				cr.never = true
-			}
-			continue
-		}
-		cr.consAt[ready] = append(cr.consAt[ready], cCons{l: l, r: rt, neq: c.Neq})
+		cr.consAt[ready] = append(cr.consAt[ready], c)
 	}
 	return cr
 }
 
-// ProbeMasks returns, per body atom of r, the probe mask compileRule
+// from returns the position in the source's body of the form's atom ai,
+// -1 for the head seed.
+func (cr *cRule) from(ai int) int {
+	if cr.origin == nil {
+		return ai
+	}
+	return cr.origin[ai]
+}
+
+// compileLed compiles rule ri led by its body atom lead (by the head seed
+// when lead < 0) and resolves the form against the bound database.
+func (e *evaluator) compileLed(ri, lead int) *cRule {
+	src := e.rules[ri].cSrc
+	cr := src.schedule(src.leadOrder(lead))
+	cr.led = true
+	if lead < 0 {
+		cr.skip = 1
+	}
+	e.forms = append(e.forms, cr)
+	e.resolve(cr)
+	return cr
+}
+
+// ProbeMasks returns, per body atom of r, the probe mask schedule
 // will use for that atom: bit i set means argument i is a constant or a
 // variable bound by an earlier atom, so it is part of the indexed
 // lookup. Exported so internal/plan's cost model and the -explain output

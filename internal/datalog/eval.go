@@ -71,9 +71,9 @@ func (e *evaluator) run() error {
 }
 
 // newEvaluator validates the program and builds the full evaluation state:
-// dense predicate ids, output relations, resolved EDB reads, compiled
-// rules, pre-registered indexes and the delta pools. Eval runs it to the
-// fixpoint and discards it; Incremental keeps it alive across updates.
+// dense predicate ids, output relations, compiled rules, resolved EDB reads
+// with their indexes registered (bind) and the delta pools. Eval runs it to
+// the fixpoint and discards it; Incremental keeps it alive across updates.
 func newEvaluator(ctx context.Context, p *Program, db *Database, opt Options) (*evaluator, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -99,7 +99,7 @@ func newEvaluator(ctx context.Context, p *Program, db *Database, opt Options) (*
 	}
 	arity := p.Arities()
 	idbSet := p.IDBs()
-	e := &evaluator{ctx: ctx, p: p, db: db, opt: opt, par: opt.workers(), idbSet: idbSet}
+	e := &evaluator{ctx: ctx, p: p, opt: opt, par: opt.workers(), idbSet: idbSet}
 	// Intensional predicates get dense ids (sorted for determinism); the
 	// id doubles as the predicate's slot in the delta pools.
 	e.idbID = make(map[string]int, len(idbSet))
@@ -110,12 +110,11 @@ func newEvaluator(ctx context.Context, p *Program, db *Database, opt Options) (*
 	for i, name := range e.idbNames {
 		e.idbID[name] = i
 	}
-	var edbNames []string
 	for name := range p.EDBs() {
-		edbNames = append(edbNames, name)
+		e.edbNames = append(e.edbNames, name)
 	}
-	sort.Strings(edbNames)
-	e.wit = newWitnessStore(opt.TrackProvenance, e.idbNames, edbNames, arity)
+	sort.Strings(e.edbNames)
+	e.wit = newWitnessStore(opt.TrackProvenance, e.idbNames, e.edbNames, arity)
 	e.idb = map[string]*Relation{}
 	e.stage = map[string]*StageTable{}
 	e.idbByID = make([]*Relation, len(e.idbNames))
@@ -131,33 +130,97 @@ func newEvaluator(ctx context.Context, p *Program, db *Database, opt Options) (*
 			e.empty[a] = NewDLRelation(a)
 		}
 	}
-	// EDB relations referenced but absent resolve to a shared empty
-	// relation; the caller's database is left untouched.
-	e.edb = map[string]*Relation{}
-	for _, name := range edbNames {
-		r := db.Relation(name)
-		if r == nil {
-			r = e.empty[arity[name]]
-		} else if r.Arity != arity[name] {
-			return nil, fmt.Errorf("datalog: EDB %s has arity %d in the database but %d in the program",
-				name, r.Arity, arity[name])
-		}
-		e.edb[name] = r
-	}
 	e.rules = make([]*cRule, len(p.Rules))
+	e.led = make([][]*cRule, len(p.Rules))
 	for ri, r := range p.Rules {
-		e.rules[ri] = e.compileRule(ri, r)
+		e.rules[ri] = translate(ri, r, e.idbID, e.wit.tabID).schedule(nil)
+		e.forms = append(e.forms, e.rules[ri])
+		e.led[ri] = make([]*cRule, len(e.rules[ri].atoms))
 	}
 	e.wit.setRules(e.rules)
 	e.ruleStats = make([]ruleCounters, len(p.Rules))
-	if opt.UseIndexes {
-		e.prepareIndexes()
+	e.edb = make(map[string]*Relation, len(e.edbNames))
+	if err := e.bind(db); err != nil {
+		return nil, err
 	}
-	e.deltaPool = [2][]*Relation{
-		make([]*Relation, len(e.idbNames)),
-		make([]*Relation, len(e.idbNames)),
-	}
+	e.resetDeltas()
 	return e, nil
+}
+
+// bind points the evaluation at db: the program's EDB predicates and every
+// compiled EDB atom resolve to db's relations — one referenced but absent
+// to a shared empty relation, db itself is never written — with their
+// indexes registered (resolve).
+func (e *evaluator) bind(db *Database) error {
+	e.db = db
+	for _, name := range e.edbNames {
+		arity := e.wit.tabs[e.wit.tabID[name]].arity
+		r := db.Relation(name)
+		if r == nil {
+			r = e.empty[arity]
+		} else if r.Arity != arity {
+			return fmt.Errorf("datalog: EDB %s has arity %d in the database but %d in the program",
+				name, r.Arity, arity)
+		}
+		e.edb[name] = r
+	}
+	for _, cr := range e.forms {
+		e.resolve(cr)
+	}
+	return nil
+}
+
+// resolve points cr's EDB atoms at the bound database's relations and,
+// with UseIndexes, registers every index cr will probe on the relation it
+// reads: maintained by commit from then on for an IDB relation, built once
+// over the extensional data for an EDB one (under the relation's lock, as
+// a first probe would: the database may be a snapshot other evaluations
+// read). A form is resolved before any task fires it, so workers firing in
+// parallel find every index in place.
+func (e *evaluator) resolve(cr *cRule) {
+	for ai := range cr.atoms {
+		if a := &cr.atoms[ai]; a.idbID < 0 {
+			a.edbRel = e.edb[a.pred]
+		}
+	}
+	if !e.opt.UseIndexes {
+		return
+	}
+	for ai := range cr.atoms {
+		a := &cr.atoms[ai]
+		if a.idbID >= 0 && !cr.led && e.opt.SemiNaive {
+			// A form with no leading atom fires in round 1 alone, when every
+			// IDB relation is empty: the enumeration ends here.
+			return
+		}
+		if !a.indexed() || cr.led && ai == 0 {
+			continue
+		}
+		if a.idbID >= 0 {
+			e.idbByID[a.idbID].ensureIndex(a.mask)
+		} else {
+			a.edbRel.ensureIndex(a.mask)
+		}
+	}
+}
+
+// ledBy returns rule ri led by its body atom ai, compiled on first use: an
+// evaluation pays for the forms its deltas reach, a bound goal over a small
+// database reaches few of them, and an Incremental asks for all of them up
+// front.
+func (e *evaluator) ledBy(ri, ai int) *cRule {
+	if e.led[ri][ai] == nil {
+		e.led[ri][ai] = e.compileLed(ri, ai)
+	}
+	return e.led[ri][ai]
+}
+
+// resetDeltas gives the semi-naive loop two fresh sets of empty delta lists.
+func (e *evaluator) resetDeltas() {
+	e.deltaPool = [2][][]Tuple{
+		make([][]Tuple, len(e.idbNames)),
+		make([][]Tuple, len(e.idbNames)),
+	}
 }
 
 // result snapshots the evaluator's outputs. The maps are shared with the
@@ -187,6 +250,7 @@ type evaluator struct {
 
 	idbNames []string       // sorted IDB predicate names; position = id
 	idbID    map[string]int // predicate name -> dense id
+	edbNames []string       // sorted EDB predicate names
 
 	idb     map[string]*Relation
 	idbByID []*Relation
@@ -197,17 +261,18 @@ type evaluator struct {
 	// first-derivation witness; see witness.go.
 	wit *witnessStore
 
-	// rules holds the compiled form of every program rule; see compile.go.
-	// All join masks are known statically from it, so every index can be
-	// registered before workers fire in parallel. seeded, compiled only for
-	// an Incremental, holds each rule's head-seeded form.
+	// rules holds the compiled form of every program rule, led[ri][ai] rule
+	// ri led by its body atom ai once something asked for it (ledBy) and
+	// seeded, for an Incremental only, each rule led by its head; see
+	// compile.go. forms lists them all, for bind.
 	rules  []*cRule
+	led    [][]*cRule
 	seeded []*cRule
-	// deltaMasks[id] collects the masks probed on predicate id's delta.
-	deltaMasks [][]uint64
-	// deltaPool ping-pongs two sets of per-predicate delta relations so
-	// steady-state rounds recycle buffers instead of reallocating.
-	deltaPool [2][]*Relation
+	forms  []*cRule
+	// deltaPool ping-pongs two sets of per-predicate delta lists — a round's
+	// new tuples, the relations' own copies — so steady-state rounds recycle
+	// buffers instead of reallocating.
+	deltaPool [2][][]Tuple
 	// outs holds one emission buffer per task of the current round, in
 	// task order; the buffers are kept from round to round, so a task slot's
 	// capacity tracks the largest emission it has seen.
@@ -234,67 +299,13 @@ type evaluator struct {
 	changes [][]Tuple
 }
 
-// fireTask is one unit of per-round work: fire rule ri with body atom
-// occurrence deltaIdx reading from the relation rel instead of its usual
-// source (-1 for no delta position). rel is an IDB delta in the
-// semi-naive loop and an EDB delta when Incremental seeds an insertion.
-// seeded fires the rule's head-seeded form instead, whose atom 0 (always
-// the delta position) reads rel as the set of candidate heads.
+// fireTask is one unit of per-round work: fire the compiled form cr, its
+// leading atom — when it has one — reading lead: an IDB delta in the
+// semi-naive loop, the inserted EDB facts or the over-deleted candidate
+// heads when an Incremental starts a maintenance run.
 type fireTask struct {
-	ri       int
-	deltaIdx int
-	rel      *Relation
-	seeded   bool
-}
-
-// compiled returns the compiled rule a task fires.
-func (e *evaluator) compiled(tk fireTask) *cRule {
-	if tk.seeded {
-		return e.seeded[tk.ri]
-	}
-	return e.rules[tk.ri]
-}
-
-// prepareIndexes registers every statically-probed join index up front:
-// on IDB relations (then maintained incrementally by commit) and on the
-// EDB relations (built once over the stable extensional data). It also
-// collects the masks each predicate's delta relations will need.
-func (e *evaluator) prepareIndexes() {
-	e.deltaMasks = make([][]uint64, len(e.idbNames))
-	for _, cr := range e.rules {
-		e.registerIndexes(cr)
-		for ai := range cr.atoms {
-			a := &cr.atoms[ai]
-			if a.indexed() && a.idbID >= 0 && !containsMask(e.deltaMasks[a.idbID], a.mask) {
-				e.deltaMasks[a.idbID] = append(e.deltaMasks[a.idbID], a.mask)
-			}
-		}
-	}
-}
-
-// registerIndexes builds the join index of every indexed atom of cr on the
-// relation the atom reads.
-func (e *evaluator) registerIndexes(cr *cRule) {
-	for ai := range cr.atoms {
-		a := &cr.atoms[ai]
-		if !a.indexed() {
-			continue
-		}
-		if a.idbID >= 0 {
-			e.idbByID[a.idbID].ensureIndex(a.mask)
-		} else if a.edbRel != nil {
-			a.edbRel.ensureIndex(a.mask)
-		}
-	}
-}
-
-func containsMask(ms []uint64, m uint64) bool {
-	for _, x := range ms {
-		if x == m {
-			return true
-		}
-	}
-	return false
+	cr   *cRule
+	lead []Tuple
 }
 
 func (e *evaluator) runNaive() error {
@@ -354,12 +365,8 @@ func (e *evaluator) loopSemiNaive(cur int) error {
 		e.tasks = e.tasks[:0]
 		for ri, cr := range e.rules {
 			for ai := range cr.atoms {
-				id := cr.atoms[ai].idbID
-				if id < 0 {
-					continue
-				}
-				if d := delta[id]; d != nil && d.Size() > 0 {
-					e.tasks = append(e.tasks, fireTask{ri: ri, deltaIdx: ai, rel: d})
+				if id := cr.atoms[ai].idbID; id >= 0 && len(delta[id]) > 0 {
+					e.tasks = append(e.tasks, fireTask{cr: e.ledBy(ri, ai), lead: delta[id]})
 				}
 			}
 		}
@@ -395,11 +402,11 @@ func (e *evaluator) resumeFixpoint() error {
 }
 
 // round fires tasks, commits the emissions into the IDB (and, in the
-// semi-naive loop, the delta relations in out) and records the round's
+// semi-naive loop, the delta lists in out) and records the round's
 // counters; it reports whether anything new was derived. It aborts without
 // committing when the context ends during firing: the round's emissions
 // are discarded, so the result stays a whole-rounds-only prefix.
-func (e *evaluator) round(tasks []fireTask, out []*Relation) (bool, error) {
+func (e *evaluator) round(tasks []fireTask, out [][]Tuple) (bool, error) {
 	start := time.Now()
 	emitted := e.collect(tasks)
 	if err := e.ctx.Err(); err != nil {
@@ -412,11 +419,11 @@ func (e *evaluator) round(tasks []fireTask, out []*Relation) (bool, error) {
 	return fresh > 0, nil
 }
 
-// allRuleTasks returns one task per rule with no delta position.
+// allRuleTasks returns one task per rule with no leading atom.
 func (e *evaluator) allRuleTasks() []fireTask {
 	e.tasks = e.tasks[:0]
-	for ri := range e.p.Rules {
-		e.tasks = append(e.tasks, fireTask{ri: ri, deltaIdx: -1})
+	for _, cr := range e.rules {
+		e.tasks = append(e.tasks, fireTask{cr: cr})
 	}
 	return e.tasks
 }
@@ -428,10 +435,10 @@ func (e *evaluator) allRuleTasks() []fireTask {
 // own buffer and the commit reads the buffers in task order, the
 // sequential emission order is reproduced exactly (and hence identical
 // Stage, Rounds and first-derivation witnesses). During firing the workers
-// only read the IDB/EDB/delta relations — every join index they probe was
-// registered up front — so no synchronization beyond the final join is
-// needed. Workers check the context between tasks and stop taking new
-// ones once it ends.
+// only read the IDB and EDB relations and the lead lists — every join index
+// they probe was registered up front — so no synchronization beyond the
+// final join is needed. Workers check the context between tasks and stop
+// taking new ones once it ends.
 func (e *evaluator) collect(tasks []fireTask) int {
 	for len(e.outs) < len(tasks) {
 		e.outs = append(e.outs, taskOut{})
@@ -443,7 +450,7 @@ func (e *evaluator) collect(tasks []fireTask) int {
 	fire := func(i int) {
 		tk, o := tasks[i], &outs[i]
 		t0 := time.Now()
-		e.fireRule(e.compiled(tk), tk.rel, tk.deltaIdx, o)
+		e.fireRule(tk.cr, tk.lead, o)
 		o.durNs = time.Since(t0).Nanoseconds()
 		o.fired = true
 	}
@@ -478,7 +485,7 @@ func (e *evaluator) collect(tasks []fireTask) int {
 		if !o.fired {
 			continue
 		}
-		rc := &e.ruleStats[tasks[i].ri]
+		rc := &e.ruleStats[tasks[i].cr.ri]
 		rc.firings++
 		rc.derived += int64(len(o.heads))
 		rc.probes += o.probes
@@ -513,12 +520,11 @@ func (o *taskOut) reset() {
 // the stage and witness of each new tuple and attributing new/duplicate
 // counts to the emitting rules; it returns how many tuples were new. With
 // out non-nil (the semi-naive loop) the new tuples also fill the recycled
-// delta relations in out.
-func (e *evaluator) commit(tasks []fireTask, out []*Relation) int {
-	for _, d := range out {
-		if d != nil {
-			d.reset()
-		}
+// delta lists in out. An emitted head is the relation's to keep.
+func (e *evaluator) commit(tasks []fireTask, out [][]Tuple) int {
+	for id, d := range out {
+		clear(d)
+		out[id] = d[:0]
 	}
 	fresh := 0
 	for i, tk := range tasks {
@@ -526,15 +532,15 @@ func (e *evaluator) commit(tasks []fireTask, out []*Relation) int {
 		if !o.fired {
 			continue
 		}
-		cr := e.compiled(tk)
-		rc := &e.ruleStats[tk.ri]
+		cr := tk.cr
+		rc := &e.ruleStats[cr.ri]
 		rel := e.idbByID[cr.headID]
 		n := 0
 		if e.wit.prov {
 			n = len(cr.atoms) - cr.skip
 		}
 		for j, head := range o.heads {
-			stored, k, isNew := rel.add(head)
+			stored, k, isNew := rel.add(head, true)
 			if !isNew {
 				rc.duplicates++
 				continue
@@ -544,17 +550,7 @@ func (e *evaluator) commit(tasks []fireTask, out []*Relation) int {
 				e.changes[cr.headID] = append(e.changes[cr.headID], stored)
 			}
 			if out != nil {
-				d := out[cr.headID]
-				if d == nil {
-					d = NewDLRelation(len(stored))
-					if e.deltaMasks != nil {
-						for _, m := range e.deltaMasks[cr.headID] {
-							d.ensureIndex(m)
-						}
-					}
-					out[cr.headID] = d
-				}
-				d.Add(stored)
+				out[cr.headID] = append(out[cr.headID], stored)
 			}
 			rc.fresh++
 			fresh++
@@ -566,13 +562,12 @@ func (e *evaluator) commit(tasks []fireTask, out []*Relation) int {
 // fireRule enumerates all satisfying assignments of the compiled rule
 // body and emits the corresponding head tuples into out, each with its
 // matched body tuples when witnesses are kept, counting relation lookups
-// into out.probes. deltaIdx >= 0 designates the body atom occurrence that
-// must read from deltaRel instead of its usual relation. For a
-// head-seeded form (cr.skip == 1) deltaRel holds the candidate heads, and
-// the enumeration moves on to the next candidate at its first emission.
-// fireRule only reads evaluator state, so distinct tasks may run it
-// concurrently (each with its own out).
-func (e *evaluator) fireRule(cr *cRule, deltaRel *Relation, deltaIdx int, out *taskOut) {
+// into out.probes. A leading-atom form (cr.led) reads its atom 0 from lead
+// instead of a relation. For a head-seeded one (cr.skip == 1) lead holds
+// the candidate heads, and the enumeration moves on to the next candidate
+// at its first emission. fireRule only reads evaluator state, so distinct
+// tasks may run it concurrently (each with its own out).
+func (e *evaluator) fireRule(cr *cRule, lead []Tuple, out *taskOut) {
 	if cr.never {
 		return
 	}
@@ -641,16 +636,28 @@ func (e *evaluator) fireRule(cr *cRule, deltaRel *Relation, deltaIdx int, out *t
 			return finish(0)
 		}
 		a := &cr.atoms[ai]
-		var rel *Relation
-		switch {
-		case ai == deltaIdx:
-			rel = deltaRel
-		case a.idbID >= 0:
-			rel = e.idbByID[a.idbID]
-		default:
-			rel = a.edbRel
+		if cr.led && ai == 0 {
+			// The leading atom: visit every listed tuple that agrees with the
+			// atom's constants (with nothing bound yet, a.pat holds nothing
+			// else). A settled candidate of a seeded rule only ends its own
+			// turn, and no other form settles anything.
+			out.probes++
+		leading:
+			for _, tup := range lead {
+				for _, p := range a.pat {
+					if tup[p.pos] != p.t.val {
+						continue leading
+					}
+				}
+				try(ai, tup)
+			}
+			return false
 		}
-		if rel == nil || rel.Size() == 0 {
+		rel := a.edbRel
+		if a.idbID >= 0 {
+			rel = e.idbByID[a.idbID]
+		}
+		if rel.Size() == 0 {
 			return false
 		}
 		for _, p := range a.pat {
@@ -658,21 +665,6 @@ func (e *evaluator) fireRule(cr *cRule, deltaRel *Relation, deltaIdx int, out *t
 		}
 		out.probes++
 		switch {
-		case seeded && ai == 0:
-			// The candidate heads: visit every one that agrees with the
-			// head's constants (a.pat holds nothing else here, and deeper
-			// levels overwrite pat); a settled candidate only ends its own
-			// turn.
-			scan := rel.Cursor()
-		candidates:
-			for tup, ok := scan.Next(); ok; tup, ok = scan.Next() {
-				for _, p := range a.pat {
-					if tup[p.pos] != p.t.val {
-						continue candidates
-					}
-				}
-				try(ai, tup)
-			}
 		case a.mask == 0:
 			// Unbound atom: scan in place (a cursor, not Each, which would
 			// cost a closure per step).

@@ -6,11 +6,12 @@ package datalog
 //
 //   - Insertions re-enter the semi-naive delta loop seeded from the new
 //     facts: for every body-atom occurrence of an affected EDB predicate
-//     the rule fires once with that occurrence reading only the inserted
-//     tuples (the other occurrences read the full, already-updated
-//     relations), which derives exactly the consequences that use at
-//     least one new fact; the resulting IDB delta then drives the
-//     ordinary semi-naive continuation to the new fixpoint.
+//     the rule fires once led by that occurrence reading only the inserted
+//     tuples (compile.go, leadOrder; the other occurrences probe the full,
+//     already-updated relations), which derives exactly the consequences
+//     that use at least one new fact at the cost of the facts inserted;
+//     the resulting IDB delta then drives the ordinary semi-naive
+//     continuation to the new fixpoint.
 //
 //   - Deletions use delete-and-rederive (DRed), both phases driven by the
 //     witness table (witness.go) so that they cost in proportion to what
@@ -30,9 +31,9 @@ package datalog
 //     ascending stage order would mark (the test-only reference in
 //     incremental_reference_test.go is that walk).
 //
-//     Rederivation is head-seeded: every rule has a second compiled form
-//     with a leading atom over the over-deleted tuples of its head
-//     predicate (compile.go, seedRule), so one round asks, per over-deleted
+//     Rederivation is head-seeded: every rule has a compiled form led by
+//     an atom over the over-deleted tuples of its head predicate
+//     (compile.go, leadOrder), so one round asks, per over-deleted
 //     tuple and rule, whether the survivors still derive it — bound probes
 //     and membership tests from the head outward, stopping at the first
 //     witness. What comes back is committed at a fresh stage and drives
@@ -193,17 +194,21 @@ type Incremental struct {
 	// Insert/Delete; see LastDelta.
 	lastDelta Delta
 	// over holds, per IDB predicate, the tuples the current (or last) delete
-	// run over-deleted — the candidates its head-seeded rules read — and
-	// work is that run's worklist of dead witness rows; both are recycled
-	// from run to run.
+	// run over-deleted, cand the same tuples as the lists its head-seeded
+	// rules read, and work is that run's worklist of dead witness rows; all
+	// three are recycled from run to run.
 	over []*Relation
+	cand [][]Tuple
 	work []uint32
 }
 
 // NewIncremental evaluates the program to its fixpoint on a private copy
 // of db and returns the maintained view. SemiNaive and TrackProvenance
 // are forced on: the delta loop is what updates re-enter, and DRed needs
-// the per-tuple witness derivations.
+// the per-tuple witness derivations. db is read like Eval reads it: with
+// UseIndexes the join indexes the program probes are built on db's own
+// relations, once, before the copy is taken, so that every view registered
+// over one database — and everything else cloned from it — shares them.
 func NewIncremental(p *Program, db *Database, opt Options) (*Incremental, error) {
 	return NewIncrementalContext(context.Background(), p, db, opt)
 }
@@ -214,41 +219,41 @@ func NewIncremental(p *Program, db *Database, opt Options) (*Incremental, error)
 func NewIncrementalContext(ctx context.Context, p *Program, db *Database, opt Options) (*Incremental, error) {
 	opt.SemiNaive = true
 	opt.TrackProvenance = true
+	e, err := newEvaluator(ctx, p, db, opt)
+	if err != nil {
+		return nil, err
+	}
+	// Every form maintenance fires — each rule led by each body atom and by
+	// its head — compiled while e is still bound to db itself: that builds
+	// the EDB indexes they probe where the clone made next inherits them.
+	for ri, cr := range e.rules {
+		for ai := range cr.atoms {
+			e.ledBy(ri, ai)
+		}
+		e.seeded = append(e.seeded, e.compileLed(ri, -1))
+	}
 	owned := db.Clone()
 	arity := p.Arities()
-	edbSet := p.EDBs()
 	// Materialize every EDB relation the program reads so the compiled
 	// rules hold pointers into the owned database (never the shared empty
 	// fallback) and later insertions land where the rules look.
-	for name := range edbSet {
-		if r := owned.Relation(name); r != nil && r.Arity != arity[name] {
-			return nil, fmt.Errorf("datalog: EDB %s has arity %d in the database but %d in the program",
-				name, r.Arity, arity[name])
-		}
+	for _, name := range e.edbNames {
 		owned.EnsureRelation(name, arity[name])
 	}
-	e, err := newEvaluator(ctx, p, owned, opt)
-	if err != nil {
+	if err := e.bind(owned); err != nil {
 		return nil, err
 	}
 	if err := e.run(); err != nil {
 		return nil, err
 	}
 	e.ctx = context.Background()
-	// The head-seeded forms delete maintenance fires, and the candidate
-	// relations they read.
-	inc := &Incremental{p: p, db: owned, e: e, arity: arity, edbSet: edbSet}
-	e.seeded = make([]*cRule, len(e.rules))
-	for ri, r := range e.p.Rules {
-		sr, origin := seedRule(r)
-		cr := e.compileRule(ri, sr)
-		cr.skip, cr.origin = 1, origin
-		if e.opt.UseIndexes {
-			e.registerIndexes(cr)
-		}
-		e.seeded[ri] = cr
-	}
+	// The initial evaluation sized these for whole-view rounds; maintenance
+	// rounds are small and grow their own.
+	e.outs, e.tasks = nil, nil
+	e.resetDeltas()
+	inc := &Incremental{p: p, db: owned, e: e, arity: arity, edbSet: p.EDBs()}
 	inc.over = make([]*Relation, len(e.idbNames))
+	inc.cand = make([][]Tuple, len(e.idbNames))
 	for id, rel := range e.idbByID {
 		inc.over[id] = NewDLRelation(rel.Arity)
 	}
@@ -376,23 +381,18 @@ func (inc *Incremental) InsertContext(ctx context.Context, facts ...Fact) error 
 	}
 	inc.updates++
 	inc.lastDelta = Delta{}
-	// Apply to the EDB, collecting per-predicate delta relations holding
-	// only the facts that were actually new.
-	var deltas map[string]*Relation
+	// Apply to the EDB, collecting per predicate the facts that were
+	// actually new.
+	var deltas map[string][]Tuple
 	for _, f := range facts {
 		if !inc.edbSet[f.Pred] {
 			continue
 		}
-		if inc.db.Relation(f.Pred).Add(f.Tuple) {
+		if stored, _, isNew := inc.db.Relation(f.Pred).add(f.Tuple, false); isNew {
 			if deltas == nil {
-				deltas = map[string]*Relation{}
+				deltas = map[string][]Tuple{}
 			}
-			d := deltas[f.Pred]
-			if d == nil {
-				d = NewDLRelation(len(f.Tuple))
-				deltas[f.Pred] = d
-			}
-			d.Add(f.Tuple)
+			deltas[f.Pred] = append(deltas[f.Pred], stored)
 		}
 	}
 	if deltas == nil {
@@ -400,22 +400,15 @@ func (inc *Incremental) InsertContext(ctx context.Context, facts ...Fact) error 
 	}
 	e := inc.e
 	// Seed round: one task per body-atom occurrence of an affected EDB
-	// predicate, that occurrence reading the delta. Any rule firing that
-	// uses at least one inserted fact is covered by the task whose delta
-	// position is one of its new-fact occurrences; firings using only old
+	// predicate, the rule led by that occurrence reading the new facts. Any
+	// rule firing that uses at least one inserted fact is covered by the
+	// task led by one of its new-fact occurrences; firings using only old
 	// facts were already materialized.
 	e.tasks = e.tasks[:0]
 	for ri, cr := range e.rules {
 		for ai := range cr.atoms {
-			a := &cr.atoms[ai]
-			if a.idbID >= 0 {
-				continue
-			}
-			if d := deltas[a.pred]; d != nil {
-				if e.opt.UseIndexes && a.mask != 0 {
-					d.ensureIndex(a.mask)
-				}
-				e.tasks = append(e.tasks, fireTask{ri: ri, deltaIdx: ai, rel: d})
+			if a := &cr.atoms[ai]; a.idbID < 0 && len(deltas[a.pred]) > 0 {
+				e.tasks = append(e.tasks, fireTask{cr: e.ledBy(ri, ai), lead: deltas[a.pred]})
 			}
 		}
 	}
@@ -471,8 +464,10 @@ func (inc *Incremental) DeleteContext(ctx context.Context, facts ...Fact) error 
 		}
 	}
 	cited := len(work)
-	for _, over := range inc.over {
+	for id, over := range inc.over {
 		over.reset()
+		clear(inc.cand[id])
+		inc.cand[id] = inc.cand[id][:0]
 	}
 	// Over-deletion: a head whose witness cites a dead fact is dead. Each
 	// row is marked when first reached, so it is queued once.
@@ -493,7 +488,8 @@ func (inc *Incremental) DeleteContext(ctx context.Context, facts ...Fact) error 
 		id := w.tabOf(r)
 		rel := e.idbByID[id]
 		stored := rel.get(w.keyOfRow(r))
-		inc.over[id].Add(stored)
+		inc.over[id].add(stored, true)
+		inc.cand[id] = append(inc.cand[id], stored)
 		rel.Remove(stored)
 	}
 	for _, r := range work {
@@ -507,9 +503,9 @@ func (inc *Incremental) DeleteContext(ctx context.Context, facts ...Fact) error 
 	// Rederivation: one head-seeded task per rule whose head predicate lost
 	// anything, then the semi-naive continuation from whatever returned.
 	e.tasks = e.tasks[:0]
-	for ri, cr := range e.seeded {
-		if over := inc.over[cr.headID]; over.Size() > 0 && !cr.never {
-			e.tasks = append(e.tasks, fireTask{ri: ri, deltaIdx: 0, rel: over, seeded: true})
+	for _, cr := range e.seeded {
+		if cand := inc.cand[cr.headID]; len(cand) > 0 && !cr.never {
+			e.tasks = append(e.tasks, fireTask{cr: cr, lead: cand})
 		}
 	}
 	e.beginChanges()

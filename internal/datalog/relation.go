@@ -327,7 +327,7 @@ func (r *Relation) indexes() []*index {
 
 // Add inserts a tuple and reports whether it was new.
 func (r *Relation) Add(t Tuple) bool {
-	_, _, isNew := r.add(t)
+	_, _, isNew := r.add(t, false)
 	return isNew
 }
 
@@ -348,8 +348,9 @@ func (r *Relation) find(k tupleKey, h uint64) (slot uint64, i int) {
 
 // add is Add, additionally returning the relation's own copy of the tuple
 // and its canonical key, which the commit path reuses for stage and
-// witness bookkeeping.
-func (r *Relation) add(t Tuple) (Tuple, tupleKey, bool) {
+// witness bookkeeping. With own the caller gives t away: a new tuple is
+// stored as it is instead of copied.
+func (r *Relation) add(t Tuple, own bool) (Tuple, tupleKey, bool) {
 	if len(t) != r.Arity {
 		panic(fmt.Sprintf("datalog: arity mismatch: tuple %v in relation of arity %d", t, r.Arity))
 	}
@@ -359,8 +360,11 @@ func (r *Relation) add(t Tuple) (Tuple, tupleKey, bool) {
 	if i >= 0 {
 		return r.set.dir[slot].vals[i], k, false
 	}
-	cp := make(Tuple, len(t))
-	copy(cp, t)
+	cp := t
+	if !own {
+		cp = make(Tuple, len(t))
+		copy(cp, t)
+	}
 	o := r.owner.Load()
 	r.set.insert(o, slot, h, cp)
 	for _, ix := range r.indexes() {
@@ -525,8 +529,8 @@ func (r *Relation) ensureIndex(mask uint64) *index {
 }
 
 // reset empties the relation in place, keeping the registered index masks
-// and, where the storage is the relation's own, its capacity. The
-// evaluator uses it to recycle per-round delta relations.
+// and, where the storage is the relation's own, its capacity. Incremental
+// uses it to recycle a delete run's set of over-deleted tuples.
 func (r *Relation) reset() {
 	o := r.owner.Load()
 	r.set.reset(o)

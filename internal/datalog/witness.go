@@ -256,11 +256,7 @@ func (w *witnessStore) record(cr *cRule, k tupleKey, stored Tuple, stage int, bo
 			}
 			tgt = w.insert(tab, bk, bt, int32(^tab))
 		}
-		pos := i
-		if cr.origin != nil {
-			pos = cr.origin[ai]
-		}
-		r := base + uint32(pos)
+		r := base + uint32(cr.from(ai))
 		first := w.rows[tgt].uses
 		w.refs[r] = witRef{target: tgt, head: row, next: first}
 		if first != 0 {

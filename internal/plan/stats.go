@@ -2,7 +2,7 @@
 // (stats.go), a greedy/exhaustive join orderer over those statistics
 // (planner.go), a containment-based pre-pass that drops subsumed rules
 // and redundant body atoms (prune.go), and an LRU cache of finished
-// plans keyed by (program hash, stats epoch, strategy) (cache.go).
+// plans keyed by (program hash, stats epoch, strategy) (planner.go).
 //
 // The planner plugs into evaluation through datalog.Options.Planner: it
 // only permutes body atoms and prunes provably redundant rules, both of
@@ -31,12 +31,17 @@ type RelStats struct {
 	Arity    int
 	Rows     int
 	Distinct []int
+	// occ[i][x] counts the rows holding x in column i: what lets Advance
+	// move Distinct by a batch instead of a rescan. Only the newest entry of
+	// a relation's chain has it — Advance hands the maps on to the entry it
+	// derives — and nothing but Advance reads it.
+	occ []map[int]int
 }
 
 // Catalog is an immutable snapshot of statistics for every relation of
 // one database version. Immutability is the point: a catalog can be
-// shared by concurrent planners, and Refresh produces the next version
-// reusing the per-relation entries of untouched relations.
+// shared by concurrent planners, and Refresh and Advance produce the next
+// version reusing the per-relation entries of untouched relations.
 type Catalog struct {
 	rels        map[string]*RelStats
 	defaultRows int
@@ -47,7 +52,7 @@ type Catalog struct {
 
 // Collect scans every relation of db into a fresh catalog. Cost is one
 // pass over every tuple; the service instead maintains its catalog
-// incrementally with Refresh at each commit.
+// incrementally with Advance at each commit.
 func Collect(db *datalog.Database) *Catalog {
 	c := &Catalog{rels: map[string]*RelStats{}}
 	if db != nil {
@@ -77,20 +82,86 @@ func (c *Catalog) Refresh(db *datalog.Database, names ...string) *Catalog {
 	return next
 }
 
+// Advance returns the catalog for the database version db, reached from
+// the receiver's by taking out the facts in removed and then putting in the
+// facts in added — each exactly a fact that was there and went, or was not
+// and came. A touched relation's entry is derived from the previous one and
+// its share of the batch, so the cost follows the batch, not the relation;
+// an entry that cannot be moved that way — a relation new to the catalog,
+// or one whose column counts went to a catalog derived earlier (a version
+// built and then dropped) — is rescanned from db. Everything else is shared
+// with the receiver. Like the commits it follows, Advance must not run
+// concurrently with another Advance of the same chain of catalogs.
+func (c *Catalog) Advance(db *datalog.Database, removed, added []datalog.Fact) *Catalog {
+	next := &Catalog{rels: make(map[string]*RelStats, len(c.rels)+1)}
+	for k, v := range c.rels {
+		next.rels[k] = v
+	}
+	// moved holds the entry being advanced of every relation the batch
+	// touches, nil for one that has to be rescanned.
+	moved := map[string]*RelStats{}
+	entry := func(name string) *RelStats {
+		st, seen := moved[name]
+		if !seen {
+			if prev := c.rels[name]; prev != nil && prev.occ != nil {
+				st = &RelStats{Name: name, Arity: prev.Arity, Rows: prev.Rows,
+					Distinct: append([]int(nil), prev.Distinct...), occ: prev.occ}
+				prev.occ = nil
+				next.rels[name] = st
+			}
+			moved[name] = st
+		}
+		return st
+	}
+	for _, f := range removed {
+		if st := entry(f.Pred); st != nil {
+			st.Rows--
+			for i, x := range f.Tuple {
+				if st.occ[i][x]--; st.occ[i][x] == 0 {
+					delete(st.occ[i], x)
+					st.Distinct[i]--
+				}
+			}
+		}
+	}
+	for _, f := range added {
+		if st := entry(f.Pred); st != nil {
+			st.Rows++
+			for i, x := range f.Tuple {
+				if st.occ[i][x]++; st.occ[i][x] == 1 {
+					st.Distinct[i]++
+				}
+			}
+		}
+	}
+	for name, st := range moved {
+		if st != nil {
+			continue
+		}
+		if r := db.Relation(name); r != nil {
+			next.rels[name] = collectRel(name, r)
+		} else {
+			delete(next.rels, name)
+		}
+	}
+	next.finish()
+	return next
+}
+
 func collectRel(name string, r *datalog.Relation) *RelStats {
-	st := &RelStats{Name: name, Arity: r.Arity, Rows: r.Size(), Distinct: make([]int, r.Arity)}
-	seen := make([]map[int]struct{}, r.Arity)
-	for i := range seen {
-		seen[i] = make(map[int]struct{})
+	st := &RelStats{Name: name, Arity: r.Arity, Rows: r.Size(), Distinct: make([]int, r.Arity),
+		occ: make([]map[int]int, r.Arity)}
+	for i := range st.occ {
+		st.occ[i] = make(map[int]int)
 	}
 	r.Each(func(t datalog.Tuple) bool {
 		for i, x := range t {
-			seen[i][x] = struct{}{}
+			st.occ[i][x]++
 		}
 		return true
 	})
-	for i := range seen {
-		st.Distinct[i] = len(seen[i])
+	for i := range st.occ {
+		st.Distinct[i] = len(st.occ[i])
 	}
 	return st
 }

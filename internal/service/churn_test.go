@@ -93,3 +93,44 @@ func TestChurnCommitAllocations(t *testing.T) {
 		t.Fatalf("a churn commit allocates %d bytes in %d objects; want under 2.5 MB and 10000", bytes, objects)
 	}
 }
+
+// TestRegistrationsShareIndexBuilds registers the benchmark's three
+// programs over one snapshot: each registration ensures the indexes its
+// compiled forms probe on the snapshot's own relation before cloning it, so
+// E is indexed once per column mask — not once per registration's private
+// clone — and a bound goal at that version, whose rewritten rules probe the
+// same masks, builds nothing.
+func TestRegistrationsShareIndexBuilds(t *testing.T) {
+	s, err := New(Config{Universe: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(3))
+	var setup []datalog.Fact
+	for i := 0; i < 80; i++ {
+		setup = append(setup, edge(rng.Intn(64), rng.Intn(64)))
+	}
+	if _, err := s.Commit(setup, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []struct{ name, source string }{
+		{"tc", tcSource}, {"hop2", hop2Source},
+		{"disj2", datalog.TwoDisjointPathsAcyclicProgram(1, 2, 3, 4).String()},
+	} {
+		if _, err := s.Register(p.name, p.source); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// E on its first column and E on its second.
+	if got := indexBuilds(t, s); got != 2 {
+		t.Fatalf("three registrations built %d indexes, want one per (relation, mask): 2", got)
+	}
+	x := 5
+	if _, err := s.Query(QueryRequest{Program: "tc", Version: -1, Bind: []*int{&x, nil}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := indexBuilds(t, s); got != 2 {
+		t.Fatalf("a bound goal after the registrations took the index builds to %d, want 2", got)
+	}
+}

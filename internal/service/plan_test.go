@@ -3,12 +3,15 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sort"
 	"testing"
 
 	"repro/internal/datalog"
+	"repro/internal/plan"
 )
 
 // advProgram is adversarially ordered for a textual evaluator: the rule
@@ -307,5 +310,64 @@ func TestSnapshotStatsPerVersion(t *testing.T) {
 	}
 	if v1.Stats.Fingerprint() == v2.Stats.Fingerprint() {
 		t.Error("40x growth did not change the stats epoch")
+	}
+}
+
+// TestCatalogAdvanceMatchesCollect drives a seeded insert/delete schedule
+// through Fork and Install — batches that repeat facts, name absent ones and
+// insert what they delete; a second relation that only appears half-way;
+// one fork that is built and dropped — and requires every installed
+// version's catalog, advanced from the one before by the facts the fork
+// really removed and added, to equal a fresh Collect of that version's
+// database.
+func TestCatalogAdvanceMatchesCollect(t *testing.T) {
+	const universe, steps = 12, 300
+	st := NewStore(universe, 4)
+	rng := rand.New(rand.NewSource(37))
+	draw := func(step int) datalog.Fact {
+		if step >= steps/2 && rng.Intn(3) == 0 {
+			return datalog.Fact{Pred: "F", Tuple: datalog.Tuple{rng.Intn(universe)}}
+		}
+		return edge(rng.Intn(universe), rng.Intn(universe))
+	}
+	for step := 0; step < steps; step++ {
+		var ins, del []datalog.Fact
+		for k := rng.Intn(5); k > 0; k-- {
+			ins = append(ins, draw(step))
+		}
+		for k := rng.Intn(5); k > 0; k-- {
+			del = append(del, draw(step))
+		}
+		next, err := st.Fork(ins, del)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if step == 2*steps/3 {
+			continue // a refused write-ahead append: the fork is dropped
+		}
+		st.Install(next)
+		want := plan.Collect(next.DB)
+		if got, want := fmt.Sprint(next.Stats.Names()), fmt.Sprint(want.Names()); got != want {
+			t.Fatalf("step %d: the catalog has %s, the database %s", step, got, want)
+		}
+		facts := 0
+		for _, name := range want.Names() {
+			g, _ := next.Stats.Rel(name)
+			w, _ := want.Rel(name)
+			if g.Arity != w.Arity || g.Rows != w.Rows || fmt.Sprint(g.Distinct) != fmt.Sprint(w.Distinct) {
+				t.Fatalf("step %d (+%v -%v): %s advanced to %d rows, distinct %v; collected %d rows, distinct %v",
+					step, ins, del, name, g.Rows, g.Distinct, w.Rows, w.Distinct)
+			}
+			facts += w.Rows
+		}
+		if next.Facts != facts {
+			t.Fatalf("step %d: the snapshot counts %d facts, the database holds %d", step, next.Facts, facts)
+		}
+		if next.Stats.DefaultRows() != want.DefaultRows() {
+			t.Fatalf("step %d: default rows %d, collected %d", step, next.Stats.DefaultRows(), want.DefaultRows())
+		}
+	}
+	if _, ok := st.Latest().Stats.Rel("F"); !ok {
+		t.Fatal("the second relation never appeared")
 	}
 }

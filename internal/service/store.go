@@ -37,10 +37,10 @@ type Snapshot struct {
 	Deleted  int // facts actually removed by that commit
 	Facts    int // total facts across all relations
 	// Stats is the planner's statistics catalog for this version. Like the
-	// database it is immutable; Fork refreshes only the relations the
-	// batch touched and shares the rest with the previous snapshot, so the
-	// per-commit cost is proportional to the changed relations, not the
-	// whole EDB.
+	// database it is immutable; Fork advances the previous snapshot's
+	// entries of the relations the batch touched by the facts it actually
+	// removed and added and shares the rest, so the per-commit cost is
+	// proportional to the batch, not to the relations it lands in.
 	Stats *plan.Catalog
 }
 
@@ -185,20 +185,21 @@ func (s *Store) Fork(insert, del []datalog.Fact) (*Snapshot, error) {
 	}
 	db := prev.DB.Fork(names...)
 	next := &Snapshot{Version: prev.Version + 1, DB: db}
+	removed := make([]datalog.Fact, 0, len(del))
 	for _, f := range del {
 		if r := db.Relation(f.Pred); r != nil && r.Remove(f.Tuple) {
-			next.Deleted++
+			removed = append(removed, f)
 		}
 	}
+	added := make([]datalog.Fact, 0, len(insert))
 	for _, f := range insert {
 		if db.EnsureRelation(f.Pred, len(f.Tuple)).Add(f.Tuple) {
-			next.Inserted++
+			added = append(added, f)
 		}
 	}
-	for _, name := range db.Names() {
-		next.Facts += db.Relation(name).Size()
-	}
-	next.Stats = prev.Stats.Refresh(db, names...)
+	next.Deleted, next.Inserted = len(removed), len(added)
+	next.Facts = prev.Facts - next.Deleted + next.Inserted
+	next.Stats = prev.Stats.Advance(db, removed, added)
 	return next, nil
 }
 
