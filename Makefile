@@ -42,20 +42,17 @@ test:
 # detector over the packages with concurrent code paths (the parallel
 # rule-firing worker pool, the pebble-game referee, the incremental
 # service with its concurrent query/commit front end and subscription
-# hub, the WAL with its group-commit flusher, the metrics registry, and the
-# LRU the caches share).
-# The streaming executor gets its own -count=3 race pass: its property
-# suite is seeded-random, and repeated runs vary the operator-tree
-# shapes the env-ownership assertions see. The end-to-end benchmark is a
-# module of its own (benchmark/go.mod) that ./... does not reach, so its
-# tests are run by name.
+# hub, the WAL with its group-commit flusher, the metrics registry, the
+# LRU the caches share, and the streaming executor whose streams share a
+# snapshot's relations with the evaluations beside them).
+# The end-to-end benchmark is a module of its own (benchmark/go.mod) that
+# ./... does not reach, so its tests are run by name.
 verify:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -C benchmark .
 	$(GO) vet ./...
-	$(GO) test -race ./internal/datalog/... ./internal/magic/... ./internal/pebble/... ./internal/service/... ./internal/obs/... ./internal/plan/... ./internal/storage/... ./internal/lru/...
-	$(GO) test -race -count=3 ./internal/stream/...
+	$(GO) test -race ./internal/datalog/... ./internal/magic/... ./internal/pebble/... ./internal/service/... ./internal/obs/... ./internal/plan/... ./internal/storage/... ./internal/lru/... ./internal/stream/...
 
 # loc prints the non-test Go lines of every package under internal/ and
 # cmd/ and the repo total (tracked files; benchmark/, a module of its own,

@@ -35,6 +35,8 @@ import "slices"
 // each EDB atom (the inserted facts) and with a synthetic atom over the
 // head's own arguments (the over-deleted tuples: "is this one still
 // derivable?" at the cost of a bound probe instead of a full firing).
+// The streaming executor runs the same written form, unresolved, through
+// the read-only Join (CompileJoin).
 
 // cTerm is a term with its variable renamed: varID >= 0 indexes the
 // environment, varID < 0 means the constant val.
@@ -362,30 +364,97 @@ func (e *evaluator) compileLed(ri, lead int) *cRule {
 	return cr
 }
 
+// Join is a rule's compiled form for an executor outside this package
+// (internal/stream): the rule scheduled in the order its atoms stand, as
+// Eval's round 1 fires it, so both executors join the body at the same
+// levels with the same probe masks, binds, checks and constraint
+// placement. It is read-only and may be shared; each enumeration brings
+// its own environment of Vars() entries. Atom ai is level ai; the free
+// variables (bound by no atom) follow the last atom, in Free's order.
+type Join struct{ cr *cRule }
+
+// CompileJoin compiles r.
+func CompileJoin(r Rule) Join { return Join{translate(0, r, nil, nil).schedule(nil)} }
+
+// Dead reports that a constraint between two constants fails: the rule
+// derives nothing.
+func (j Join) Dead() bool { return j.cr.never }
+
+// Vars is the environment's size: the rule's distinct variables.
+func (j Join) Vars() int { return j.cr.nv }
+
+// Atoms is the number of body atoms.
+func (j Join) Atoms() int { return len(j.cr.atoms) }
+
+// Pred is atom ai's predicate.
+func (j Join) Pred(ai int) string { return j.cr.atoms[ai].pred }
+
+// Arity is atom ai's width.
+func (j Join) Arity(ai int) int { return j.cr.atoms[ai].arity }
+
+// Mask is atom ai's probe mask: bit i is set when argument i is a constant
+// or a variable an earlier level binds.
+func (j Join) Mask(ai int) uint64 { return j.cr.atoms[ai].mask }
+
+// Indexed reports whether atom ai is looked up through a join index: some
+// but not all of its columns are bound. Bound on none it is scanned, bound
+// on all it is a membership test on the relation's tuple set.
+func (j Join) Indexed(ai int) bool { return j.cr.atoms[ai].indexed() }
+
+// Pattern writes atom ai's probe values under env into the mask positions
+// of pat.
+func (j Join) Pattern(ai int, env []int, pat Tuple) {
+	for _, p := range j.cr.atoms[ai].pat {
+		pat[p.pos] = p.t.eval(env)
+	}
+}
+
+// Apply extends env with tup, a tuple agreeing with atom ai's pattern (the
+// probe-mask positions are not looked at): it binds the atom's
+// first-occurrence variables and reports whether its repeated variables
+// agree and the constraints decided at level ai hold. A variable is only
+// ever read at a level below its bind, so a rejected candidate leaves
+// nothing to undo.
+func (j Join) Apply(ai int, tup Tuple, env []int) bool {
+	a := &j.cr.atoms[ai]
+	for _, b := range a.binds {
+		env[b.varID] = tup[b.pos]
+	}
+	for _, c := range a.checks {
+		if env[c.varID] != tup[c.pos] {
+			return false
+		}
+	}
+	return consOK(j.cr.consAt[ai], env)
+}
+
+// Free lists the variables bound by no atom, which range over the
+// universe; treat it as read-only.
+func (j Join) Free() []int { return j.cr.free }
+
+// FreeOK reports whether the constraints decided once Free()[k] is bound
+// hold under env.
+func (j Join) FreeOK(k int, env []int) bool {
+	return consOK(j.cr.consAt[len(j.cr.atoms)+k], env)
+}
+
+// Head writes the head tuple under env into out.
+func (j Join) Head(env []int, out Tuple) {
+	for i, t := range j.cr.head {
+		out[i] = t.eval(env)
+	}
+}
+
 // ProbeMasks returns, per body atom of r, the probe mask schedule
 // will use for that atom: bit i set means argument i is a constant or a
 // variable bound by an earlier atom, so it is part of the indexed
 // lookup. Exported so internal/plan's cost model and the -explain output
 // describe exactly the masks the join loop executes.
 func ProbeMasks(r Rule) []uint64 {
-	atoms := r.Atoms()
-	masks := make([]uint64, len(atoms))
-	level := map[string]int{}
-	for ai, a := range atoms {
-		for _, t := range a.Args {
-			if t.IsVar() {
-				if _, ok := level[t.Var]; !ok {
-					level[t.Var] = ai
-				}
-			}
-		}
-	}
-	for ai, a := range atoms {
-		for i, t := range a.Args {
-			if !t.IsVar() || level[t.Var] < ai {
-				masks[ai] |= 1 << uint(i)
-			}
-		}
+	j := CompileJoin(r)
+	masks := make([]uint64, j.Atoms())
+	for ai := range masks {
+		masks[ai] = j.Mask(ai)
 	}
 	return masks
 }

@@ -1,21 +1,17 @@
 package datalog
 
-import (
-	"fmt"
-	"sort"
-)
+import "sort"
 
 // IDB dependency analysis for the compiled-rule scheduler and the
-// streaming executor (internal/stream). The streaming compiler needs three
+// streaming executor (internal/stream). The streaming compiler needs two
 // facts the evaluator previously derived only implicitly: which IDB
 // predicates a query predicate transitively depends on (so unreachable
-// rules are never compiled), which predicates sit on a dependency cycle
-// (recursive slices fall back to semi-naive materialization), and a
-// topological schedule of the non-recursive slice (so a predicate's
-// producer pipelines exist before any consumer pulls from them).
+// rules are never compiled), and which predicates sit on a dependency cycle
+// (recursive slices fall back to semi-naive materialization). Its operator
+// tree is built from the query predicate down, so it needs no topological
+// schedule.
 //
-// All results are deterministic: adjacency is sorted, and the topological
-// order breaks ties by predicate name.
+// All results are deterministic: adjacency is sorted.
 
 // idbDeps returns the IDB-to-IDB dependency adjacency of p: an edge
 // head -> bodyPred for every IDB body atom. Adjacency lists are sorted and
@@ -132,52 +128,4 @@ func RecursiveIDBs(p *Program) map[string]bool {
 		}
 	}
 	return out
-}
-
-// TopoIDBs returns the predicates of the given set in dependency order
-// (every predicate appears after everything it depends on), breaking ties
-// by name so the schedule is deterministic. It fails if the set contains a
-// cycle.
-func TopoIDBs(p *Program, preds map[string]bool) ([]string, error) {
-	deps := idbDeps(p)
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := map[string]int{}
-	var out []string
-	var visit func(string) error
-	visit = func(u string) error {
-		color[u] = gray
-		for _, v := range deps[u] {
-			if !preds[v] {
-				continue
-			}
-			switch color[v] {
-			case gray:
-				return fmt.Errorf("datalog: predicate %s is recursive", v)
-			case white:
-				if err := visit(v); err != nil {
-					return err
-				}
-			}
-		}
-		color[u] = black
-		out = append(out, u)
-		return nil
-	}
-	names := make([]string, 0, len(preds))
-	for name := range preds {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if color[name] == white {
-			if err := visit(name); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
 }

@@ -238,8 +238,8 @@ func (pp *ProgramPlan) PlannedRules() []datalog.Rule { return pp.prog.Rules }
 // EstPredRows returns the estimated number of tuples the plan expects pred
 // to hold at fixpoint: the sum of final-step row estimates over the rules
 // with that head (0 when no rule derives it — e.g. it was pruned). The
-// streaming executor uses this to pick stream vs. materialize per join
-// step.
+// streaming executor reports it as the buffered rows a streamed or spooled
+// intermediate costs; it decides nothing.
 func (pp *ProgramPlan) EstPredRows(pred string) float64 {
 	var sum float64
 	for i := range pp.Rules {

@@ -129,7 +129,7 @@ type StreamTrailerJSON struct {
 
 // ExplainStepJSON is one join step of a planned rule body. Exec and Via
 // report the streaming executor's decision for the step — "stream"
-// (inlined producer or symmetric hash join) or "materialize" (scan or
+// (inlined producer) or "materialize" (scan or
 // probe of a stored relation) — and EstBufferRows the rows the step
 // forces it to hold.
 type ExplainStepJSON struct {

@@ -8,173 +8,11 @@ import (
 	"repro/internal/plan"
 )
 
-// Rule compilation for the streaming executor. This mirrors the numeric
-// form internal/datalog compiles rules into — dense variable ids, a probe
-// mask per atom (constants plus variables bound by earlier atoms), bind
-// and check actions per argument position, and constraints scheduled at
-// the earliest level where both sides are bound — but stays independent of
-// the evaluator's predicate tables: atoms are resolved to relations or
-// sub-streams when the pipeline is built, not at compile time.
-
-// sTerm is a term with its variable renamed: varID >= 0 indexes the
-// environment, varID < 0 means the constant val.
-type sTerm struct {
-	varID int
-	val   int
-}
-
-func (t sTerm) eval(env []int) int {
-	if t.varID >= 0 {
-		return env[t.varID]
-	}
-	return t.val
-}
-
-// sAction applies one argument position to a candidate tuple.
-type sAction struct {
-	pos   int
-	varID int
-}
-
-// sPat fills one probe-pattern position before a lookup.
-type sPat struct {
-	pos int
-	t   sTerm
-}
-
-// sAtom is a body atom with its probe mask and post-probe actions.
-type sAtom struct {
-	pred   string
-	arity  int
-	mask   uint64
-	pat    []sPat
-	binds  []sAction
-	checks []sAction
-	// checkBindPos[i] is the position whose bind produced the variable
-	// checks[i] compares against when that bind belongs to this same atom
-	// (-1 when the variable is bound by an earlier atom — only possible
-	// for the first atom of a body, where earlier-bound means "constant
-	// pattern" and the position sits in the mask instead). It lets the
-	// symmetric hash join pre-filter right-side tuples without an
-	// environment.
-	checkBindPos []int
-}
-
-// sCons is a compiled constraint.
-type sCons struct {
-	l, r sTerm
-	neq  bool
-}
-
-func consOK(cons []sCons, env []int) bool {
-	for _, c := range cons {
-		if (c.l.eval(env) == c.r.eval(env)) == c.neq {
-			return false
-		}
-	}
-	return true
-}
-
-// sRule is the compiled form of one rule.
-type sRule struct {
-	head  []sTerm
-	atoms []sAtom
-	free  []int // var ids bound by no atom, in Vars() order
-	// consAt[lvl] holds the constraints first fully bound after completing
-	// level lvl: levels 0..len(atoms)-1 are body atoms, len(atoms)+k is
-	// the k-th free variable.
-	consAt [][]sCons
-	never  bool // a constant-only constraint is violated: the rule is dead
-	nv     int
-}
-
-// compileSRule translates a rule into its numeric streaming form; the
-// algorithm is identical to the evaluator's compileRule so both executors
-// enumerate the same join order with the same probe masks.
-func compileSRule(r datalog.Rule) *sRule {
-	atoms := r.Atoms()
-	vars := r.Vars()
-	ids := make(map[string]int, len(vars))
-	for i, v := range vars {
-		ids[v] = i
-	}
-	sr := &sRule{nv: len(vars)}
-
-	level := make([]int, len(vars))
-	for i := range level {
-		level[i] = -1
-	}
-	for ai, a := range atoms {
-		for _, t := range a.Args {
-			if t.IsVar() && level[ids[t.Var]] < 0 {
-				level[ids[t.Var]] = ai
-			}
-		}
-	}
-	for _, v := range vars {
-		if level[ids[v]] < 0 {
-			level[ids[v]] = len(atoms) + len(sr.free)
-			sr.free = append(sr.free, ids[v])
-		}
-	}
-
-	term := func(t datalog.Term) sTerm {
-		if t.IsVar() {
-			return sTerm{varID: ids[t.Var]}
-		}
-		return sTerm{varID: -1, val: t.Const}
-	}
-
-	sr.head = make([]sTerm, len(r.Head.Args))
-	for i, t := range r.Head.Args {
-		sr.head[i] = term(t)
-	}
-
-	sr.atoms = make([]sAtom, len(atoms))
-	for ai, a := range atoms {
-		sa := sAtom{pred: a.Pred, arity: len(a.Args)}
-		seen := map[int]int{} // varID -> bind position within this atom
-		for i, t := range a.Args {
-			switch {
-			case !t.IsVar():
-				sa.mask |= 1 << uint(i)
-				sa.pat = append(sa.pat, sPat{pos: i, t: term(t)})
-			case level[ids[t.Var]] < ai:
-				sa.mask |= 1 << uint(i)
-				sa.pat = append(sa.pat, sPat{pos: i, t: term(t)})
-			default:
-				if bp, dup := seen[ids[t.Var]]; dup {
-					sa.checks = append(sa.checks, sAction{pos: i, varID: ids[t.Var]})
-					sa.checkBindPos = append(sa.checkBindPos, bp)
-				} else {
-					seen[ids[t.Var]] = i
-					sa.binds = append(sa.binds, sAction{pos: i, varID: ids[t.Var]})
-				}
-			}
-		}
-		sr.atoms[ai] = sa
-	}
-
-	sr.consAt = make([][]sCons, len(atoms)+len(sr.free))
-	for _, c := range r.Constraints() {
-		l, rt := term(c.Left), term(c.Right)
-		ready := -1
-		if l.varID >= 0 && level[l.varID] > ready {
-			ready = level[l.varID]
-		}
-		if rt.varID >= 0 && level[rt.varID] > ready {
-			ready = level[rt.varID]
-		}
-		if ready < 0 {
-			if (l.val == rt.val) == c.Neq {
-				sr.never = true
-			}
-			continue
-		}
-		sr.consAt[ready] = append(sr.consAt[ready], sCons{l: l, r: rt, neq: c.Neq})
-	}
-	return sr
-}
+// Compilation for the streaming executor. Every reachable rule compiles to
+// internal/datalog's own compiled form (datalog.CompileJoin), so both
+// executors join a body at the same levels with the same probe masks;
+// atoms are resolved to relations or producer pipelines when the operator
+// tree is built, not at compile time.
 
 // Execution-mode constants for StepDecision.Exec.
 const (
@@ -187,17 +25,16 @@ const (
 type StepDecision struct {
 	// Pred is the predicate probed or streamed at this step.
 	Pred string `json:"pred"`
-	// Exec is ExecStream (the step consumes a producer pipeline directly,
-	// inlined or through a symmetric hash join) or ExecMaterialize (the
-	// step scans or index-probes a stored relation — an EDB or a spooled
-	// intermediate).
+	// Exec is ExecStream (the step pulls straight from an inlined
+	// producer pipeline) or ExecMaterialize (the step scans or probes a
+	// stored relation — an EDB or a spooled intermediate).
 	Exec string `json:"exec"`
-	// Via details the operator: "scan", "probe", "inline" or "shj".
+	// Via details the operator: "scan", "probe" or "inline".
 	Via string `json:"via"`
 	// EstBufferRows estimates the rows this step forces the executor to
-	// hold: a spooled intermediate's size, a hash join's two tables, an
-	// inlined producer's distinct-key set. Zero for EDB scans/probes and
-	// when no plan estimates are available.
+	// hold: a spooled intermediate's size, an inlined producer's
+	// distinct-key set. Zero for EDB scans/probes and when no plan
+	// estimates are available.
 	EstBufferRows float64 `json:"est_buffer_rows"`
 }
 
@@ -221,44 +58,28 @@ type Decisions struct {
 	// Rules aligns index-for-index with the (planned) program's rules.
 	Rules []RuleDecision `json:"rules,omitempty"`
 	// EstPeakBufferRows is the estimated peak buffered-row footprint of
-	// the whole stream: spooled intermediates, hash-join tables and
-	// distinct-key sets combined (0 without plan estimates).
+	// the whole stream: spooled intermediates and distinct-key sets
+	// combined (0 without plan estimates).
 	EstPeakBufferRows float64 `json:"est_peak_buffer_rows"`
-}
-
-// shjLeftFactor caps how much larger the estimated left side of a join may
-// be than the streamed predicate before the executor prefers spooling the
-// predicate into an indexed relation: a symmetric hash join buffers every
-// left row it sees, so a huge left side would cost more memory than the
-// spool it avoids.
-const shjLeftFactor = 4
-
-// occurrence locates one body atom of the reachable slice.
-type occurrence struct {
-	ri, ai int
 }
 
 // analysis is the compile-time shape of one streaming query.
 type analysis struct {
-	eff      *datalog.Program
-	target   string
-	reach    map[string]bool
-	order    []string         // topo order of reachable IDB preds
-	ruleIdx  map[string][]int // pred -> rule indices in eff.Rules
-	compiled []*sRule         // aligned with eff.Rules (nil for unreachable)
-	// decision maps each reachable IDB pred to ExecStream or
-	// ExecMaterialize; the target pred is always ExecStream.
-	decision map[string]string
-	// via maps each (rule, atom) occurrence of a streamed pred to "inline"
-	// or "shj".
-	via map[occurrence]string
-	dec *Decisions
+	eff     *datalog.Program
+	reach   map[string]bool
+	ruleIdx map[string][]int // pred -> rule indices in eff.Rules
+	joins   []datalog.Join   // aligned with eff.Rules (zero for unreachable)
+	// inline holds the intermediates whose one consumer pulls straight
+	// from the producer pipeline; every other intermediate is spooled.
+	inline map[string]bool
+	dec    *Decisions
 }
 
 // analyze computes the reachable slice, rejects recursion, compiles the
-// reachable rules, and fixes the stream/materialize decision per
-// predicate and per join step, using the plan's row estimates when
-// available.
+// reachable rules and decides, from the program's shape alone, which
+// intermediates are inlined: one consumed exactly once, as its consumer's
+// first atom. The plan's row estimates, when pp is non-nil, only feed the
+// buffer estimates of the Decisions.
 func analyze(eff *datalog.Program, pred string, pp *plan.ProgramPlan) (*analysis, error) {
 	if !eff.IDBs()[pred] {
 		return nil, fmt.Errorf("stream: predicate %s is not an IDB of the program", pred)
@@ -270,34 +91,32 @@ func analyze(eff *datalog.Program, pred string, pp *plan.ProgramPlan) (*analysis
 			return nil, fmt.Errorf("%w (predicate %s)", ErrRecursive, p)
 		}
 	}
-	order, err := datalog.TopoIDBs(eff, reach)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRecursive, err)
-	}
 	an := &analysis{
-		eff:      eff,
-		target:   pred,
-		reach:    reach,
-		order:    order,
-		ruleIdx:  map[string][]int{},
-		compiled: make([]*sRule, len(eff.Rules)),
-		decision: map[string]string{},
-		via:      map[occurrence]string{},
+		eff:     eff,
+		reach:   reach,
+		ruleIdx: map[string][]int{},
+		joins:   make([]datalog.Join, len(eff.Rules)),
+		inline:  map[string]bool{},
 	}
-	// Index reachable rules and collect the occurrences of every
-	// reachable IDB predicate in reachable bodies.
-	occs := map[string][]occurrence{}
-	idb := eff.IDBs()
+	uses := map[string]int{}
 	for ri, r := range eff.Rules {
 		if !reach[r.Head.Pred] {
 			continue
 		}
 		an.ruleIdx[r.Head.Pred] = append(an.ruleIdx[r.Head.Pred], ri)
-		an.compiled[ri] = compileSRule(r)
+		an.joins[ri] = datalog.CompileJoin(r)
 		for ai, a := range r.Atoms() {
-			if idb[a.Pred] {
-				occs[a.Pred] = append(occs[a.Pred], occurrence{ri, ai})
+			if reach[a.Pred] {
+				uses[a.Pred]++
+				if ai == 0 {
+					an.inline[a.Pred] = true
+				}
 			}
+		}
+	}
+	for p := range an.inline {
+		if uses[p] != 1 {
+			delete(an.inline, p)
 		}
 	}
 
@@ -307,86 +126,27 @@ func analyze(eff *datalog.Program, pred string, pp *plan.ProgramPlan) (*analysis
 		}
 		return pp.EstPredRows(p)
 	}
-	// estLeft estimates the rows flowing into join step ai of rule ri.
-	estLeft := func(ri, ai int) float64 {
-		if pp == nil || ri >= len(pp.Rules) || ai <= 0 || ai > len(pp.Rules[ri].Steps) {
-			return 0
-		}
-		return pp.Rules[ri].Steps[ai-1].EstRows
-	}
-
-	// Per-predicate decision.
-	for _, p := range order {
-		if p == pred {
-			an.decision[p] = ExecStream
-			continue
-		}
-		os := occs[p]
-		if len(os) != 1 {
-			an.decision[p] = ExecMaterialize
-			continue
-		}
-		o := os[0]
-		if o.ai == 0 {
-			an.decision[p] = ExecStream
-			an.via[o] = "inline"
-			continue
-		}
-		mask := an.compiled[o.ri].atoms[o.ai].mask
-		if mask == 0 {
-			// No bound columns: a hash join would key everything on the
-			// empty key (a cross product held entirely in memory); spool
-			// and re-iterate instead.
-			an.decision[p] = ExecMaterialize
-			continue
-		}
-		if pp != nil {
-			l, r := estLeft(o.ri, o.ai), estRows(p)
-			if r < 1 {
-				r = 1
-			}
-			if l > shjLeftFactor*r {
-				an.decision[p] = ExecMaterialize
-				continue
-			}
-		}
-		an.decision[p] = ExecStream
-		an.via[o] = "shj"
-	}
-
-	// Per-step decisions and the peak-buffer estimate.
 	dec := &Decisions{Streaming: true, Target: pred, Rules: make([]RuleDecision, len(eff.Rules))}
 	spooled := map[string]bool{}
 	peak := estRows(pred) // the target's distinct-key set
 	for ri, r := range eff.Rules {
-		if an.compiled[ri] == nil {
+		if !reach[r.Head.Pred] {
 			continue
 		}
 		atoms := r.Atoms()
 		steps := make([]StepDecision, len(atoms))
 		for ai, a := range atoms {
-			sd := StepDecision{Pred: a.Pred}
-			via := "probe"
+			sd := StepDecision{Pred: a.Pred, Exec: ExecMaterialize, Via: "probe"}
 			if ai == 0 {
-				via = "scan"
+				sd.Via = "scan"
 			}
-			if !idb[a.Pred] {
-				sd.Exec = ExecMaterialize
-				sd.Via = via
-			} else if an.decision[a.Pred] == ExecStream {
-				sd.Exec = ExecStream
-				sd.Via = an.via[occurrence{ri, ai}]
-				rows := estRows(a.Pred)
-				if sd.Via == "shj" {
-					sd.EstBufferRows = estLeft(ri, ai) + rows
-				} else {
-					sd.EstBufferRows = rows // the producer's distinct-key set
-				}
+			switch {
+			case an.inline[a.Pred]:
+				sd.Exec, sd.Via = ExecStream, "inline"
+				sd.EstBufferRows = estRows(a.Pred) // the producer's distinct-key set
 				peak += sd.EstBufferRows
-			} else {
-				sd.Exec = ExecMaterialize
-				sd.Via = via
-				sd.EstBufferRows = estRows(a.Pred)
+			case reach[a.Pred]:
+				sd.EstBufferRows = estRows(a.Pred) // the spool, shared by its consumers
 				if !spooled[a.Pred] {
 					spooled[a.Pred] = true
 					peak += sd.EstBufferRows

@@ -4,43 +4,26 @@ import (
 	"repro/internal/datalog"
 )
 
-// Operators. A rule body compiles into a chain of environment operators
-// sharing one flat []int environment (exactly the evaluator's join loop,
-// made resumable): each next() call advances the chain depth-first to the
-// next satisfying assignment, mutating the shared environment in place.
-// Because every variable read happens at a level where it is statically
-// bound — the same invariant the compiled-rule scheduler relies on — stale
-// entries from abandoned branches are harmless and no unbinding happens on
-// backtrack.
-//
-// Environment ownership rule. The shared env has exactly one writer per
-// position (the operator whose level binds that variable), and an
-// operator may assume its upstream-bound positions hold the values of the
-// most recent successful up.next() — that is what probe patterns and
-// checks compare against. Two obligations follow:
-//
-//  1. Snapshot on banking. An operator that remembers a row across pulls
-//     (the symmetric hash join's left table and pending pairs) must copy
-//     the env at banking time; a banked alias would be silently rewritten
-//     by later upstream pulls.
-//  2. Restore on resume. An operator that overwrites upstream-owned
-//     positions (the SHJ replaying a banked row for emission) must restore
-//     the live upstream env — the snapshot taken at the last successful
-//     up.next() — before pulling upstream again, or the upstream chain's
-//     checks run against a stale environment and drop or misroute rows.
-//
-// envSnapshotted (used by the tests' checkedEnvOp) asserts obligation 2 at
-// every resume. Operators that must remember rows across pulls (the
-// symmetric hash join's tables, spooled relations, distinct-key sets) copy
-// what they keep and report it to the tracker's buffered counter.
+// Operators. A rule body runs as a chain of environment operators sharing
+// one flat []int environment — the evaluator's join loop (datalog's
+// fireRule) made resumable, over the same compiled form (datalog.Join):
+// each next() call advances the chain depth-first to the next satisfying
+// assignment, mutating the shared environment in place. The chain keeps
+// the loop's one invariant: every variable is read only at levels below
+// the one that binds it, and an operator writes only the variables its own
+// level binds, so stale entries from abandoned branches are harmless and
+// nothing is unbound on backtrack. No operator remembers an environment
+// across pulls; what must be remembered (spooled relations, distinct-key
+// sets) is copied and reported to the tracker's buffered counter.
 
 // envOp advances the shared environment to the next satisfying row.
 type envOp interface {
 	next() bool
 }
 
-// unitOp emits the empty environment once — the source for bodies with no
-// atoms (constant heads, seeded magic facts).
+// unitOp emits the empty environment once — the upstream of a rule's first
+// atom, and the whole body of a rule with no atoms (constant heads, seeded
+// magic facts).
 type unitOp struct {
 	t    *tracker
 	done bool
@@ -72,24 +55,34 @@ func (s *relSlot) get() *datalog.Relation {
 	return s.rel
 }
 
-// candidates are the tuples an atom is tried against next: the result of
-// one index probe, or — for an atom with no bound column — a scan of the
-// relation's buckets in place. Storage order is a function of the
-// relation's history, so repeated runs explore (and the SHJ banks) rows in
-// the same order.
+// candidates are the tuples an atom is tried against next: a scan of the
+// relation's buckets in place when no column is bound, the pattern itself
+// when every column is and the relation holds it (a membership test, no
+// index), otherwise the result of one index probe. Storage order is a
+// function of the relation's history, so repeated runs explore rows in the
+// same order.
 type candidates struct {
 	list []datalog.Tuple
 	i    int
 	scan datalog.Cursor
+	hit  [1]datalog.Tuple
 }
 
-// probe points c at the tuples of rel matching pat on mask.
-func (c *candidates) probe(rel *datalog.Relation, pat datalog.Tuple, mask uint64) {
-	if mask == 0 {
+// probe points c at the tuples of rel that agree with pat on mask; indexed
+// says whether that takes a join index (datalog.Join.Indexed).
+func (c *candidates) probe(rel *datalog.Relation, pat datalog.Tuple, mask uint64, indexed bool) {
+	switch {
+	case mask == 0:
 		*c = candidates{scan: rel.Cursor()}
-		return
+	case indexed:
+		*c = candidates{list: rel.Matches(pat, mask)}
+	default:
+		*c = candidates{}
+		if rel.Has(pat) {
+			c.hit[0] = pat
+			c.list = c.hit[:]
+		}
 	}
-	*c = candidates{list: rel.Matches(pat, mask)}
 }
 
 func (c *candidates) next() (datalog.Tuple, bool) {
@@ -100,98 +93,16 @@ func (c *candidates) next() (datalog.Tuple, bool) {
 	return c.scan.Next()
 }
 
-// envSnapshotted reports whether env matches the snapshot want at the
-// given owned positions — the variable ids bound by the upstream levels of
-// an operator being resumed. It is the checkable form of the env-ownership
-// rule's obligation 2: a consumer that overwrote upstream-owned positions
-// must have restored them before pulling upstream again. Exposed for the
-// package's checkedEnvOp test harness.
-func envSnapshotted(env, want []int, owned []int) bool {
-	for _, i := range owned {
-		if env[i] != want[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// scanOp is a first-atom source over a materialized relation: one probe on
-// the constant positions, then a filtered scan of the candidates.
-type scanOp struct {
-	t       *tracker
-	a       *sAtom
-	slot    *relSlot
-	env     []int
-	cons    []sCons
-	cands   candidates
-	started bool
-}
-
-func (o *scanOp) next() bool {
-	if !o.started {
-		o.started = true
-		pat := make(datalog.Tuple, o.a.arity)
-		for _, p := range o.a.pat {
-			pat[p.pos] = p.t.eval(o.env)
-		}
-		o.cands.probe(o.slot.get(), pat, o.a.mask)
-	}
-	for {
-		tup, ok := o.cands.next()
-		if !ok || !o.t.tick() {
-			return false
-		}
-		if applyAtom(o.a, tup, o.env) && consOK(o.cons, o.env) {
-			return true
-		}
-	}
-}
-
-// streamSrcOp is a first-atom source pulling directly from a producer
-// pipeline (an inlined intermediate predicate).
-type streamSrcOp struct {
-	t    *tracker
-	a    *sAtom
-	src  *predStream
-	env  []int
-	cons []sCons
-}
-
-func (o *streamSrcOp) next() bool {
-	for {
-		if !o.t.tick() {
-			return false
-		}
-		tup, ok := o.src.Next()
-		if !ok {
-			return false
-		}
-		// First-atom pattern positions are constants; verify them.
-		match := true
-		for _, p := range o.a.pat {
-			if tup[p.pos] != p.t.eval(o.env) {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		if applyAtom(o.a, tup, o.env) && consOK(o.cons, o.env) {
-			return true
-		}
-	}
-}
-
-// probeOp joins the upstream rows against a materialized relation by
-// per-row index probe (mask != 0) or in-place scan (mask == 0).
+// probeOp joins the upstream rows against atom ai's materialized relation:
+// per upstream row it fills the atom's probe pattern, looks the candidates
+// up and applies them one by one.
 type probeOp struct {
 	t     *tracker
 	up    envOp
-	a     *sAtom
+	j     datalog.Join
+	ai    int
 	slot  *relSlot
 	env   []int
-	cons  []sCons
 	pat   datalog.Tuple
 	cands candidates
 }
@@ -206,192 +117,74 @@ func (o *probeOp) next() bool {
 			if !o.t.tick() {
 				return false
 			}
-			if applyAtom(o.a, tup, o.env) && consOK(o.cons, o.env) {
+			if o.j.Apply(o.ai, tup, o.env) {
 				return true
 			}
 		}
 		if o.t.err != nil || !o.up.next() {
 			return false
 		}
-		for _, p := range o.a.pat {
-			o.pat[p.pos] = p.t.eval(o.env)
-		}
-		o.cands.probe(o.slot.get(), o.pat, o.a.mask)
+		o.j.Pattern(o.ai, o.env, o.pat)
+		o.cands.probe(o.slot.get(), o.pat, o.j.Mask(o.ai), o.j.Indexed(o.ai))
 	}
 }
 
-// shjPending is one matched (left row, right tuple) pair awaiting
-// emission.
-type shjPending struct {
-	env []int
-	tup datalog.Tuple
-}
-
-// shjOp is a symmetric hash join between the upstream environment rows
-// (left) and a producer pipeline (right). Both sides are consumed
-// incrementally: each arriving left row is hashed on the atom's probe
-// columns and matched against the right tuples seen so far, and vice
-// versa, so matches emit as soon as both halves exist — neither side is
-// required to finish first. Duplicate join keys on either side are kept
-// (each table holds a list per key) and every cross pair is emitted.
-type shjOp struct {
+// streamSrcOp is a first atom pulling directly from a producer pipeline
+// (an inlined intermediate predicate); its pattern holds constants only.
+type streamSrcOp struct {
 	t    *tracker
-	up   envOp
-	a    *sAtom
+	j    datalog.Join
 	src  *predStream
 	env  []int
-	cons []sCons
-
-	left  map[datalog.TupleKey][][]int         // key -> left env rows (snapshots, never aliases of env)
-	right map[datalog.TupleKey][]datalog.Tuple // key -> right tuples
-	pat   datalog.Tuple
-
-	// live snapshots the env as of the last successful up.next(): the state
-	// the upstream chain expects to find when it is resumed. Emitting a
-	// banked pending pair overwrites upstream-owned env positions with a
-	// stale row, so pullLeftRow restores live before pulling again (the
-	// ops-comment env-ownership rule, obligation 2).
-	live     []int
-	envStale bool
-
-	pending   []shjPending
-	pi        int
-	leftDone  bool
-	rightDone bool
-	pullRight bool // alternate sides while both are live
+	pat  datalog.Tuple
+	mask uint64
 }
 
-func (o *shjOp) next() bool {
+func (o *streamSrcOp) next() bool {
+pull:
 	for {
-		// Drain pending matches first. Pairs are emitted in arrival order
-		// (left rows in upstream order, right tuples in producer order);
-		// o.left and o.right are only ever probed by join key, never
-		// iterated, so emission order is independent of map iteration.
-		for o.pi < len(o.pending) {
-			if !o.t.tick() {
-				return false
-			}
-			p := o.pending[o.pi]
-			o.pi++
-			copy(o.env, p.env)
-			o.envStale = true
-			if applyAtom(o.a, p.tup, o.env) && consOK(o.cons, o.env) {
-				return true
-			}
-		}
-		o.pending = o.pending[:0]
-		o.pi = 0
-		if o.t.err != nil || (o.leftDone && o.rightDone) {
+		if !o.t.tick() {
 			return false
 		}
-		// Pull one row from a live side, alternating while both remain.
-		fromRight := o.pullRight
-		if o.leftDone {
-			fromRight = true
-		} else if o.rightDone {
-			fromRight = false
-		}
-		o.pullRight = !fromRight
-		if fromRight {
-			o.pullRightRow()
-		} else {
-			o.pullLeftRow()
-		}
-	}
-}
-
-func (o *shjOp) pullLeftRow() {
-	if o.envStale {
-		// Undo the pending-pair replay before the upstream chain resumes:
-		// its probe patterns and checks read the positions it bound on its
-		// last successful pull, not whatever banked row was emitted last.
-		copy(o.env, o.live)
-		o.envStale = false
-	}
-	if !o.up.next() {
-		o.leftDone = true
-		return
-	}
-	for _, p := range o.a.pat {
-		o.pat[p.pos] = p.t.eval(o.env)
-	}
-	key := datalog.KeyProjected(o.pat, o.a.mask)
-	// Snapshot the row: the bank and the pending pairs must not alias the
-	// shared env, which upstream operators keep mutating.
-	row := make([]int, len(o.env))
-	copy(row, o.env)
-	copy(o.live, o.env)
-	if !o.rightDone {
-		o.left[key] = append(o.left[key], row)
-		o.t.addBuffered(1)
-	}
-	for _, tup := range o.right[key] {
-		o.pending = append(o.pending, shjPending{env: row, tup: tup})
-	}
-}
-
-func (o *shjOp) pullRightRow() {
-	for {
 		tup, ok := o.src.Next()
 		if !ok {
-			o.rightDone = true
-			return
+			return false
 		}
-		// Within-atom repeated variables constrain the tuple alone;
-		// filter before hashing so the tables hold only joinable rows.
-		selfOK := true
-		for i, c := range o.a.checks {
-			if bp := o.a.checkBindPos[i]; bp >= 0 && tup[c.pos] != tup[bp] {
-				selfOK = false
-				break
+		for i, v := range o.pat {
+			if o.mask>>uint(i)&1 != 0 && tup[i] != v {
+				continue pull
 			}
 		}
-		if !selfOK {
-			continue
+		if o.j.Apply(0, tup, o.env) {
+			return true
 		}
-		key := datalog.KeyProjected(tup, o.a.mask)
-		if !o.leftDone {
-			o.right[key] = append(o.right[key], tup)
-			o.t.addBuffered(1)
-		}
-		if rows := o.left[key]; len(rows) > 0 {
-			for _, row := range rows {
-				o.pending = append(o.pending, shjPending{env: row, tup: tup})
-			}
-			return
-		}
-		if o.leftDone {
-			// Nothing stored and nothing matched: this tuple is dead;
-			// keep pulling so exhaustion is reached.
-			continue
-		}
-		return
 	}
 }
 
-// freeOp enumerates one universe-ranging variable over {0..n-1}, applying
-// the constraints scheduled at its level.
+// freeOp enumerates free variable k of the rule over {0..n-1}, applying
+// the constraints decided at its level.
 type freeOp struct {
 	t       *tracker
 	up      envOp
-	varID   int
+	j       datalog.Join
+	k       int
 	n       int
-	cons    []sCons
 	env     []int
 	val     int
 	started bool
 }
 
 func (o *freeOp) next() bool {
+	v := o.j.Free()[o.k]
 	for {
 		if o.started {
 			for o.val < o.n {
 				if !o.t.tick() {
 					return false
 				}
-				o.env[o.varID] = o.val
+				o.env[v] = o.val
 				o.val++
-				if consOK(o.cons, o.env) {
+				if o.j.FreeOK(o.k, o.env) {
 					return true
 				}
 			}
@@ -404,35 +197,19 @@ func (o *freeOp) next() bool {
 	}
 }
 
-// applyAtom binds and checks a candidate tuple against the environment;
-// it returns false when a repeated-variable check fails. Binds are
-// unconditional writes (first occurrences), applied before checks.
-func applyAtom(a *sAtom, tup datalog.Tuple, env []int) bool {
-	for _, b := range a.binds {
-		env[b.varID] = tup[b.pos]
-	}
-	for _, c := range a.checks {
-		if tup[c.pos] != env[c.varID] {
-			return false
-		}
-	}
-	return true
-}
-
-// rulePipe is one rule's compiled pipeline.
+// rulePipe is one rule's operator chain and the environment it fills.
 type rulePipe struct {
-	op   envOp
-	env  []int
-	head []sTerm
+	op  envOp
+	env []int
+	j   datalog.Join
 }
 
 // predStream unions a predicate's rule pipelines, projects head tuples,
 // deduplicates on the packed key, and (for the query predicate) applies
 // the goal filter and the answer limit. It is the producer side every
-// consumer — inline source, hash join, spool — pulls from.
+// consumer — inline source or spool — pulls from.
 type predStream struct {
 	t       *tracker
-	pred    string
 	pipes   []*rulePipe
 	cur     int
 	seen    map[datalog.TupleKey]struct{}
@@ -454,9 +231,7 @@ func (ps *predStream) Next() (datalog.Tuple, bool) {
 	for ps.cur < len(ps.pipes) {
 		pipe := ps.pipes[ps.cur]
 		for pipe.op.next() {
-			for i, h := range pipe.head {
-				ps.scratch[i] = h.eval(pipe.env)
-			}
+			pipe.j.Head(pipe.env, ps.scratch)
 			if ps.filter != nil && !ps.filter.Matches(ps.scratch) {
 				continue
 			}
@@ -486,8 +261,8 @@ func (ps *predStream) close() {
 	ps.seen = nil
 }
 
-// builder assembles the iterator tree for one query, walking rules in
-// topological order through lazily filled slots.
+// builder assembles the iterator tree for one query, from the query
+// predicate down, through lazily filled slots.
 type builder struct {
 	t     *tracker
 	an    *analysis
@@ -543,83 +318,34 @@ func (b *builder) slot(pred string, arity int) *relSlot {
 // predStream builds the producer pipeline for a reachable IDB predicate.
 func (b *builder) predStream(pred string) *predStream {
 	idxs := b.an.ruleIdx[pred]
-	ps := &predStream{t: b.t, pred: pred, seen: map[datalog.TupleKey]struct{}{}}
+	ps := &predStream{t: b.t, seen: map[datalog.TupleKey]struct{}{},
+		scratch: make(datalog.Tuple, len(b.an.eff.Rules[idxs[0]].Head.Args))}
 	for _, ri := range idxs {
-		sr := b.an.compiled[ri]
-		if sr.never {
-			continue
+		if j := b.an.joins[ri]; !j.Dead() {
+			ps.pipes = append(ps.pipes, b.rulePipe(j))
 		}
-		pipe := b.rulePipe(ri, sr)
-		ps.pipes = append(ps.pipes, pipe)
-		if ps.scratch == nil {
-			ps.scratch = make(datalog.Tuple, len(sr.head))
-		}
-	}
-	if ps.scratch == nil {
-		// Every rule dead: empty stream of the right arity.
-		ps.scratch = make(datalog.Tuple, len(b.an.eff.Rules[idxs[0]].Head.Args))
 	}
 	return ps
 }
 
-// testWrapUpstream, when non-nil (set only by tests), wraps the upstream
-// operator handed to a symmetric hash join so the env-ownership rule can
-// be asserted at every resume (see checkedEnvOp in the tests).
-var testWrapUpstream func(up envOp, env []int, owned []int) envOp
-
-// upstreamOwned lists the variable ids bound by the levels before atom ai
-// — the env positions a consumer at level ai must leave intact (or
-// restore) whenever it resumes its upstream.
-func upstreamOwned(sr *sRule, ai int) []int {
-	var owned []int
-	for k := 0; k < ai; k++ {
-		for _, bnd := range sr.atoms[k].binds {
-			owned = append(owned, bnd.varID)
-		}
-	}
-	return owned
-}
-
-// rulePipe compiles one rule into its operator chain.
-func (b *builder) rulePipe(ri int, sr *sRule) *rulePipe {
-	env := make([]int, sr.nv)
-	idb := b.an.reach
-	var op envOp
-	if len(sr.atoms) == 0 {
-		op = &unitOp{t: b.t}
-	}
-	for ai := range sr.atoms {
-		a := &sr.atoms[ai]
-		streamed := idb[a.pred] && b.an.decision[a.pred] == ExecStream
-		cons := sr.consAt[ai]
-		if ai == 0 {
-			if streamed {
-				op = &streamSrcOp{t: b.t, a: a, src: b.predStream(a.pred), env: env, cons: cons}
-			} else {
-				op = &scanOp{t: b.t, a: a, slot: b.slot(a.pred, a.arity), env: env, cons: cons}
-			}
+// rulePipe builds one rule's operator chain: a unit source, then per atom
+// an inlined producer (the first atom of an inlined intermediate's one
+// consumer) or a probe of its materialized relation, then the free
+// variables.
+func (b *builder) rulePipe(j datalog.Join) *rulePipe {
+	env := make([]int, j.Vars())
+	var op envOp = &unitOp{t: b.t}
+	for ai := 0; ai < j.Atoms(); ai++ {
+		pred, pat := j.Pred(ai), make(datalog.Tuple, j.Arity(ai))
+		if ai == 0 && b.an.inline[pred] {
+			j.Pattern(0, env, pat)
+			op = &streamSrcOp{t: b.t, j: j, src: b.predStream(pred), env: env, pat: pat, mask: j.Mask(0)}
 			continue
 		}
-		if streamed {
-			if testWrapUpstream != nil {
-				op = testWrapUpstream(op, env, upstreamOwned(sr, ai))
-			}
-			op = &shjOp{
-				t: b.t, up: op, a: a, src: b.predStream(a.pred), env: env, cons: cons,
-				left:  map[datalog.TupleKey][][]int{},
-				right: map[datalog.TupleKey][]datalog.Tuple{},
-				pat:   make(datalog.Tuple, a.arity),
-				live:  make([]int, len(env)),
-			}
-		} else {
-			op = &probeOp{
-				t: b.t, up: op, a: a, slot: b.slot(a.pred, a.arity), env: env, cons: cons,
-				pat: make(datalog.Tuple, a.arity),
-			}
-		}
+		op = &probeOp{t: b.t, up: op, j: j, ai: ai, slot: b.slot(pred, j.Arity(ai)), env: env, pat: pat}
 	}
-	for k, varID := range sr.free {
-		op = &freeOp{t: b.t, up: op, varID: varID, n: b.db.N, cons: sr.consAt[len(sr.atoms)+k], env: env}
+	for k := range j.Free() {
+		op = &freeOp{t: b.t, up: op, j: j, k: k, n: b.db.N, env: env}
 	}
-	return &rulePipe{op: op, env: env, head: sr.head}
+	return &rulePipe{op: op, env: env, j: j}
 }

@@ -17,8 +17,11 @@ import (
 // streaming path to produce byte-identical answers (after canonical sort)
 // to full semi-naive materialization — per tuple, not per count. A second
 // pass routes random bound goals through the magic-set rewrite and streams
-// the rewritten answer predicate against magic.EvalGoal. Run under -race
-// via make verify.
+// the rewritten answer predicate against magic.EvalGoal. Both passes also
+// run chain workloads (chainProgram, deepJoinProgram): a single-use
+// intermediate joined on a bound column at the tail of an EDB fanout
+// chain, so a spooled relation is probed below several rebinding levels.
+// Run under -race via make verify.
 
 type progGen struct {
 	rng *rand.Rand
@@ -128,6 +131,87 @@ func (g *progGen) database() *datalog.Database {
 	return db
 }
 
+// chainProgram draws a random program that joins a single-use
+// intermediate S on a bound column at the tail of an EDB fanout chain of
+// length 2–4 (join position ≥ 2, often ≥ 3), so several upstream levels
+// rebind between probes of S.
+func chainProgram(rng *rand.Rand, n int) (*datalog.Program, *datalog.Database) {
+	chain := 2 + rng.Intn(3) // EDB atoms above the join
+	vars := []string{"x", "y", "z", "u", "v"}
+	var body []interface{}
+	body = append(body, datalog.NewAtom("A", datalog.V(vars[0])))
+	for i := 1; i < chain; i++ {
+		body = append(body, datalog.NewAtom(fmt.Sprintf("E%d", i), datalog.V(vars[i-1]), datalog.V(vars[i])))
+	}
+	// S joins the last chain variable; its second position is fresh.
+	sv := vars[chain-1]
+	body = append(body, datalog.NewAtom("S", datalog.V(sv), datalog.V("w")))
+	if rng.Intn(3) == 0 {
+		body = append(body, datalog.Constraint{Left: datalog.V("w"), Right: datalog.V(vars[0]), Neq: true})
+	}
+	headArgs := []datalog.Term{datalog.V(vars[0]), datalog.V(sv), datalog.V("w")}
+	rules := []datalog.Rule{
+		datalog.NewRule(datalog.NewAtom("S", datalog.V("a"), datalog.V("b")),
+			datalog.NewAtom("G", datalog.V("a"), datalog.V("b"))),
+		datalog.NewRule(datalog.NewAtom("Q", headArgs...), body...),
+	}
+	p := &datalog.Program{Rules: rules, Goal: "Q"}
+
+	db := datalog.NewDatabase(n)
+	roots := 2 + rng.Intn(4)
+	for r := 0; r < roots; r++ {
+		x := rng.Intn(n)
+		db.AddFact("A", x)
+		prev := []int{x}
+		for i := 1; i < chain; i++ {
+			var next []int
+			for _, pv := range prev {
+				fan := 1 + rng.Intn(3) // multi-row fanout above the join
+				for f := 0; f < fan; f++ {
+					nv := rng.Intn(n)
+					db.AddFact(fmt.Sprintf("E%d", i), pv, nv)
+					next = append(next, nv)
+				}
+			}
+			prev = next
+		}
+		for _, pv := range prev {
+			for f := 0; f < 1+rng.Intn(3); f++ {
+				db.AddFact("G", pv, rng.Intn(n))
+			}
+		}
+	}
+	return p, db
+}
+
+// deepJoinProgram puts the single-use intermediate at join position 4,
+// below a three-atom fanout chain.
+func deepJoinProgram(t *testing.T, rng *rand.Rand) (*datalog.Program, *datalog.Database) {
+	p, err := datalog.Parse(`
+		S(u,v) :- G(u,v).
+		Q(x,y,z,u,v) :- A(x), B(x,y), C(y,z), D(z,u), S(u,v).
+		goal Q.`)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	db := datalog.NewDatabase(200)
+	for x := 0; x < 4; x++ {
+		db.AddFact("A", x)
+		for i := 0; i < 3; i++ {
+			y := 4 + rng.Intn(8)
+			db.AddFact("B", x, y)
+			for j := 0; j < 2; j++ {
+				z := 12 + rng.Intn(8)
+				db.AddFact("C", y, z)
+				u := 20 + rng.Intn(8)
+				db.AddFact("D", z, u)
+				db.AddFact("G", u, 28+rng.Intn(8))
+			}
+		}
+	}
+	return p, db
+}
+
 // refSorted evaluates pred materialized and returns sorted tuples.
 func refSorted(t *testing.T, p *datalog.Program, db *datalog.Database, pred string, opt datalog.Options) []datalog.Tuple {
 	t.Helper()
@@ -142,6 +226,55 @@ func refSorted(t *testing.T, p *datalog.Program, db *datalog.Database, pred stri
 	return rel.Tuples()
 }
 
+// checkStreamed requires Tuples to answer pred with the materialized
+// answers, and a limit of half of them with that many of them; it returns
+// which path ran.
+func checkStreamed(t *testing.T, label string, p *datalog.Program, db *datalog.Database, pred string, opt Options) string {
+	t.Helper()
+	want := refSorted(t, p, db, pred, datalog.DefaultOptions)
+	got, origin, err := Tuples(context.Background(), p, db.Clone(), pred, opt)
+	if err != nil {
+		t.Fatalf("%s pred %s: stream failed: %v\n%s", label, pred, err, p)
+	}
+	if !sameTuples(got, want) {
+		t.Fatalf("%s pred %s via %s: answers differ\ngot  %v\nwant %v\nprogram:\n%s",
+			label, pred, origin, got, want, p)
+	}
+	// Limit: a prefix-sized subset of the full answer set.
+	if len(want) > 2 {
+		lim := len(want) / 2
+		optL := opt
+		optL.Limit = lim
+		gotL, _, err := Tuples(context.Background(), p, db.Clone(), pred, optL)
+		if err != nil {
+			t.Fatalf("%s pred %s: limited stream failed: %v", label, pred, err)
+		}
+		if len(gotL) != lim {
+			t.Fatalf("%s pred %s: limit %d returned %d", label, pred, lim, len(gotL))
+		}
+		set := map[string]bool{}
+		for _, tu := range want {
+			set[tu.String()] = true
+		}
+		for _, tu := range gotL {
+			if !set[tu.String()] {
+				t.Fatalf("%s pred %s: limited answer %v outside full set", label, pred, tu)
+			}
+		}
+	}
+	return origin
+}
+
+// plannedOptions plans p against db, as the service does.
+func plannedOptions(p *datalog.Program, db *datalog.Database) Options {
+	opt := Options{Eval: datalog.DefaultOptions}
+	pl := plan.New(plan.Config{})
+	if pp, _ := pl.PlanProgram(p, pl.CatalogFor(db)); pp != nil {
+		opt.Plan = pp
+	}
+	return opt
+}
+
 func TestQuickStreamedEqualsMaterialized(t *testing.T) {
 	const workloads = 140
 	rng := rand.New(rand.NewSource(20260808))
@@ -153,65 +286,77 @@ func TestQuickStreamedEqualsMaterialized(t *testing.T) {
 			t.Fatalf("workload %d: generated invalid program: %v\n%s", w, err, p)
 		}
 		db := g.database()
-		idbs := datalog.ReachableIDBs(p, p.Goal)
+		opt := Options{Eval: datalog.DefaultOptions}
+		if w%3 == 1 {
+			opt = plannedOptions(p, db) // the planned path
+		}
 		// Query every reachable predicate, not just the goal.
-		for pred := range idbs {
-			want := refSorted(t, p, db, pred, datalog.DefaultOptions)
-			opt := Options{Eval: datalog.DefaultOptions}
-			if w%3 == 1 {
-				// Exercise the planned path: estimates drive decisions.
-				pl := plan.New(plan.Config{})
-				if pp, _ := pl.PlanProgram(p, pl.CatalogFor(db)); pp != nil {
-					opt.Plan = pp
-				}
-			}
-			got, origin, err := Tuples(context.Background(), p, db.Clone(), pred, opt)
-			if err != nil {
-				t.Fatalf("workload %d pred %s: stream failed: %v\n%s", w, pred, err, p)
-			}
-			if origin == "stream" {
+		for pred := range datalog.ReachableIDBs(p, p.Goal) {
+			if checkStreamed(t, fmt.Sprintf("workload %d", w), p, db, pred, opt) == "stream" {
 				streamed++
 			} else {
 				fellBack++
-			}
-			if !sameTuples(got, want) {
-				t.Fatalf("workload %d pred %s via %s: answers differ\ngot  %v\nwant %v\nprogram:\n%s",
-					w, pred, origin, got, want, p)
-			}
-			// Limit: a prefix-sized subset of the full answer set.
-			if len(want) > 2 {
-				lim := len(want) / 2
-				optL := opt
-				optL.Limit = lim
-				gotL, _, err := Tuples(context.Background(), p, db.Clone(), pred, optL)
-				if err != nil {
-					t.Fatalf("workload %d pred %s: limited stream failed: %v", w, pred, err)
-				}
-				if len(gotL) != lim {
-					t.Fatalf("workload %d pred %s: limit %d returned %d", w, pred, lim, len(gotL))
-				}
-				set := map[string]bool{}
-				for _, tu := range want {
-					set[tu.String()] = true
-				}
-				for _, tu := range gotL {
-					if !set[tu.String()] {
-						t.Fatalf("workload %d pred %s: limited answer %v outside full set", w, pred, tu)
-					}
-				}
 			}
 		}
 	}
 	if streamed == 0 || fellBack == 0 {
 		t.Fatalf("suite did not cover both paths: streamed=%d fallback=%d", streamed, fellBack)
 	}
-	t.Logf("workloads=%d streamed=%d fallback=%d", workloads, streamed, fellBack)
+
+	// Chain workloads: the intermediate is spooled and probed deep in the
+	// chain, and every chain streams.
+	const chains = 60
+	rng = rand.New(rand.NewSource(20260809))
+	for w := 0; w <= chains; w++ {
+		var p *datalog.Program
+		var db *datalog.Database
+		if w == chains {
+			p, db = deepJoinProgram(t, rng)
+		} else {
+			p, db = chainProgram(rng, 6+rng.Intn(8))
+		}
+		opt := Options{Eval: datalog.DefaultOptions}
+		if w%2 == 1 {
+			opt = plannedOptions(p, db)
+		}
+		if origin := checkStreamed(t, fmt.Sprintf("chain %d", w), p, db, "Q", opt); origin != "stream" {
+			t.Fatalf("chain %d: origin %q, want stream", w, origin)
+		}
+	}
+	t.Logf("workloads=%d streamed=%d fallback=%d chains=%d", workloads, streamed, fellBack, chains+1)
+}
+
+// checkBoundGoal streams the seeded rewrite's answer predicate for goal
+// with the goal as the answer filter — the answer-projection stage of a
+// bound query — and requires magic.EvalGoal's answers.
+func checkBoundGoal(t *testing.T, label string, p *datalog.Program, db *datalog.Database, goal datalog.Goal) {
+	t.Helper()
+	ref, err := magic.EvalGoal(context.Background(), p, db.Clone(), goal, magic.DefaultOptions())
+	if err != nil {
+		t.Fatalf("%s: magic eval: %v", label, err)
+	}
+	rw, err := magic.NewRewrite(p, goal, nil)
+	if err != nil {
+		t.Fatalf("%s: rewrite: %v", label, err)
+	}
+	seeded, err := rw.Seeded(goal)
+	if err != nil {
+		t.Fatalf("%s: seed: %v", label, err)
+	}
+	got, origin, err := Tuples(context.Background(), seeded, db.Clone(), rw.GoalPred,
+		Options{Eval: datalog.DefaultOptions, Filter: &goal})
+	if err != nil {
+		t.Fatalf("%s: streamed rewrite failed (%s): %v\nseeded:\n%s", label, origin, err, seeded)
+	}
+	if !sameTuples(got, ref.Answers) {
+		t.Fatalf("%s via %s: bound answers differ\ngoal %s\ngot  %v\nwant %v\nseeded:\n%s",
+			label, origin, goal, got, ref.Answers, seeded)
+	}
 }
 
 func TestQuickBoundGoalsThroughMagic(t *testing.T) {
 	const workloads = 80
 	rng := rand.New(rand.NewSource(424242))
-	checked := 0
 	for w := 0; w < workloads; w++ {
 		g := &progGen{rng: rng, n: 4 + rng.Intn(5)}
 		p := g.program(w%4 == 3)
@@ -230,36 +375,30 @@ func TestQuickBoundGoalsThroughMagic(t *testing.T) {
 		if len(bindings) == 0 {
 			bindings[0] = rng.Intn(g.n)
 		}
-		goal := datalog.NewGoal(p.Goal, arity, bindings)
+		checkBoundGoal(t, fmt.Sprintf("workload %d", w), p, db, datalog.NewGoal(p.Goal, arity, bindings))
+	}
 
-		// Reference: the magic-set pipeline end to end.
-		ref, err := magic.EvalGoal(context.Background(), p, db.Clone(), goal, magic.DefaultOptions())
-		if err != nil {
-			t.Fatalf("workload %d: magic eval: %v", w, err)
+	// Chain workloads, bound on the first column of one of their answers.
+	const chains = 60
+	rng = rand.New(rand.NewSource(20260809))
+	checked := 0
+	for w := 0; w <= chains; w++ {
+		var p *datalog.Program
+		var db *datalog.Database
+		if w == chains {
+			p, db = deepJoinProgram(t, rng)
+		} else {
+			p, db = chainProgram(rng, 6+rng.Intn(8))
 		}
-
-		// Streaming: evaluate the seeded rewrite's answer predicate with
-		// the goal filter — the answer-projection stage of a bound query.
-		rw, err := magic.NewRewrite(p, goal, nil)
-		if err != nil {
-			t.Fatalf("workload %d: rewrite: %v", w, err)
+		want := refSorted(t, p, db, "Q", datalog.DefaultOptions)
+		if len(want) == 0 {
+			continue
 		}
-		seeded, err := rw.Seeded(goal)
-		if err != nil {
-			t.Fatalf("workload %d: seed: %v", w, err)
-		}
-		got, origin, err := Tuples(context.Background(), seeded, db.Clone(), rw.GoalPred,
-			Options{Eval: datalog.DefaultOptions, Filter: &goal})
-		if err != nil {
-			t.Fatalf("workload %d: streamed rewrite failed (%s): %v\nseeded:\n%s", w, origin, err, seeded)
-		}
-		if !sameTuples(got, ref.Answers) {
-			t.Fatalf("workload %d via %s: bound answers differ\ngoal %s\ngot  %v\nwant %v\nseeded:\n%s",
-				w, origin, goal, got, ref.Answers, seeded)
-		}
+		pick := want[rng.Intn(len(want))]
+		checkBoundGoal(t, fmt.Sprintf("chain %d", w), p, db, datalog.NewGoal("Q", len(pick), map[int]int{0: pick[0]}))
 		checked++
 	}
-	if checked != workloads {
-		t.Fatalf("checked %d of %d workloads", checked, workloads)
+	if checked < chains/2 {
+		t.Fatalf("only %d of %d chain workloads had answers to bind", checked, chains+1)
 	}
 }

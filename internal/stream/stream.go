@@ -3,29 +3,20 @@
 // materializes every relation, delta and join index before a caller sees
 // the first answer, this package compiles the non-recursive slice of a
 // program that a query predicate depends on into a tree of pull iterators
-// — index scans, per-row index probes, selections, projections, symmetric
-// hash joins for stream-to-stream joins, and spooling buffers where
-// re-iteration is required — so answers are produced as they are derived
-// and memory scales with what must be remembered (distinct-key sets,
-// hash-join tables, spooled multi-use predicates) rather than with every
-// intermediate relation.
+// — scans, per-row probes, selections, projections and spooling buffers
+// where re-iteration is required — so answers are produced as they are
+// derived and memory scales with what must be remembered (distinct-key
+// sets, spooled predicates) rather than with every intermediate relation.
+// Each rule runs datalog's own compiled form (datalog.CompileJoin): the
+// iterator tree joins a body in the order, and with the probe masks, the
+// evaluator's join loop uses.
 //
-// The stream/materialize decision is made per join step, optionally driven
-// by the cost-based planner's per-step row estimates (internal/plan):
-//
-//   - the query predicate itself always streams (it is the output);
-//   - an intermediate predicate consumed exactly once as the first atom of
-//     its consumer is inlined: the consumer's pipeline pulls directly from
-//     the producer's pipeline and the predicate is never stored beyond its
-//     distinct-key set;
-//   - an intermediate predicate consumed exactly once at a later join
-//     position joins via symmetric hash join when the probe has bound
-//     columns and the estimated left-side cardinality does not dwarf the
-//     predicate (estLeft ≤ 4·estRows; without estimates SHJ is assumed),
-//     otherwise it is spooled into an indexed relation;
-//   - a predicate consumed more than once — or probed with no bound
-//     columns — is spooled into an indexed relation the consumers probe
-//     (buffered re-iteration).
+// Whether an intermediate streams follows from the program's shape alone:
+// the query predicate streams (it is the output); an intermediate consumed
+// exactly once, as its consumer's first atom, is inlined — the consumer
+// pulls straight from the producer's pipeline and the predicate is never
+// stored beyond its distinct-key set; every other intermediate is spooled
+// into a relation its consumers scan or probe.
 //
 // Recursive slices cannot be computed in one streaming pass; Open returns
 // ErrRecursive and callers fall back to semi-naive materialization (which
@@ -65,7 +56,7 @@ type Counters struct {
 	// counter).
 	Pulls int64
 	// Buffered is the current number of rows held by buffering operators:
-	// distinct-key sets, symmetric-hash-join tables, and spooled relations.
+	// distinct-key sets and spooled relations.
 	Buffered int64
 	// PeakBuffered is the high-water mark of Buffered — the number that
 	// bounds the stream's memory footprint.
@@ -122,10 +113,10 @@ type Options struct {
 	// evaluator applies it) and the options used by callers that fall
 	// back to datalog.EvalContext on ErrRecursive.
 	Eval datalog.Options
-	// Plan, when non-nil, supplies the already-planned rule list and the
-	// per-step row estimates that drive the stream/materialize decision;
-	// it takes precedence over Eval.Planner. The plan must have been built
-	// for the same program.
+	// Plan, when non-nil, supplies the already-planned rule list, and the
+	// row estimates behind the Decisions' buffer estimates; it takes
+	// precedence over Eval.Planner. The plan must have been built for the
+	// same program.
 	Plan *plan.ProgramPlan
 	// Limit stops the stream after this many distinct answers (0 = no
 	// limit). Because iterators pull lazily, a reached limit terminates

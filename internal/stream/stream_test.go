@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/datalog"
@@ -99,15 +100,14 @@ func TestRecursiveFallsBack(t *testing.T) {
 	}
 }
 
-// TestSymmetricHashJoinDuplicates drives the SHJ operator directly with
-// duplicate join keys on both sides: every cross pair must be emitted
-// exactly once per pairing.
-func TestSymmetricHashJoinDuplicates(t *testing.T) {
-	// Left: rows from scanning L(x,k). Right: streamed pred R(k,y) built
-	// from rule R(k,y) :- RE(k,y). Join on k. L has 3 rows with k=7 and
-	// 2 with k=8; RE has 2 tuples with k=7 and 3 with k=8 -> 3*2 + 2*3 =
-	// 12 joined rows before head projection; heads (x,y) are all
-	// distinct, so 12 answers.
+// TestSpoolProbeDuplicates joins a single-use intermediate at a later
+// position, so it is spooled and probed, with duplicate join keys on both
+// sides: every cross pair must be emitted exactly once.
+func TestSpoolProbeDuplicates(t *testing.T) {
+	// Left: rows from scanning L(x,k). Right: R(k,y) built from rule
+	// R(k,y) :- RE(k,y). Join on k. L has 3 rows with k=7 and 2 with k=8;
+	// RE has 2 tuples with k=7 and 3 with k=8 -> 3*2 + 2*3 = 12 joined rows
+	// before head projection; heads (x,y) are all distinct, so 12 answers.
 	p := mustParse(t, `
 		R(k,y) :- RE(k,y).
 		Q(x,y) :- L(x,k), R(k,y).
@@ -135,34 +135,33 @@ func TestSymmetricHashJoinDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	// The single-use later-position R must stream through a hash join.
-	dec := s.Decisions()
-	foundSHJ := false
-	for _, rd := range dec.Rules {
+	// The single-use later-position R is spooled and probed on k.
+	found := ""
+	for _, rd := range s.Decisions().Rules {
 		for _, sd := range rd.Steps {
-			if sd.Pred == "R" && sd.Via == "shj" {
-				foundSHJ = true
+			if sd.Pred == "R" {
+				found = sd.Exec + "/" + sd.Via
 			}
 		}
 	}
-	if !foundSHJ {
-		t.Fatalf("R not joined via shj: %+v", dec.Rules)
+	if found != "materialize/probe" {
+		t.Fatalf("R decision = %q, want materialize/probe", found)
 	}
 	got, err := Collect(s)
 	if err != nil {
 		t.Fatalf("collect: %v", err)
 	}
 	if len(got) != want {
-		t.Fatalf("SHJ duplicates: got %d answers, want %d", len(got), want)
+		t.Fatalf("duplicates: got %d answers, want %d", len(got), want)
 	}
 	if wantT := evalSorted(t, p, db, "Q"); !sameTuples(got, wantT) {
-		t.Fatalf("SHJ answers differ from materialized")
+		t.Fatalf("answers differ from materialized")
 	}
 }
 
-// TestSymmetricHashJoinSelfChecks exercises within-atom repeated variables
-// on the streamed side: R(k,k) tuples must self-filter before hashing.
-func TestSymmetricHashJoinSelfChecks(t *testing.T) {
+// TestSpoolProbeSelfChecks joins a spooled intermediate through an atom
+// with a repeated variable: R(k,k) keeps only the self-pairs.
+func TestSpoolProbeSelfChecks(t *testing.T) {
 	p := mustParse(t, `
 		R(a,b) :- RE(a,b).
 		Q(x,k) :- L(x,k), R(k,k).
@@ -172,13 +171,54 @@ func TestSymmetricHashJoinSelfChecks(t *testing.T) {
 	db.AddFact("L", 2, 4)
 	db.AddFact("RE", 3, 3) // self-pair: joins
 	db.AddFact("RE", 4, 5) // not a self-pair: filtered
+	s, err := Open(context.Background(), p, db.Clone(), "Q", Options{Eval: datalog.DefaultOptions})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if sd := s.Decisions().Rules[1].Steps[1]; sd.Exec+"/"+sd.Via != "materialize/probe" {
+		t.Fatalf("R(k,k) decision = %s/%s, want materialize/probe", sd.Exec, sd.Via)
+	}
+	got, err := Collect(s)
+	if err != nil {
+		t.Fatalf("collect: %v", err)
+	}
 	want := evalSorted(t, p, db, "Q")
-	got, origin, err := Tuples(context.Background(), p, db.Clone(), "Q", Options{Eval: datalog.DefaultOptions})
+	if len(want) != 1 || !sameTuples(got, want) {
+		t.Fatalf("got %v want %v (one self-pair)", got, want)
+	}
+}
+
+// TestFullyBoundAtomBuildsNoIndex streams a join whose second atom is
+// bound on every column: as in the evaluator it is a membership test on
+// the relation's tuple set, so no full-width index is left on the
+// database's relation for every later snapshot to inherit.
+func TestFullyBoundAtomBuildsNoIndex(t *testing.T) {
+	p := mustParse(t, "Q(x,y) :- E(x,y), E(y,x).\ngoal Q.")
+	fresh := func() (*datalog.Database, *atomic.Int64) {
+		db := chainDB(16)
+		db.AddFact("E", 1, 0)
+		db.AddFact("E", 5, 4)
+		builds := new(atomic.Int64)
+		db.CountIndexBuilds(builds)
+		return db, builds
+	}
+	db, builds := fresh()
+	got, origin, err := Tuples(context.Background(), p, db, "Q", Options{Eval: datalog.DefaultOptions})
 	if err != nil || origin != "stream" {
 		t.Fatalf("stream: origin=%q err=%v", origin, err)
 	}
-	if !sameTuples(got, want) {
+	if want := evalSorted(t, p, db, "Q"); len(want) != 4 || !sameTuples(got, want) {
 		t.Fatalf("got %v want %v", got, want)
+	}
+	if n := builds.Load(); n != 0 {
+		t.Fatalf("streaming built %d indexes, want 0", n)
+	}
+	db, builds = fresh()
+	if _, err := datalog.Eval(p, db, datalog.DefaultOptions); err != nil {
+		t.Fatal(err)
+	}
+	if n := builds.Load(); n != 0 {
+		t.Fatalf("Eval built %d indexes, want 0", n)
 	}
 }
 
@@ -228,7 +268,7 @@ func TestRelSlotReiteration(t *testing.T) {
 	}
 	for pass := 0; pass < 2; pass++ {
 		var c candidates
-		c.probe(slot.get(), nil, 0)
+		c.probe(slot.get(), nil, 0, false)
 		n := 0
 		for _, ok := c.next(); ok; _, ok = c.next() {
 			n++
@@ -425,14 +465,13 @@ func TestCountersTrackBuffering(t *testing.T) {
 }
 
 func TestExplainDecisions(t *testing.T) {
+	// A is consumed once, as its consumer's only atom: whatever order the
+	// planner picks, it is inlined.
 	p := mustParse(t, `
 		A(x,z) :- E(x,y), F(y,z).
-		Q(x,w) :- A(x,z), G(z,w).
+		Q(x,z) :- A(x,z), x != z.
 		goal Q.`)
 	db := chainDB(64)
-	for i := 0; i < 32; i++ {
-		db.AddFact("G", i, (i*3)%64)
-	}
 	pl := plan.New(plan.Config{})
 	pp, _ := pl.PlanProgram(p, pl.CatalogFor(db))
 	dec, err := Explain(p, "Q", pp)
@@ -448,7 +487,7 @@ func TestExplainDecisions(t *testing.T) {
 	sawStream := false
 	for _, rd := range dec.Rules {
 		for _, sd := range rd.Steps {
-			if sd.Exec == ExecStream {
+			if sd.Exec == ExecStream && sd.Pred == "A" && sd.Via == "inline" {
 				sawStream = true
 			}
 			if sd.Exec != ExecStream && sd.Exec != ExecMaterialize {
@@ -457,7 +496,7 @@ func TestExplainDecisions(t *testing.T) {
 		}
 	}
 	if !sawStream {
-		t.Fatalf("no streamed step in %+v", dec.Rules)
+		t.Fatalf("A not inlined: %+v", dec.Rules)
 	}
 	// Recursive: Explain reports fallback instead of failing.
 	rec := mustParse(t, "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).\ngoal T.")
