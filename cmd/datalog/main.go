@@ -667,9 +667,11 @@ func call(url string, req, resp any) error {
 	return json.NewDecoder(r.Body).Decode(resp)
 }
 
+// fatalIf prints err behind the command's name and exits 1. The library's
+// own errors already start with "datalog: ", which is not repeated.
 func fatalIf(err error) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "datalog:", err)
+		fmt.Fprintln(os.Stderr, "datalog: "+strings.TrimPrefix(err.Error(), "datalog: "))
 		os.Exit(1)
 	}
 }
