@@ -69,20 +69,23 @@ loc:
 # bench-e2e-compare judges two sets of such result files, comma-separated,
 # metric by metric (ok / worse / unresolved; exit 1 on a worse),
 #   make bench-e2e-compare A=a1.json,a2.json B=b1.json,b2.json
-# bench-e2e-smoke is one mixed run and one traced commit-churn run judged
-# by their exit codes alone: it builds the frozen harness against the
-# packages as they are now, checks every page, goal and commit against the
-# oracle and enforces run validity — the way a change to internal/ breaks
-# the benchmark pipeline without failing a test. commit-churn is the only
-# workload with the SSE-replay and SIGKILL/restart checks, and -trace 1
-# adds the replay that drives an Incremental by hand and compares its
-# views with the server's (~2 min together).
+# bench-e2e-smoke is one mixed run, one traced commit-churn run and one
+# goal-read run, judged by their exit codes alone: it builds the frozen
+# harness against the packages as they are now, checks every page, goal and
+# commit against the oracle and enforces run validity — the way a change to
+# internal/ breaks the benchmark pipeline without failing a test.
+# commit-churn is the only workload with the SSE-replay and SIGKILL/restart
+# checks, and -trace 1 adds the replay that drives an Incremental by hand
+# and compares its views with the server's; goal-read is the only one whose
+# oracle checks bound JSON tc goals (the recursive answers the stream
+# executor's fixpoint computes) beside NDJSON hop2 goals (~3 min together).
 bench-e2e:
 	bash benchmark/run.sh $(ARGS)
 
 bench-e2e-smoke:
 	bash benchmark/run.sh -workload mixed -seed 1
 	bash benchmark/run.sh -workload commit-churn -seed 1 -trace 1
+	bash benchmark/run.sh -workload goal-read -seed 1
 
 bench-e2e-compare:
 	bash benchmark/run.sh -compare $(A) $(B)

@@ -39,6 +39,21 @@ func e29DB(n, perFact int) *datalog.Database {
 	return db
 }
 
+// e29Stream answers K through the streaming executor: Open, then Collect,
+// which drains and sorts into the canonical order.
+func e29Stream(b *testing.B, p *datalog.Program, db *datalog.Database, limit int) []datalog.Tuple {
+	b.Helper()
+	s, err := stream.Open(context.Background(), p, db, "K", stream.Options{Eval: datalog.DefaultOptions, Limit: limit})
+	if err != nil {
+		b.Fatal(err)
+	}
+	got, err := stream.Collect(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return got
+}
+
 // e29Equiv asserts once, outside the timed region, that both executions
 // produce byte-identical answer sets after the canonical sort.
 func e29Equiv(b *testing.B, p *datalog.Program, db *datalog.Database) {
@@ -48,11 +63,7 @@ func e29Equiv(b *testing.B, p *datalog.Program, db *datalog.Database) {
 		b.Fatal(err)
 	}
 	want := res.IDB["K"].Tuples()
-	got, _, err := stream.Tuples(context.Background(), p, db.Clone(), "K", stream.Options{Eval: datalog.DefaultOptions})
-	if err != nil {
-		b.Fatal(err)
-	}
-	datalog.SortTuples(got)
+	got := e29Stream(b, p, db.Clone(), 0)
 	if len(got) != len(want) {
 		b.Fatalf("streamed %d answers, materialized %d", len(got), len(want))
 	}
@@ -64,8 +75,8 @@ func e29Equiv(b *testing.B, p *datalog.Program, db *datalog.Database) {
 }
 
 // BenchmarkE29_ChainJoinDrain drains the full K relation both ways. The
-// streamed side sorts its output into the canonical order so the two
-// timed regions end in the same state.
+// streamed side sorts its output into the canonical order (Collect) so the
+// two timed regions end in the same state.
 func BenchmarkE29_ChainJoinDrain(b *testing.B) {
 	p, err := datalog.Parse(e29Source)
 	if err != nil {
@@ -93,14 +104,9 @@ func BenchmarkE29_ChainJoinDrain(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				got, _, err := stream.Tuples(context.Background(), p, db.Clone(), "K", stream.Options{Eval: datalog.DefaultOptions})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(got) == 0 {
+				if len(e29Stream(b, p, db.Clone(), 0)) == 0 {
 					b.Fatal("empty answer")
 				}
-				datalog.SortTuples(got)
 			}
 		})
 	}
@@ -135,12 +141,7 @@ func BenchmarkE29_FirstN(b *testing.B) {
 	b.Run("streamed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			got, _, err := stream.Tuples(context.Background(), p, db.Clone(), "K",
-				stream.Options{Eval: datalog.DefaultOptions, Limit: limit})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(got) != limit {
+			if len(e29Stream(b, p, db.Clone(), limit)) != limit {
 				b.Fatal("short answer")
 			}
 		}

@@ -28,8 +28,8 @@
 // comes from POST /v1/explain and reflects the server's statistics.
 //
 // -stream evaluates through the streaming executor: answers print as
-// they are derived (in derivation order, not sorted) and a recursive
-// program falls back to materialized evaluation. -limit N stops after N
+// they are derived (in derivation order, not sorted); a recursive
+// program's fixpoint is evaluated on the first pull. -limit N stops after N
 // answers — under -stream this terminates evaluation early instead of
 // discarding tuples. With -server, -stream requests NDJSON from
 // /v1/query and prints tuples as the server produces them, and -limit
@@ -199,25 +199,16 @@ func printTuples(name string, tuples []datalog.Tuple, limit int) {
 }
 
 // runStream evaluates through the streaming executor, printing answers
-// in arrival (derivation) order as they are produced; a recursive
-// program falls back to materialized evaluation. A bound goal streams
-// the seeded magic-set rewrite's answer predicate under the goal filter.
+// in arrival (derivation) order as they are produced; a recursive slice's
+// fixpoint is computed on the first pull. A bound goal streams the seeded
+// magic-set rewrite's answer predicate under the goal filter.
 func runStream(prog *datalog.Program, db *datalog.Database, goal *datalog.Goal, opts datalog.Options, all bool, limit int) error {
 	ctx := context.Background()
 	run := func(p *datalog.Program, pred, label string, filter *datalog.Goal) error {
 		opt := stream.Options{Eval: opts, Limit: limit, Filter: filter}
 		st, err := stream.Open(ctx, p, db, pred, opt)
 		if err != nil {
-			if !errors.Is(err, stream.ErrRecursive) {
-				return err
-			}
-			tuples, origin, err := stream.Tuples(ctx, p, db, pred, opt)
-			if err != nil {
-				return err
-			}
-			printTuples(label, tuples, limit)
-			fmt.Printf("origin=%s (recursive: materialized fallback)\n", origin)
-			return nil
+			return err
 		}
 		defer st.Close()
 		fmt.Printf("%s (streaming):\n", label)
@@ -234,7 +225,7 @@ func runStream(prog *datalog.Program, db *datalog.Database, goal *datalog.Goal, 
 			return err
 		}
 		c := st.Counters()
-		fmt.Printf("count=%d pulls=%d peak_buffered=%d\n", n, c.Pulls, c.PeakBuffered)
+		fmt.Printf("count=%d pulls=%d peak_buffered=%d rounds=%d\n", n, c.Pulls, c.PeakBuffered, c.Rounds)
 		return nil
 	}
 	if goal != nil {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	serve [-addr :8344] [-universe 64] [-history 64] [-cache 256]
+//	serve [-addr :8344] [-universe 64] [-history 64]
 //	      [-workers 0] [-parallel 0] [-query-timeout 0] [-pprof]
 //	      [-facts db.facts] [-program prog.dl] [-name main]
 //	      [-data-dir dir] [-fsync always] [-fsync-interval 2ms]
@@ -63,7 +63,6 @@ func main() {
 	addr := flag.String("addr", ":8344", "listen address")
 	universe := flag.Int("universe", 64, "EDB universe size {0..n-1}")
 	history := flag.Int("history", 64, "EDB versions kept queryable")
-	cache := flag.Int("cache", 256, "query-result LRU capacity")
 	workers := flag.Int("workers", 0, "max concurrent from-scratch evaluations (0 = GOMAXPROCS)")
 	parallel := flag.Int("parallel", 0, "evaluator parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline covering queueing and evaluation (0 = none)")
@@ -85,7 +84,6 @@ func main() {
 	svc, err := service.New(service.Config{
 		Universe:         *universe,
 		History:          *history,
-		CacheEntries:     *cache,
 		Workers:          *workers,
 		Parallelism:      *parallel,
 		QueryTimeout:     *queryTimeout,
@@ -173,7 +171,7 @@ func main() {
 
 	logger.Info("serving Datalog(≠)",
 		"addr", *addr, "universe", *universe, "history", *history,
-		"cache", *cache, "query_timeout", *queryTimeout)
+		"query_timeout", *queryTimeout)
 	if err := server.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		fatalIf(err)
 	}

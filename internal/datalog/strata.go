@@ -7,7 +7,7 @@ import "sort"
 // facts the evaluator previously derived only implicitly: which IDB
 // predicates a query predicate transitively depends on (so unreachable
 // rules are never compiled), and which predicates sit on a dependency cycle
-// (recursive slices fall back to semi-naive materialization). Its operator
+// (a recursive component is handed to the evaluator's fixpoint). Its operator
 // tree is built from the query predicate down, so it needs no topological
 // schedule.
 //

@@ -1,6 +1,6 @@
 // Package lru is the one bounded least-recently-used map in the repo: the
-// service's query-result and magic-rewrite caches and the planner's plan
-// cache are instances of it.
+// service's magic-rewrite cache and the planner's plan cache are instances
+// of it.
 package lru
 
 import (
@@ -12,11 +12,10 @@ import (
 // Values are handed out as stored, so callers cache only what they treat
 // as immutable. The zero value is not usable; call New.
 type Cache[K comparable, V any] struct {
-	mu        sync.Mutex
-	cap       int
-	order     *list.List // front = most recently used; values are *entry[K, V]
-	entries   map[K]*list.Element
-	evictions int64
+	mu      sync.Mutex
+	cap     int
+	order   *list.List // front = most recently used; values are *entry[K, V]
+	entries map[K]*list.Element
 }
 
 type entry[K comparable, V any] struct {
@@ -57,28 +56,8 @@ func (c *Cache[K, V]) Put(k K, v V) {
 	}
 	c.entries[k] = c.order.PushFront(&entry[K, V]{key: k, val: v})
 	for c.order.Len() > c.cap {
-		c.removeLocked(c.order.Back())
+		delete(c.entries, c.order.Remove(c.order.Back()).(*entry[K, V]).key)
 	}
-}
-
-// RemoveIf drops every entry whose key satisfies drop, counting each as an
-// eviction.
-func (c *Cache[K, V]) RemoveIf(drop func(K) bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		if drop(el.Value.(*entry[K, V]).key) {
-			c.removeLocked(el)
-		}
-		el = next
-	}
-}
-
-func (c *Cache[K, V]) removeLocked(el *list.Element) {
-	c.order.Remove(el)
-	delete(c.entries, el.Value.(*entry[K, V]).key)
-	c.evictions++
 }
 
 // Len returns the number of live entries.
@@ -90,11 +69,3 @@ func (c *Cache[K, V]) Len() int {
 
 // Cap returns the capacity the cache was built with.
 func (c *Cache[K, V]) Cap() int { return c.cap }
-
-// Evictions returns how many entries were dropped to make room or by
-// RemoveIf.
-func (c *Cache[K, V]) Evictions() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
-}

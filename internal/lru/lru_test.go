@@ -20,24 +20,8 @@ func TestEvictsLeastRecentlyUsed(t *testing.T) {
 		t.Fatal("a was evicted although it was used after b")
 	}
 	c.Put("a", 10) // replace in place: no eviction
-	if v, _ := c.Get("a"); v != 10 || c.Len() != 2 || c.Evictions() != 1 {
-		t.Fatalf("after replace: a=%d len=%d evictions=%d, want 10, 2, 1", v, c.Len(), c.Evictions())
-	}
-}
-
-func TestRemoveIf(t *testing.T) {
-	c := New[int, string](8)
-	for i := 0; i < 6; i++ {
-		c.Put(i, "v")
-	}
-	c.RemoveIf(func(k int) bool { return k < 4 })
-	if c.Len() != 2 || c.Evictions() != 4 {
-		t.Fatalf("len=%d evictions=%d, want 2 and 4", c.Len(), c.Evictions())
-	}
-	for i := 0; i < 6; i++ {
-		if _, ok := c.Get(i); ok != (i >= 4) {
-			t.Fatalf("key %d present=%v", i, ok)
-		}
+	if v, _ := c.Get("a"); v != 10 || c.Len() != 2 {
+		t.Fatalf("after replace: a=%d len=%d, want 10 and 2", v, c.Len())
 	}
 }
 
@@ -50,8 +34,8 @@ func TestCapacityFloor(t *testing.T) {
 	}
 }
 
-// TestConcurrentUse is for the race detector: readers, writers and a
-// remover on one cache.
+// TestConcurrentUse is for the race detector: readers and writers on one
+// cache.
 func TestConcurrentUse(t *testing.T) {
 	c := New[int, int](16)
 	var wg sync.WaitGroup
@@ -62,9 +46,6 @@ func TestConcurrentUse(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				c.Put(i%40, g)
 				c.Get((i + g) % 40)
-				if i%50 == 0 {
-					c.RemoveIf(func(k int) bool { return k%2 == g%2 })
-				}
 			}
 		}(g)
 	}

@@ -107,11 +107,11 @@ func EvalRewritten(ctx context.Context, rw *Rewrite, db *datalog.Database, g dat
 	}
 	if rel := res.IDB[rw.GoalPred]; rel != nil {
 		for _, t := range rel.Tuples() {
-			if matches(g, t) {
+			if g.Matches(t) {
 				out.Answers = append(out.Answers, t)
 			}
 		}
-		sortTuples(out.Answers)
+		datalog.SortTuples(out.Answers)
 	}
 	out.Stats.Answers = len(out.Answers)
 	return out, evalErr

@@ -29,8 +29,10 @@
 //     the adorned goal relation is filtered to the goal bindings.
 //
 // EvalGoal is the one-call entry point; NewRewrite + Rewrite.Seeded +
-// EvalRewritten expose the stages separately so callers (the service's
-// /v1/query) can cache rewrites keyed by (program hash, adornment).
+// EvalRewritten expose the stages separately. A caller that keeps rewrites
+// keyed by (program hash, adornment) — the service does — seeds a cached
+// rewrite per goal with Rewrite.Seeded and evaluates the seeded program
+// itself: the service streams it through internal/stream.
 //
 // The pipeline lives outside package datalog so the engine keeps zero
 // knowledge of the transformation: magic imports the AST and evaluator,
@@ -117,8 +119,6 @@ func (BoundFirstSIP) Order(atoms []datalog.Atom, bound map[string]bool) []int {
 	for v := range bound {
 		b[v] = true
 	}
-	idb := map[string]bool{} // unknown here; boundness alone drives tiers
-	_ = idb
 	remaining := make([]int, len(atoms))
 	for i := range remaining {
 		remaining[i] = i
@@ -201,13 +201,6 @@ func (o Options) sip() SIP {
 	}
 	return o.SIP
 }
-
-// matches reports whether a tuple satisfies the goal's bindings.
-func matches(g datalog.Goal, t datalog.Tuple) bool { return g.Matches(t) }
-
-// sortTuples orders tuples in the canonical datalog.CompareTuples order
-// for deterministic answers.
-func sortTuples(ts []datalog.Tuple) { datalog.SortTuples(ts) }
 
 // validateGoal checks a goal against a program: the predicate must be an
 // IDB of matching arity and every bound value must lie in [0, n).

@@ -20,12 +20,12 @@ func filterEval(t *testing.T, p *datalog.Program, db *datalog.Database, g datalo
 	var out []datalog.Tuple
 	if rel := res.IDB[g.Pred]; rel != nil {
 		for _, tu := range rel.Tuples() {
-			if matches(g, tu) {
+			if g.Matches(tu) {
 				out = append(out, tu)
 			}
 		}
 	}
-	sortTuples(out)
+	datalog.SortTuples(out)
 	return out
 }
 
@@ -36,7 +36,7 @@ func askTopDown(t *testing.T, p *datalog.Program, db *datalog.Database, g datalo
 		t.Fatalf("NewTopDown: %v", err)
 	}
 	out := td.Ask(g)
-	sortTuples(out)
+	datalog.SortTuples(out)
 	return out
 }
 

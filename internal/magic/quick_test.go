@@ -194,7 +194,7 @@ func askTopDownBudget(t *testing.T, p *datalog.Program, db *datalog.Database, g 
 	if err != nil {
 		return nil, err
 	}
-	sortTuples(out)
+	datalog.SortTuples(out)
 	return out, nil
 }
 

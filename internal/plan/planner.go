@@ -71,23 +71,23 @@ func New(cfg Config) *Planner {
 
 // Counters is a snapshot of the planner's lifetime activity.
 type Counters struct {
-	Built        int64 // plans constructed (cache misses that completed)
-	CacheHits    int64
-	CacheMisses  int64
-	RulesPruned  int64 // subsumed rules dropped across all builds
-	AtomsPruned  int64 // redundant body atoms removed across all builds
-	CacheEntries int64 // current cache population
+	Built       int64 // plans constructed (cache misses that completed)
+	CacheHits   int64
+	CacheMisses int64
+	RulesPruned int64 // subsumed rules dropped across all builds
+	AtomsPruned int64 // redundant body atoms removed across all builds
+	Entries     int64 // current cache population
 }
 
 // Counters returns the current totals.
 func (pl *Planner) Counters() Counters {
 	return Counters{
-		Built:        pl.built.Load(),
-		CacheHits:    pl.hits.Load(),
-		CacheMisses:  pl.misses.Load(),
-		RulesPruned:  pl.rulesPruned.Load(),
-		AtomsPruned:  pl.atomsPruned.Load(),
-		CacheEntries: int64(pl.cache.Len()),
+		Built:       pl.built.Load(),
+		CacheHits:   pl.hits.Load(),
+		CacheMisses: pl.misses.Load(),
+		RulesPruned: pl.rulesPruned.Load(),
+		AtomsPruned: pl.atomsPruned.Load(),
+		Entries:     int64(pl.cache.Len()),
 	}
 }
 
@@ -135,9 +135,8 @@ func (pl *Planner) CatalogFor(db *datalog.Database) *Catalog {
 }
 
 // HashProgram is the program component of the plan-cache key: the
-// SHA-256 of the printed program and goal. The service uses the same
-// construction for its result cache, so one program registered there
-// and queried repeatedly maps to one cache line here.
+// SHA-256 of the printed program and goal, so one program queried
+// repeatedly maps to one cache line however its text was written.
 func HashProgram(p *datalog.Program) string {
 	h := sha256.Sum256([]byte(p.String() + "\x00" + p.Goal))
 	return hex.EncodeToString(h[:])

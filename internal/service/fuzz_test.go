@@ -20,7 +20,7 @@ import (
 // so fuzz inputs can reach the deeper validation paths.
 func fuzzService(f *testing.F) *Service {
 	f.Helper()
-	s, err := New(Config{Universe: 6, History: 4, CacheEntries: 8})
+	s, err := New(Config{Universe: 6, History: 4})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -61,8 +61,8 @@ func sameTupleSet(a, b []datalog.Tuple) bool {
 
 // TestGoalQueryMatchesFiltered checks the core contract of the bound
 // query path: a query with Bind set returns exactly the unbound result
-// restricted to the binding, with Origin "magic" and goal stats
-// attached; a repeat hits the result cache under the bind-aware key.
+// restricted to the binding, with Origin "magic" and its demand count
+// attached; a repeat evaluates again and answers the same.
 func TestGoalQueryMatchesFiltered(t *testing.T) {
 	s := newTC(t, 8)
 	if _, err := s.Commit([]datalog.Fact{edge(0, 1), edge(1, 2), edge(2, 3), edge(5, 6)}, nil); err != nil {
@@ -87,8 +87,8 @@ func TestGoalQueryMatchesFiltered(t *testing.T) {
 		if res.Origin != "magic" {
 			t.Fatalf("bound query %v origin %q, want magic", bound, res.Origin)
 		}
-		if res.GoalStats == nil || res.Goal == "" {
-			t.Fatalf("bound query %v missing goal stats (%+v)", bound, res)
+		if res.DemandFacts < 1 || res.Goal == "" {
+			t.Fatalf("bound query %v missing goal or demand (%+v)", bound, res)
 		}
 		want := filtered(full.Tuples, bound)
 		if !sameTupleSet(res.Tuples, want) {
@@ -98,18 +98,18 @@ func TestGoalQueryMatchesFiltered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if again.Origin != "cache" {
-			t.Fatalf("repeat bound query %v origin %q, want cache", bound, again.Origin)
+		if again.Origin != "magic" || again.DemandFacts != res.DemandFacts {
+			t.Fatalf("repeat bound query %v origin %q demand %d, want magic and %d", bound, again.Origin, again.DemandFacts, res.DemandFacts)
 		}
 		if !sameTupleSet(again.Tuples, want) {
-			t.Fatalf("cached bound query %v = %v, want %v", bound, again.Tuples, want)
+			t.Fatalf("repeated bound query %v = %v, want %v", bound, again.Tuples, want)
 		}
 	}
 }
 
-// TestGoalQueryCacheKeysSeparate makes sure a bound result never
-// aliases the full relation in the result cache: interleaving bound and
-// unbound queries at the same version must keep both correct.
+// TestGoalQueryCacheKeysSeparate makes sure a bound result never aliases
+// the full relation: interleaving bound and unbound queries at the same
+// version, and different binding patterns, must keep each correct.
 func TestGoalQueryCacheKeysSeparate(t *testing.T) {
 	s := newTC(t, 8)
 	if _, err := s.Commit([]datalog.Fact{edge(0, 1), edge(1, 2)}, nil); err != nil {
@@ -155,7 +155,7 @@ func TestGoalQueryRewriteCache(t *testing.T) {
 	if st.Magic.GoalQueries != 1 || st.Magic.RewriteMisses != 1 || st.Magic.RewriteHits != 0 {
 		t.Fatalf("after first bound query: %+v", st.Magic)
 	}
-	// Same adornment (bf), different constant → rewrite hit, result miss.
+	// Same adornment (bf), different constant → rewrite hit.
 	if _, err := s.Query(QueryRequest{Program: "tc", Version: -1, Bind: bindOf(2, map[int]int{0: 1})}); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestGoalQueryCancellationDoesNotPoison(t *testing.T) {
 func TestQuickGoalQueryEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const universe = 10
-	s, err := New(Config{Universe: universe, CacheEntries: 8})
+	s, err := New(Config{Universe: universe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,11 +358,10 @@ func TestHTTPGoalQuery(t *testing.T) {
 	if w := post(t, h, "/v1/query", `{"program":"tc","bind":[0]}`); w.Code != http.StatusBadRequest {
 		t.Fatalf("short bind: %d %s", w.Code, w.Body)
 	}
-	// The magic counters surface in /stats: two goal queries, one rewrite
-	// computed, the second query answered from the result cache before the
-	// rewrite cache is consulted.
+	// The magic counters surface in /stats: two goal queries, each
+	// evaluated, one rewrite computed and reused by the second.
 	st := s.Stats()
-	if st.Magic.GoalQueries != 2 || st.Magic.RewriteMisses != 1 || st.Magic.RewriteHits != 0 {
+	if st.Magic.GoalQueries != 2 || st.Magic.RewriteMisses != 1 || st.Magic.RewriteHits != 1 {
 		t.Fatalf("magic stats %+v", st.Magic)
 	}
 }

@@ -312,13 +312,16 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := s.QueryContext(r.Context(), req)
+	if err == nil && wire.Tuple != nil && len(wire.Tuple) != res.Arity {
+		err = fmt.Errorf("service: tuple has %d components, predicate %s has arity %d", len(wire.Tuple), res.Pred, res.Arity)
+	}
 	if err != nil {
 		writeError(w, errorStatus(err), err)
 		return
 	}
 	resp := QueryResponse{Pred: res.Pred, Version: res.Version, Count: len(res.Tuples), Origin: res.Origin, Goal: res.Goal, NextCursor: res.NextCursor}
-	if res.GoalStats != nil {
-		demand := res.GoalStats.DemandFacts
+	if res.Goal != "" {
+		demand := res.DemandFacts
 		resp.DemandFacts = &demand
 	}
 	if wire.Tuple != nil {

@@ -107,6 +107,13 @@ func TestHTTPErrors(t *testing.T) {
 		{"query no program", "/v1/query", `{}`},
 		{"query unknown program", "/v1/query", `{"program":"nope"}`},
 		{"query bad source", "/v1/query", `{"source":"S(x :- E."}`},
+		// A cursor or membership tuple needs one component per argument of
+		// the binary S: a short cursor would restart the walk at (0,0).
+		{"query short cursor", "/v1/query", `{"source":"S(x,y) :- E(x,y). goal S.","limit":3,"cursor":"0"}`},
+		{"query long cursor", "/v1/query", `{"source":"S(x,y) :- E(x,y). goal S.","cursor":"0,0,0"}`},
+		{"ndjson short cursor", "/v1/query", `{"source":"S(x,y) :- E(x,y). goal S.","cursor":"0","stream":true}`},
+		{"query short tuple", "/v1/query", `{"source":"S(x,y) :- E(x,y). goal S.","tuple":[0]}`},
+		{"query long tuple", "/v1/query", `{"source":"S(x,y) :- E(x,y). goal S.","tuple":[0,1,2]}`},
 		{"commit bad json", "/v1/commit", `{"insert":"E"}`},
 		{"commit empty pred", "/v1/commit", `{"insert":[{"pred":"","tuple":[0]}]}`},
 		{"commit no tuple", "/v1/commit", `{"insert":[{"pred":"E"}]}`},
@@ -131,8 +138,8 @@ func TestHTTPErrors(t *testing.T) {
 // TestHTTPMembershipOnLargeView asks for membership in a view of 1,770
 // tuples — the closure of a 60-node chain — where the answer is found by
 // binary search over the canonical order: the first tuple, the last, ones
-// in between, absent ones on both sides of every present one, and tuples
-// of the wrong arity.
+// in between and absent ones on both sides of every present one; a tuple
+// of the wrong arity is a 400.
 func TestHTTPMembershipOnLargeView(t *testing.T) {
 	const n = 60
 	s := newTC(t, n)
@@ -161,20 +168,22 @@ func TestHTTPMembershipOnLargeView(t *testing.T) {
 		tuple string
 		want  bool
 	}{
-		{"[0,1]", true},      // first in the canonical order
-		{"[58,59]", true},    // last
-		{"[0,59]", true},     // end of the first run
-		{"[31,47]", true},    // somewhere inside
-		{"[0,0]", false},     // before everything
-		{"[59,0]", false},    // after everything
-		{"[31,31]", false},   // between two present tuples
-		{"[31,30]", false},   // S is the chain's forward closure only
-		{"[0]", false},       // a prefix of present tuples
-		{"[0,1,2]", false},   // an extension of one
-		{"[58,59,0]", false}, // an extension of the last
+		{"[0,1]", true},    // first in the canonical order
+		{"[58,59]", true},  // last
+		{"[0,59]", true},   // end of the first run
+		{"[31,47]", true},  // somewhere inside
+		{"[0,0]", false},   // before everything
+		{"[59,0]", false},  // after everything
+		{"[31,31]", false}, // between two present tuples
+		{"[31,30]", false}, // S is the chain's forward closure only
 	} {
 		if got := has(c.tuple); got != c.want {
 			t.Errorf("membership of %s = %v, want %v", c.tuple, got, c.want)
+		}
+	}
+	for _, tuple := range []string{"[0]", "[0,1,2]", "[58,59,0]"} {
+		if w := post(t, h, "/v1/query", `{"program":"tc","tuple":`+tuple+`}`); w.Code != http.StatusBadRequest {
+			t.Errorf("membership of %s: %d %s, want 400", tuple, w.Code, w.Body)
 		}
 	}
 }

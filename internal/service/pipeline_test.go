@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/datalog"
+	"repro/internal/magic"
 )
 
 // matrixRow is one cell of the read pipeline's cross product: who names the
@@ -37,10 +39,9 @@ func (r matrixRow) String() string {
 func (r matrixRow) view() bool { return r.registered && r.latest && !r.bound }
 
 // streams reports that the row's first request runs on the streaming
-// executor: an NDJSON request without a cursor, with no sorted answer at
-// hand, over a non-recursive slice.
+// executor: an NDJSON request without a cursor that does not read the view.
 func (r matrixRow) streams() bool {
-	return r.ndjson && r.paging != "cursor" && !r.view() && !r.recursive
+	return r.ndjson && r.paging != "cursor" && !r.view()
 }
 
 // origin is what the first request of a row on a fresh service reports.
@@ -115,10 +116,11 @@ func matrixReference(t *testing.T, r matrixRow, source string) []datalog.Tuple {
 // {registered, ad-hoc source} × {latest, pinned older version} × {unbound,
 // bound} × {JSON, NDJSON} × {no paging, limit, cursor} × {recursive tc,
 // non-recursive hop2}: origin, sortedness, the tuple set against a naive
-// filter of the full fixpoint, next_cursor versus truncated, demand_facts,
-// that walking the pages reassembles the whole answer, and how many
-// evaluations and stream fallbacks the row cost. Each row runs on a fresh
-// service, so its first request finds every cache cold.
+// filter of the full fixpoint, next_cursor versus truncated, demand_facts
+// against magic.EvalRewritten's on the same snapshot, that walking the
+// pages reassembles the whole answer, and how many evaluations the row
+// cost: one per page that does not read the view. Each row runs on a fresh
+// service.
 func TestReadPipelineMatrix(t *testing.T) {
 	const limit = 3
 	var rows []matrixRow
@@ -166,9 +168,40 @@ func TestReadPipelineMatrix(t *testing.T) {
 			if len(whole) <= limit {
 				t.Fatalf("reference answer has %d tuples, too few to page at limit %d", len(whole), limit)
 			}
+			// A bound JSON answer reports the demand-set size magic's own
+			// evaluation of the seeded rewrite derives on the same snapshot.
+			wantDemand := 0
+			if r.bound && !r.ndjson {
+				version := s.Store().Version()
+				if !r.latest {
+					version = v1
+				}
+				snap, ok := s.Store().At(version)
+				if !ok {
+					t.Fatalf("version %d not retained", version)
+				}
+				g := datalog.NewGoal(pred, 2, map[int]int{0: 0})
+				rw, err := magic.NewRewrite(datalog.MustParse(source), g, magic.BoundFirstSIP{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := magic.EvalRewritten(context.Background(), rw, snap.DB, g, datalog.DefaultOptions)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantDemand = ref.Stats.DemandFacts
+			}
+			demandOK := func(p matrixPage) bool {
+				if p.origin != "magic" || r.ndjson {
+					return p.demand == nil
+				}
+				return p.demand != nil && *p.demand == wantDemand
+			}
 			h := s.Handler()
+			pages := 0
 			fetch := func(cursor string, limit int) matrixPage {
 				t.Helper()
+				pages++
 				req := QueryRequestJSON{Limit: limit, Cursor: cursor, Stream: r.ndjson}
 				if r.registered {
 					req.Program = name
@@ -225,8 +258,8 @@ func TestReadPipelineMatrix(t *testing.T) {
 			if page.origin != r.origin() || page.sorted != !r.streams() {
 				t.Fatalf("origin %q sorted %v, want %q %v", page.origin, page.sorted, r.origin(), !r.streams())
 			}
-			if (page.demand != nil) != (page.origin == "magic" && !r.ndjson) {
-				t.Fatalf("demand_facts %v on a %s answer of origin %q", page.demand, r, page.origin)
+			if !demandOK(page) {
+				t.Fatalf("demand_facts %v on a %s answer of origin %q, want %d on bound JSON", page.demand, r, page.origin, wantDemand)
 			}
 			wantLen := len(rest)
 			if pageLimit > 0 && wantLen > pageLimit {
@@ -254,19 +287,15 @@ func TestReadPipelineMatrix(t *testing.T) {
 				}
 			} else {
 				got := append([]datalog.Tuple(nil), page.tuples...)
-				// Walk the rest of the pages by cursor: they come out of the
-				// view or out of the LRU the first page filled.
-				follow := "cache"
-				if r.view() {
-					follow = "materialized"
-				}
+				// Walk the rest of the pages by cursor: each comes from where
+				// the first page came from — the view, or a new evaluation.
 				for next := page.next; next != ""; {
 					if page.truncated {
 						t.Fatalf("sorted page reported truncated")
 					}
 					p := fetch(next, pageLimit)
-					if p.origin != follow || !p.sorted || p.demand != nil {
-						t.Fatalf("page after %q: origin %q sorted %v demand %v, want %q sorted", next, p.origin, p.sorted, p.demand, follow)
+					if p.origin != page.origin || !p.sorted || !demandOK(p) {
+						t.Fatalf("page after %q: origin %q sorted %v demand %v, want %q sorted", next, p.origin, p.sorted, p.demand, page.origin)
 					}
 					if len(p.tuples) == 0 || len(p.tuples) > pageLimit {
 						t.Fatalf("page after %q has %d tuples at limit %d", next, len(p.tuples), pageLimit)
@@ -282,18 +311,13 @@ func TestReadPipelineMatrix(t *testing.T) {
 				}
 			}
 
-			// What the row cost: one evaluation unless it read the view, one
-			// fallback iff a stream was tried on the recursive slice.
-			st := s.Stats()
-			wantEvals, wantFallbacks := int64(1), int64(0)
+			// What the row cost: one evaluation per page, none on the view.
+			wantEvals := int64(pages)
 			if r.view() {
 				wantEvals = 0
 			}
-			if r.ndjson && r.paging != "cursor" && !r.view() && r.recursive {
-				wantFallbacks = 1
-			}
-			if st.Evals != wantEvals || st.Stream.Fallbacks != wantFallbacks {
-				t.Fatalf("scratch evals %d fallbacks %d, want %d and %d", st.Evals, st.Stream.Fallbacks, wantEvals, wantFallbacks)
+			if st := s.Stats(); st.Evals != wantEvals {
+				t.Fatalf("scratch evals %d over %d pages, want %d", st.Evals, pages, wantEvals)
 			}
 		})
 	}

@@ -89,7 +89,10 @@ type resolved struct {
 	prog    *datalog.Program
 	hash    string
 	pred    string
+	arity   int
 	version int64
+	// after is the tuple the request's cursor names; nil without a cursor.
+	after datalog.Tuple
 	// goal is the binding pattern of a bound request and bind its canonical
 	// string ("S(0,_)"); nil and empty when every position is free.
 	goal *datalog.Goal
@@ -104,10 +107,12 @@ type resolved struct {
 // answered from — one load of it — and is the one place a request is
 // validated: the program (registered by name or parsed from inline source),
 // the target predicate (defaulting to the program's goal), the pinned
-// version (<0 means latest: the published version), the limit, and the
-// binding, whose bound positions become the request's datalog.Goal. The
-// result is returned by value and handed on by address, so it stays on the
-// caller's stack: a page read allocates nothing for it.
+// version (<0 means latest: the published version), the limit, the cursor,
+// parsed here into the tuple it names, and the binding, whose bound
+// positions become the request's datalog.Goal. A cursor or binding must
+// have one component per argument of the predicate, and a bound value must
+// lie in the universe. The result is returned by value and handed on by
+// address, so it stays on the caller's stack.
 func (s *Service) resolve(req QueryRequest) (resolved, error) {
 	if err := s.root.Err(); err != nil {
 		return resolved{}, ErrClosed
@@ -140,11 +145,27 @@ func (s *Service) resolve(req QueryRequest) (resolved, error) {
 	if q.pred == "" {
 		q.pred = q.prog.Goal
 	}
-	if !q.prog.IDBs()[q.pred] {
+	for _, r := range q.prog.Rules {
+		if r.Head.Pred == q.pred {
+			q.arity = len(r.Head.Args)
+			break
+		}
+	}
+	if q.arity == 0 {
 		return resolved{}, fmt.Errorf("service: %q is not an IDB predicate of the program", q.pred)
 	}
 	if q.version < 0 {
 		q.version = q.pub.version
+	}
+	if req.Cursor != "" {
+		after, err := parseCursor(req.Cursor)
+		if err != nil {
+			return resolved{}, err
+		}
+		if len(after) != q.arity {
+			return resolved{}, fmt.Errorf("service: cursor %q has %d components, predicate %s has arity %d", req.Cursor, len(after), q.pred, q.arity)
+		}
+		q.after = after
 	}
 	// An all-free (or nil) binding leaves q.goal nil: the unbound request.
 	for i, b := range req.Bind {
@@ -152,12 +173,14 @@ func (s *Service) resolve(req QueryRequest) (resolved, error) {
 			continue
 		}
 		if q.goal == nil {
-			arity := q.prog.Arities()[q.pred]
-			if len(req.Bind) != arity {
-				return resolved{}, fmt.Errorf("service: bind has %d positions, predicate %s has arity %d", len(req.Bind), q.pred, arity)
+			if len(req.Bind) != q.arity {
+				return resolved{}, fmt.Errorf("service: bind has %d positions, predicate %s has arity %d", len(req.Bind), q.pred, q.arity)
 			}
-			g := datalog.NewGoal(q.pred, arity, nil)
+			g := datalog.NewGoal(q.pred, q.arity, nil)
 			q.goal = &g
+		}
+		if *b < 0 || *b >= s.cfg.Universe {
+			return resolved{}, fmt.Errorf("service: bind position %d is %d, outside the universe of size %d", i, *b, s.cfg.Universe)
 		}
 		q.goal.Bound[i], q.goal.Value[i] = true, *b
 	}
@@ -198,22 +221,12 @@ func (s *Service) target(q *resolved) (*datalog.Program, string, error) {
 	return q.seeded, q.rw.GoalPred, nil
 }
 
-// key is the result cache's key for the request's answer.
-func (q *resolved) key() cacheKey {
-	return cacheKey{hash: q.hash, pred: q.pred, version: q.version, bind: q.bind}
-}
-
-// readView returns the sorted materialized view the request reads, when it
-// is an unbound read of a registered program at the published version — the
-// only version whose views are kept; older pinned versions are evaluated
-// from their snapshot. The slice is shared with every other reader:
-// read-only.
-func (s *Service) readView(q *resolved) ([]datalog.Tuple, bool) {
-	if q.pp == nil || q.goal != nil || q.version != q.pub.version {
-		return nil, false
-	}
-	s.met.viewReads.Inc()
-	return q.pp.views[q.pred], true
+// readsView reports that q is an unbound read of a registered program at
+// the published version: the only version whose views are kept, so its
+// answer is the published sorted view. Older pinned versions are evaluated
+// from their snapshot.
+func (q *resolved) readsView() bool {
+	return q.pp != nil && q.goal == nil && q.version == q.pub.version
 }
 
 // snapshotOf returns the EDB snapshot the request is pinned to.

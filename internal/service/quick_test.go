@@ -27,7 +27,7 @@ goal T.
 func maintainedEqualsScratch(seed int64) bool {
 	rng := rand.New(rand.NewSource(seed))
 	n := 4 + rng.Intn(5)
-	s, err := New(Config{Universe: n, History: 4, CacheEntries: 16})
+	s, err := New(Config{Universe: n, History: 4})
 	if err != nil {
 		return false
 	}

@@ -31,8 +31,6 @@ type Config struct {
 	Universe int
 	// History is the number of EDB snapshots kept queryable (default 64).
 	History int
-	// CacheEntries bounds the query-result LRU (default 256).
-	CacheEntries int
 	// Workers bounds concurrent from-scratch evaluations for historical
 	// and ad-hoc queries (default GOMAXPROCS).
 	Workers int
@@ -86,7 +84,6 @@ type Service struct {
 	cfg      Config
 	opts     datalog.Options
 	store    *Store
-	cache    *lru.Cache[cacheKey, []datalog.Tuple]
 	rewrites *lru.Cache[rewriteKey, *magic.Rewrite]
 	exec     *executor
 	// planner is the shared cost-based join planner; evaluations bind it
@@ -133,8 +130,6 @@ type serviceMetrics struct {
 	commitErrors     *obs.Counter
 	scratchEvals     *obs.Counter
 	evalRounds       *obs.Counter
-	cacheHits        *obs.Counter
-	cacheMisses      *obs.Counter
 	programsDropped  *obs.Counter
 	goalQueries      *obs.Counter
 	rewriteHits      *obs.Counter
@@ -142,7 +137,6 @@ type serviceMetrics struct {
 	checkpointErrors *obs.Counter
 	streamQueries    *obs.Counter
 	streamRows       *obs.Counter
-	streamFallbacks  *obs.Counter
 	viewReads        *obs.Counter
 	dredOverDeleted  *obs.Counter
 	dredRederived    *obs.Counter
@@ -206,9 +200,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.History == 0 {
 		cfg.History = 64
 	}
-	if cfg.CacheEntries == 0 {
-		cfg.CacheEntries = 256
-	}
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = 256
 	}
@@ -223,8 +214,7 @@ func New(cfg Config) (*Service, error) {
 		cfg:      cfg,
 		opts:     datalog.DefaultOptions.WithParallelism(cfg.Parallelism),
 		store:    NewStore(cfg.Universe, cfg.History),
-		cache:    lru.New[cacheKey, []datalog.Tuple](cfg.CacheEntries),
-		rewrites: lru.New[rewriteKey, *magic.Rewrite](rewriteCacheEntries),
+		rewrites: lru.New[rewriteKey, *magic.Rewrite](rewriteEntries),
 		exec:     newExecutor(cfg.Workers),
 		planner:  plan.New(plan.Config{}),
 		root:     root,
@@ -369,15 +359,12 @@ func (s *Service) initMetrics() {
 		commitErrors:    r.Counter("datalog_commit_errors_total", "commits rejected or aborted"),
 		scratchEvals:    r.Counter("datalog_scratch_evals_total", "from-scratch fixpoint evaluations"),
 		evalRounds:      r.Counter("datalog_eval_rounds_total", "fixpoint rounds executed by evaluations and maintenance"),
-		cacheHits:       r.Counter("datalog_cache_hits_total", "query-result cache hits"),
-		cacheMisses:     r.Counter("datalog_cache_misses_total", "query-result cache misses"),
 		programsDropped: r.Counter("datalog_programs_dropped_total", "registrations dropped after an aborted maintenance run"),
 		goalQueries:     r.Counter("datalog_goal_queries_total", "bound queries answered through the magic-set pipeline"),
 		rewriteHits:     r.Counter("datalog_rewrite_cache_hits_total", "magic rewrite cache hits"),
 		rewriteMisses:   r.Counter("datalog_rewrite_cache_misses_total", "magic rewrite cache misses"),
 		streamQueries:   r.Counter("datalog_stream_queries_total", "queries served through the streaming executor (QueryStream / NDJSON)"),
 		streamRows:      r.Counter("datalog_stream_rows_total", "tuples delivered by streaming queries"),
-		streamFallbacks: r.Counter("datalog_stream_fallbacks_total", "streaming queries that fell back to materialized evaluation (recursive slice)"),
 		viewReads:       r.Counter("datalog_view_reads_total", "unbound reads of a registered program served from its published sorted view"),
 		dredOverDeleted: r.Counter("datalog_dred_overdeleted_total", "view tuples delete maintenance over-deleted: their recorded witness lost a fact"),
 		dredRederived:   r.Counter("datalog_dred_rederived_total", "over-deleted view tuples rederivation brought back; the rest left their view"),
@@ -426,9 +413,6 @@ func (s *Service) initMetrics() {
 	r.CounterFunc("datalog_index_builds_total", "join indexes built on snapshot relations (first probe of a relation on a column mask; later versions inherit the index)", func() int64 {
 		return s.store.IndexBuilds()
 	})
-	r.GaugeFunc("datalog_cache_entries", "live query-result cache entries", func() float64 {
-		return float64(s.cache.Len())
-	})
 	r.GaugeFunc("datalog_rewrite_cache_entries", "live magic rewrite cache entries", func() float64 {
 		return float64(s.rewrites.Len())
 	})
@@ -472,7 +456,7 @@ func (s *Service) initMetrics() {
 		return s.planner.Counters().AtomsPruned
 	})
 	r.GaugeFunc("datalog_plan_cache_entries", "live plan cache entries", func() float64 {
-		return float64(s.planner.Counters().CacheEntries)
+		return float64(s.planner.Counters().Entries)
 	})
 }
 
@@ -518,7 +502,7 @@ func (s *Service) Store() *Store { return s.store }
 
 // ProgramHash returns the canonical hash of a program: SHA-256 of its
 // printed form, so textual variants that parse to the same rules share
-// cache entries.
+// rewrite-cache entries.
 func ProgramHash(p *datalog.Program) string {
 	sum := sha256.Sum256([]byte(p.String()))
 	return hex.EncodeToString(sum[:])
@@ -631,10 +615,9 @@ func (s *Service) registerLocked(ctx context.Context, name, source string, persi
 }
 
 // Unregister drops a registered program, reporting whether it existed.
-// Cached results for its hash stay valid (they are version-pinned) and
-// age out of the LRU. With durable storage the drop is logged so the
-// program stays gone after a restart; the in-memory drop stands even if
-// the append fails (the error reports the durability gap).
+// With durable storage the drop is logged so the program stays gone after
+// a restart; the in-memory drop stands even if the append fails (the error
+// reports the durability gap).
 func (s *Service) Unregister(name string) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -767,10 +750,6 @@ func (s *Service) commitLocked(insert, del []datalog.Fact, persist bool) (Commit
 	// empty commits keeps the history's version range contiguous, which
 	// is what makes resume gap detection sound.
 	s.publishCommit(snap.Version, deltas)
-	// Results below the oldest retained version can no longer be recomputed
-	// and only occupy LRU slots.
-	oldest := s.store.Oldest()
-	s.cache.RemoveIf(func(k cacheKey) bool { return k.version < oldest })
 	s.commits.Add(1)
 	s.sinceCkpt++
 	if persist {
@@ -836,9 +815,8 @@ type QueryRequest struct {
 	// Bind, when non-nil, must have one entry per argument of Pred: a
 	// non-nil entry binds that position to its value, nil leaves it free.
 	// A query with at least one bound position is answered goal-directed
-	// through the magic-set pipeline; an all-free (or nil) Bind falls
-	// back to the unrewritten view — materialized, cached, or evaluated
-	// from scratch as before.
+	// through the magic-set pipeline; an all-free (or nil) Bind reads the
+	// unrewritten program — its published view, or an evaluation.
 	Bind []*int
 	// Limit caps the number of tuples returned (0 = all). Non-streaming
 	// results are in the canonical datalog.CompareTuples order, so a
@@ -846,9 +824,9 @@ type QueryRequest struct {
 	// next page.
 	Limit int
 	// Cursor resumes a paginated read strictly after the tuple a previous
-	// page's NextCursor named (comma-joined components). Cursors are
-	// defined only over the canonical sorted order, so a request with a
-	// cursor is always served from the sorted answer set.
+	// page's NextCursor named: comma-joined components, one per argument of
+	// Pred. Cursors are defined only over the canonical sorted order, so a
+	// request with a cursor is always served from the sorted answer set.
 	Cursor string
 }
 
@@ -856,21 +834,23 @@ type QueryRequest struct {
 type QueryResult struct {
 	Pred    string
 	Version int64
-	Tuples  []datalog.Tuple
+	// Arity is Pred's arity: the length of every tuple.
+	Arity  int
+	Tuples []datalog.Tuple
 	// Origin reports how the result was obtained: "materialized" (a
 	// registered program's published view at the latest version — every
 	// such read, first or repeated), "eval" (from-scratch evaluation of a
-	// snapshot), "magic" (goal-directed evaluation of the magic-set
-	// rewrite) or "cache" (a repeated eval or magic answer out of the LRU).
-	// Materialized tuples are the published slice itself, shared with every
-	// other reader: read-only.
+	// snapshot) or "magic" (goal-directed evaluation of the magic-set
+	// rewrite); every read that is not of the view evaluates. Materialized
+	// tuples are the published slice itself, shared with every other
+	// reader: read-only.
 	Origin string
 	// Goal echoes the binding pattern of a goal-directed query in
 	// datalog.Goal.String form (e.g. "S(0,_)"); empty otherwise.
 	Goal string
-	// GoalStats carries the magic pipeline's counters (demand-set size
-	// among them) for Origin "magic"; nil otherwise.
-	GoalStats *magic.GoalStats
+	// DemandFacts is the demand-set size of a goal-directed query: the
+	// rows of the rewrite's magic predicates its evaluation derived.
+	DemandFacts int
 	// NextCursor is set when Limit truncated the (canonically sorted)
 	// answer set: passing it back as QueryRequest.Cursor returns the next
 	// page. Empty on the final page.
@@ -885,12 +865,12 @@ func (s *Service) Query(req QueryRequest) (QueryResult, error) {
 // QueryContext returns the tuples of one IDB predicate at an EDB version:
 // the request is resolved once, its sorted answer taken from answer, and
 // the page cut out of it. Latest-version queries of registered programs
-// read the published sorted view — no lock, no copy, no cache; a page is
-// a binary search plus a slice of it. Anything else — historical versions,
-// ad-hoc programs, bound requests — is evaluated from the pinned snapshot
-// on the bounded executor under ctx (plus the per-query timeout and the
-// service lifetime): a cancelled client stops queueing immediately and
-// aborts a running evaluation within one fixpoint round.
+// read the published sorted view — no lock, no copy; a page is a binary
+// search plus a slice of it. Anything else — historical versions, ad-hoc
+// programs, bound requests — is evaluated from the pinned snapshot on the
+// bounded executor under ctx (plus the per-query timeout and the service
+// lifetime): a cancelled client stops queueing immediately and aborts a
+// running evaluation within one fixpoint round.
 func (s *Service) QueryContext(ctx context.Context, req QueryRequest) (QueryResult, error) {
 	s.met.queries.Inc()
 	start := time.Now()
@@ -902,11 +882,11 @@ func (s *Service) QueryContext(ctx context.Context, req QueryRequest) (QueryResu
 		}
 		res, err = s.answer(ctx, &q)
 	}
-	if err == nil && (req.Limit > 0 || req.Cursor != "") {
+	if err == nil && (req.Limit > 0 || q.after != nil) {
 		// Whatever its origin, answer's slice is in the canonical sorted
 		// order (see datalog.CompareTuples), so the page boundary is stable
 		// across repeated reads of the same version.
-		res.Tuples, res.NextCursor, err = pageTuples(res.Tuples, req.Cursor, req.Limit)
+		res.Tuples, res.NextCursor = pageTuples(res.Tuples, q.after, req.Limit)
 	}
 	s.met.querySeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
@@ -916,83 +896,49 @@ func (s *Service) QueryContext(ctx context.Context, req QueryRequest) (QueryResu
 	return res, nil
 }
 
-// atHand returns the request's sorted answer when it exists already: the
-// published view (an unbound read of a registered program at the published
-// version), else the result cache's entry under (program hash, predicate,
-// version, binding). On a miss it returns the answer's header for answer to
-// fill.
-func (s *Service) atHand(q *resolved) (QueryResult, bool) {
-	res := QueryResult{Pred: q.pred, Version: q.version, Goal: q.bind}
-	if tuples, ok := s.readView(q); ok {
-		res.Tuples, res.Origin = tuples, "materialized"
-		return res, true
-	}
-	if tuples, ok := s.cache.Get(q.key()); ok {
-		s.met.cacheHits.Inc()
-		res.Tuples, res.Origin = tuples, "cache"
-		return res, true
-	}
-	s.met.cacheMisses.Inc()
-	return res, false
-}
-
 // answer is the one source of a request's whole answer in the canonical
-// sorted order: what is at hand, else one evaluation of the pinned snapshot
-// on the bounded executor — the source program, or for a bound request its
-// seeded magic rewrite — whose answer the result cache then keeps.
-// Evaluation derives into relations of its own and only reads the snapshot,
-// so a cancelled or failed one leaves nothing behind — not in the snapshot,
-// and not in the registered incremental view, which it never touches.
+// sorted order: the published view, else one evaluation of the pinned
+// snapshot on the bounded executor — the stream of q's target (the source
+// program, or a bound request's seeded magic rewrite) drained and sorted
+// once. The evaluation derives into relations of its own and only reads the
+// snapshot, so a cancelled or failed one leaves nothing behind — not in the
+// snapshot, and not in the registered incremental view, which it never
+// touches.
 func (s *Service) answer(ctx context.Context, q *resolved) (QueryResult, error) {
-	res, ok := s.atHand(q)
-	if ok {
+	res := QueryResult{Pred: q.pred, Version: q.version, Arity: q.arity, Goal: q.bind}
+	if q.readsView() {
+		s.met.viewReads.Inc()
+		res.Tuples, res.Origin = q.pp.views[q.pred], "materialized"
 		return res, nil
-	}
-	prog, _, err := s.target(q)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	snap, err := s.snapshotOf(q)
-	if err != nil {
-		return QueryResult{}, err
 	}
 	ctx, done := s.scoped(ctx, s.cfg.QueryTimeout)
 	defer done()
-	var evalErr error
-	err = s.exec.do(ctx, func() {
+	// The executor admits the whole evaluation, planning included.
+	var st *stream.Stream
+	var runErr error
+	if err := s.exec.do(ctx, func() {
+		if st, runErr = s.open(ctx, q, 0); runErr != nil {
+			return
+		}
 		s.met.scratchEvals.Inc()
-		var run *datalog.Result
-		if q.goal == nil {
-			run, evalErr = datalog.EvalContext(ctx, prog, snap.DB, s.optsFor(snap))
-			if evalErr == nil {
-				res.Tuples, res.Origin = run.IDB[q.pred].Tuples(), "eval"
-			}
-		} else {
-			var goalRes *magic.GoalResult
-			goalRes, evalErr = magic.EvalRewritten(ctx, q.rw, snap.DB, *q.goal, s.optsFor(snap))
-			if goalRes != nil {
-				run = goalRes.Result
-				stats := goalRes.Stats
-				res.Tuples, res.Origin, res.GoalStats = goalRes.Answers, "magic", &stats
-			}
-		}
-		if run != nil {
-			s.met.evalRounds.Add(int64(run.Rounds))
-		}
-		if evalErr == nil {
-			s.observeEstimation(prog, snap, run.Stats)
-		}
-	})
-	if err == nil {
-		err = evalErr
-	}
-	if err != nil {
+		res.Tuples, runErr = stream.Collect(st)
+		s.met.evalRounds.Add(st.Counters().Rounds)
+	}); err != nil {
 		return QueryResult{}, err
 	}
-	if res.GoalStats != nil {
-		s.met.demandFacts.Observe(float64(res.GoalStats.DemandFacts))
+	if runErr != nil {
+		return QueryResult{}, runErr
 	}
-	s.cache.Put(q.key(), res.Tuples)
+	res.Origin = "eval"
+	if q.goal != nil {
+		res.Origin = "magic"
+		for name, kind := range q.rw.Kinds {
+			if kind == magic.KindMagic {
+				res.DemandFacts += st.Rows(name)
+			}
+		}
+		s.met.demandFacts.Observe(float64(res.DemandFacts))
+	}
 	return res, nil
 }
 
@@ -1017,8 +963,8 @@ type ExplainResult struct {
 	Actuals []datalog.RuleStats
 	// Stream is the streaming executor's per-step stream/materialize
 	// decisions for this query (rule- and step-aligned with Plan.Rules),
-	// including the estimated peak buffered-row footprint; Streaming is
-	// false with Reason "recursive" when a streamed run would fall back.
+	// including the estimated peak buffered-row footprint; the rules of a
+	// recursive component report via "fixpoint".
 	Stream *stream.Decisions
 }
 
@@ -1028,11 +974,10 @@ func (s *Service) Explain(req QueryRequest) (ExplainResult, error) {
 }
 
 // ExplainContext plans a query — resolved exactly as QueryContext resolves
-// it; Limit and Cursor say nothing about a plan and are not read — and
-// evaluates the planned program against the pinned snapshot to report
-// estimated versus actual rows per rule, without serving tuples from a
-// cache. Bound requests are explained as the service runs them: the plan
-// shown is the plan of the magic-set-rewritten, seeded program.
+// it; Limit and Cursor say nothing about a plan — and evaluates the planned
+// program against the pinned snapshot to report estimated versus actual
+// rows per rule. Bound requests are explained as the service runs them:
+// the plan shown is the plan of the magic-set-rewritten, seeded program.
 func (s *Service) ExplainContext(ctx context.Context, req QueryRequest) (ExplainResult, error) {
 	q, err := s.resolve(req)
 	if err != nil {
@@ -1124,14 +1069,7 @@ type Stats struct {
 	Evals     int64           `json:"scratch_evals"`
 	Snapshots []SnapshotStats `json:"snapshots"`
 	Programs  []ProgramStats  `json:"programs"`
-	Cache     struct {
-		Hits      int64 `json:"hits"`
-		Misses    int64 `json:"misses"`
-		Evictions int64 `json:"evictions"`
-		Entries   int   `json:"entries"`
-		Capacity  int   `json:"capacity"`
-	} `json:"cache"`
-	Executor struct {
+	Executor  struct {
 		Workers  int   `json:"workers"`
 		InFlight int64 `json:"in_flight"`
 		Peak     int64 `json:"peak"`
@@ -1147,7 +1085,6 @@ type Stats struct {
 	Stream struct {
 		Queries      int64 `json:"queries"`
 		Rows         int64 `json:"rows"`
-		Fallbacks    int64 `json:"fallbacks"`
 		Active       int64 `json:"active"`
 		PeakBuffered int64 `json:"peak_buffered_rows"`
 	} `json:"stream"`
@@ -1212,14 +1149,11 @@ func (s *Service) Stats() Stats {
 		st.Programs = append(st.Programs, pp.stats)
 	}
 	sort.Slice(st.Programs, func(i, j int) bool { return st.Programs[i].Name < st.Programs[j].Name })
-	st.Cache.Hits, st.Cache.Misses = s.met.cacheHits.Value(), s.met.cacheMisses.Value()
-	st.Cache.Evictions, st.Cache.Entries, st.Cache.Capacity = s.cache.Evictions(), s.cache.Len(), s.cache.Cap()
 	st.Magic.GoalQueries = s.met.goalQueries.Value()
 	st.Magic.RewriteHits, st.Magic.RewriteMisses = s.met.rewriteHits.Value(), s.met.rewriteMisses.Value()
 	st.Magic.Entries, st.Magic.Capacity = s.rewrites.Len(), s.rewrites.Cap()
 	st.Stream.Queries = s.met.streamQueries.Value()
 	st.Stream.Rows = s.met.streamRows.Value()
-	st.Stream.Fallbacks = s.met.streamFallbacks.Value()
 	st.Stream.Active = s.met.streamsActive.Value()
 	st.Stream.PeakBuffered = s.met.streamPeakBuf.Value()
 	st.Subscribe.Active = s.subs.active()
@@ -1240,7 +1174,7 @@ func (s *Service) Stats() Stats {
 	st.Planner.CacheMisses = pc.CacheMisses
 	st.Planner.RulesPruned = pc.RulesPruned
 	st.Planner.AtomsPruned = pc.AtomsPruned
-	st.Planner.Entries = pc.CacheEntries
+	st.Planner.Entries = pc.Entries
 	st.Planner.Epoch = fmt.Sprintf("%016x", pub.snap.Stats.Fingerprint())
 	if s.log != nil {
 		c := s.log.Counters()

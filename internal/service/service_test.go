@@ -44,7 +44,7 @@ func TestRegisterCommitQuery(t *testing.T) {
 	if res.Origin != "materialized" {
 		t.Fatalf("first query origin %q, want materialized", res.Origin)
 	}
-	// Identical query → the published view again, never the LRU.
+	// Identical query → the published view again, never an evaluation.
 	res2, err := s.Query(QueryRequest{Program: "tc", Version: res.Version})
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +52,8 @@ func TestRegisterCommitQuery(t *testing.T) {
 	if res2.Origin != "materialized" {
 		t.Fatalf("repeat query origin %q, want materialized", res2.Origin)
 	}
-	if st := s.Stats(); st.Cache.Entries != 0 || st.Cache.Hits+st.Cache.Misses != 0 {
-		t.Fatalf("view reads touched the result cache: %+v", st.Cache)
+	if st := s.Stats(); st.Evals != 0 {
+		t.Fatalf("view reads evaluated %d times", st.Evals)
 	}
 }
 
@@ -83,34 +83,6 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	if len(cur.Tuples) != 6 {
 		t.Fatalf("latest version has %d closure tuples, want 6", len(cur.Tuples))
-	}
-}
-
-func TestAdHocQuerySharesCacheByHash(t *testing.T) {
-	s := newTC(t, 8)
-	if _, err := s.Commit([]datalog.Fact{edge(0, 1), edge(1, 2)}, nil); err != nil {
-		t.Fatal(err)
-	}
-	v1 := s.Store().Version()
-	if _, err := s.Commit([]datalog.Fact{edge(2, 3)}, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Warm the cache through the registered program at a pinned older
-	// version (the latest is served from the published view, not the LRU)...
-	first, err := s.Query(QueryRequest{Program: "tc", Version: v1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Origin != "eval" {
-		t.Fatalf("pinned query origin %q, want eval", first.Origin)
-	}
-	// ...then the same program text ad hoc must hit it (same hash).
-	adhoc, err := s.Query(QueryRequest{Source: tcSource, Version: first.Version})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adhoc.Origin != "cache" {
-		t.Fatalf("ad-hoc query origin %q, want cache", adhoc.Origin)
 	}
 }
 
@@ -176,17 +148,14 @@ func TestStatsCounters(t *testing.T) {
 	if _, err := s.Commit([]datalog.Fact{edge(0, 1), edge(1, 2)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ { // one evaluation, then two hits on its cached answer
+	for i := 0; i < 3; i++ { // an ad-hoc source evaluates on every read
 		if _, err := s.Query(QueryRequest{Source: tcSource, Version: -1}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := s.Stats()
-	if st.Commits != 1 || st.Queries != 3 {
-		t.Fatalf("commits=%d queries=%d, want 1 and 3", st.Commits, st.Queries)
-	}
-	if st.Cache.Hits != 2 || st.Cache.Misses != 1 {
-		t.Fatalf("cache hits=%d misses=%d, want 2 and 1", st.Cache.Hits, st.Cache.Misses)
+	if st.Commits != 1 || st.Queries != 3 || st.Evals != 3 {
+		t.Fatalf("commits=%d queries=%d evals=%d, want 1, 3 and 3", st.Commits, st.Queries, st.Evals)
 	}
 	if len(st.Programs) != 1 || st.Programs[0].Name != "tc" || st.Programs[0].IDBSizes["S"] != 3 {
 		t.Fatalf("program stats %+v", st.Programs)
@@ -200,7 +169,7 @@ func TestStatsCounters(t *testing.T) {
 // materialized queries, historical queries and stats reads; run under
 // -race (make verify does) this is the race gate for the service layer.
 func TestConcurrentQueryCommit(t *testing.T) {
-	s, err := New(Config{Universe: 24, History: 8, CacheEntries: 32, Workers: 4})
+	s, err := New(Config{Universe: 24, History: 8, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

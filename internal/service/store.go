@@ -3,10 +3,9 @@
 // whose fixpoints are maintained incrementally across commits (delta
 // seeding for insertions, delete-and-rederive for deletions — see
 // internal/datalog's Incremental) and whose sorted views are published to
-// readers with one pointer store per commit (publish.go), an LRU cache of
-// evaluated query results keyed by (program hash, predicate, EDB version,
-// binding), and a bounded-worker executor
-// so many clients can evaluate concurrently against shared snapshots.
+// readers with one pointer store per commit (publish.go), and a
+// bounded-worker executor so many clients can evaluate concurrently against
+// shared snapshots; every read that is not of a published view evaluates.
 // The HTTP front end in http.go exposes it as /register, /commit, /query
 // and /stats; cmd/serve runs it.
 package service

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -13,12 +12,11 @@ import (
 )
 
 // Pagination cursors. A cursor names the last tuple already delivered —
-// its components comma-joined ("3,0,7") — and a resumed read returns the
-// tuples strictly after it in the canonical datalog.CompareTuples order.
-// Because every non-streaming origin (cache, published view, from-
-// scratch evaluation, magic answers) returns that order, a cursor stays
-// valid across repeated reads of the same version regardless of which
-// origin serves the next page.
+// its components comma-joined ("3,0,7"), one per argument of the predicate
+// — and a resumed read returns the tuples strictly after it in the
+// canonical datalog.CompareTuples order. Because every non-streaming origin
+// (published view, from-scratch evaluation, magic answers) returns that
+// order, a cursor stays valid across repeated reads of the same version.
 
 // encodeCursor renders a tuple as a resumption cursor.
 func encodeCursor(t datalog.Tuple) string {
@@ -29,7 +27,8 @@ func encodeCursor(t datalog.Tuple) string {
 	return strings.Join(parts, ",")
 }
 
-// parseCursor decodes a cursor back into the tuple it names.
+// parseCursor decodes a cursor back into the tuple it names; resolve checks
+// its length against the predicate's arity.
 func parseCursor(c string) (datalog.Tuple, error) {
 	parts := strings.Split(c, ",")
 	t := make(datalog.Tuple, len(parts))
@@ -44,15 +43,11 @@ func parseCursor(c string) (datalog.Tuple, error) {
 }
 
 // pageTuples slices one page out of a canonically sorted answer set:
-// everything strictly after the cursor, at most limit rows (0 = all).
-// The returned cursor is empty on the final page.
-func pageTuples(sorted []datalog.Tuple, cursor string, limit int) ([]datalog.Tuple, string, error) {
+// everything strictly after the tuple after (nil: from the start), at most
+// limit rows (0 = all). The returned cursor is empty on the final page.
+func pageTuples(sorted []datalog.Tuple, after datalog.Tuple, limit int) ([]datalog.Tuple, string) {
 	start := 0
-	if cursor != "" {
-		after, err := parseCursor(cursor)
-		if err != nil {
-			return nil, "", err
-		}
+	if after != nil {
 		start = sort.Search(len(sorted), func(i int) bool {
 			return datalog.CompareTuples(sorted[i], after) > 0
 		})
@@ -60,9 +55,9 @@ func pageTuples(sorted []datalog.Tuple, cursor string, limit int) ([]datalog.Tup
 	page := sorted[start:]
 	if limit > 0 && len(page) > limit {
 		page = page[:limit]
-		return page, encodeCursor(page[len(page)-1]), nil
+		return page, encodeCursor(page[len(page)-1])
 	}
-	return page, "", nil
+	return page, ""
 }
 
 // QueryStream is one open streaming query: tuples are pulled one at a
@@ -72,9 +67,8 @@ func pageTuples(sorted []datalog.Tuple, cursor string, limit int) ([]datalog.Tup
 // opens one.
 type QueryStream struct {
 	// Pred, Version, Origin and Goal mirror QueryResult. Origin "stream"
-	// is the genuinely incremental path; "cache", "materialized", "eval"
-	// and "magic" serve an already-complete sorted answer set tuple by
-	// tuple.
+	// is the genuinely incremental path; "materialized", "eval" and "magic"
+	// serve an already-complete sorted answer set tuple by tuple.
 	Pred    string
 	Version int64
 	Origin  string
@@ -161,24 +155,19 @@ func (q *QueryStream) Close() {
 
 // QueryStream opens req as a pull stream of answer tuples.
 //
-// A request with no Cursor and no sorted answer already at hand is tried on
-// the streaming executor (internal/stream): the non-recursive slice
-// reachable from the resolved target's predicate is compiled into an
-// iterator tree over the pinned snapshot and answers are delivered as they
-// are derived, with a reached Limit terminating evaluation early. Bound
-// requests stream the seeded magic-set rewrite's answer predicate under the
-// goal filter. What the code observes decides, never an option: a Cursor
-// (cursors are defined only over the canonical sorted order), an unbound
-// request's view or cached evaluation at hand, or stream.ErrRecursive from
-// the compile (the streaming executor has no fixpoint operator) each send
-// the request to answer instead, whose sorted tuples are served one by one
-// with exact pagination. A bound request is not looked up before it is
-// streamed: goal answers enter the cache only through answer, so a lookup
-// per streamed goal would count little but misses.
+// A request with no Cursor that does not read a published view runs on the
+// streaming executor (internal/stream): the slice reachable from the
+// resolved target's predicate is compiled into an iterator tree over the
+// pinned snapshot — a recursive component is one fixpoint the evaluator
+// fills on first pull — and answers are delivered as they are derived, with
+// a reached Limit terminating evaluation early. Bound requests stream the
+// seeded magic-set rewrite's answer predicate under the goal filter. A
+// Cursor (cursors are defined only over the canonical sorted order) or the
+// view sends the request to answer instead, whose sorted tuples are served
+// one by one with exact pagination.
 //
 // A streamed origin holds an executor worker slot for its whole life, so a
-// slow consumer occupies a slot; Close releases it. Streamed results are
-// not cached: they may be truncated and arrive unordered.
+// slow consumer occupies a slot; Close releases it.
 func (s *Service) QueryStream(ctx context.Context, req QueryRequest) (qs *QueryStream, err error) {
 	s.met.queries.Inc()
 	s.met.streamQueries.Inc()
@@ -197,33 +186,23 @@ func (s *Service) QueryStream(ctx context.Context, req QueryRequest) (qs *QueryS
 	if q.goal != nil {
 		s.met.goalQueries.Inc()
 	}
-	if req.Cursor == "" {
-		if q.goal == nil {
-			if res, ok := s.atHand(&q); ok {
-				return s.sliceStream(res, res.Tuples, req.Limit), nil
-			}
-		}
-		if qs, err = s.openStream(ctx, &q, req.Limit); !errors.Is(err, stream.ErrRecursive) {
-			return qs, err
-		}
-		s.met.streamFallbacks.Inc()
+	if q.after == nil && !q.readsView() {
+		return s.openStream(ctx, &q, req.Limit)
 	}
 	res, err := s.answer(ctx, &q)
 	if err != nil {
 		return nil, err
 	}
-	page, _, err := pageTuples(res.Tuples, req.Cursor, 0)
-	if err != nil {
-		return nil, err
-	}
+	page, _ := pageTuples(res.Tuples, q.after, 0)
 	return s.sliceStream(res, page, req.Limit), nil
 }
 
-// openStream runs q's target over its pinned snapshot, read in place, on
-// the streaming executor; stream.ErrRecursive reports a slice it cannot
-// run. A bound request evaluates the rewrite's answer predicate under the
-// goal filter but reports the predicate that was asked for.
-func (s *Service) openStream(ctx context.Context, q *resolved, limit int) (*QueryStream, error) {
+// open compiles q's target — the source program and predicate, or a bound
+// request's seeded magic rewrite and its answer predicate under the goal
+// filter — over the pinned snapshot, read in place, planned by the shared
+// planner. limit caps the answers (0 = all). Nothing is evaluated before the
+// first pull.
+func (s *Service) open(ctx context.Context, q *resolved, limit int) (*stream.Stream, error) {
 	prog, pred, err := s.target(q)
 	if err != nil {
 		return nil, err
@@ -233,15 +212,20 @@ func (s *Service) openStream(ctx context.Context, q *resolved, limit int) (*Quer
 		return nil, err
 	}
 	pp, _ := s.planner.PlanProgram(prog, snap.Stats)
-	opt := stream.Options{Eval: s.optsFor(snap), Filter: q.goal, Plan: pp}
+	return stream.Open(ctx, prog, snap.DB, pred, stream.Options{Eval: s.opts, Plan: pp, Limit: limit, Filter: q.goal})
+}
+
+// openStream runs q on the streaming executor as a QueryStream of origin
+// "stream"; a bound request reports the predicate that was asked for.
+func (s *Service) openStream(ctx context.Context, q *resolved, limit int) (*QueryStream, error) {
+	sctx, done := s.scoped(ctx, s.cfg.QueryTimeout)
+	lim := 0
 	if limit > 0 {
 		// One past the caller's limit so the wrapper's lookahead can
 		// report whether the answer set was truncated.
-		opt.Limit = limit + 1
+		lim = limit + 1
 	}
-
-	sctx, done := s.scoped(ctx, s.cfg.QueryTimeout)
-	st, err := stream.Open(sctx, prog, snap.DB, pred, opt)
+	st, err := s.open(sctx, q, lim)
 	if err == nil {
 		// The evaluation spans the whole drain, so the worker slot is
 		// held from here until Close.
@@ -261,7 +245,9 @@ func (s *Service) openStream(ctx context.Context, q *resolved, limit int) (*Quer
 		errf:  st.Err,
 		limit: limit,
 		cleanup: []func(){done, s.exec.release, func() {
-			s.met.streamPeakBuf.SetMax(st.Counters().PeakBuffered)
+			c := st.Counters()
+			s.met.streamPeakBuf.SetMax(c.PeakBuffered)
+			s.met.evalRounds.Add(c.Rounds)
 			st.Close()
 		}},
 	}, nil

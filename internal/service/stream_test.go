@@ -126,25 +126,30 @@ func TestQueryStreamOrigins(t *testing.T) {
 		t.Fatalf("streamed answers differ after sort:\ngot  %v\nwant %v", sortedCopy(streamed), ref.Tuples)
 	}
 
-	// Recursive ad-hoc source: falls back to materialized evaluation.
-	fallbacks := s.Stats().Stream.Fallbacks
+	// Recursive ad-hoc source: streamed too, out of the fixpoint the
+	// evaluator fills on the first pull.
 	q2, err := s.QueryStream(t.Context(), QueryRequest{Source: tcSource, Version: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
+	var closure []datalog.Tuple
 	for {
-		if _, ok := q2.Next(); !ok {
+		tu, ok := q2.Next()
+		if !ok {
 			break
 		}
-		n++
+		closure = append(closure, tu)
 	}
 	q2.Close()
-	if q2.Origin == "stream" || !q2.Sorted {
-		t.Fatalf("recursive source: origin=%q sorted=%v, want fallback/sorted", q2.Origin, q2.Sorted)
+	if q2.Origin != "stream" || q2.Sorted || q2.Err() != nil {
+		t.Fatalf("recursive source: origin=%q sorted=%v err=%v, want stream/unsorted", q2.Origin, q2.Sorted, q2.Err())
 	}
-	if got := s.Stats().Stream.Fallbacks; got != fallbacks+1 {
-		t.Fatalf("fallback counter %d, want %d", got, fallbacks+1)
+	ref2, err := s.Query(QueryRequest{Source: tcSource, Version: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(sortedCopy(closure)) != fmt.Sprint(ref2.Tuples) {
+		t.Fatalf("streamed closure differs after sort:\ngot  %v\nwant %v", sortedCopy(closure), ref2.Tuples)
 	}
 
 	// Registered program at the current version: served from the view.
@@ -419,47 +424,41 @@ func TestHTTPExplainStreamDecisions(t *testing.T) {
 		t.Fatalf("/v1/commit: %d %s", w.Code, w.Body)
 	}
 
-	// Non-recursive join: streaming with per-step decisions.
-	w := post(t, h, "/v1/explain", fmt.Sprintf(`{"source":%q}`, joinSource))
-	if w.Code != http.StatusOK {
-		t.Fatalf("/v1/explain: %d %s", w.Code, w.Body)
-	}
-	var exp ExplainResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &exp); err != nil {
-		t.Fatal(err)
-	}
-	if exp.Streaming == nil || !*exp.Streaming {
-		t.Fatalf("join explain not streaming: %s", w.Body)
-	}
-	for _, r := range exp.Rules {
-		for _, st := range r.Steps {
-			if st.Exec != "stream" && st.Exec != "materialize" {
-				t.Fatalf("step %q exec %q", st.Atom, st.Exec)
-			}
-		}
-	}
-
-	// Recursive program: the explain reports the fallback.
-	w = post(t, h, "/v1/explain", `{"program":"tc"}`)
-	if err := json.Unmarshal(w.Body.Bytes(), &exp); err != nil {
-		t.Fatal(err)
-	}
-	if exp.Streaming == nil || *exp.Streaming || exp.StreamReason != "recursive" {
-		t.Fatalf("tc explain streaming=%v reason=%q, want false/recursive", exp.Streaming, exp.StreamReason)
-	}
-
-	// Bound requests report the decisions for what a bound stream runs: the
-	// seeded rewrite's answer predicate.
-	for body, streams := range map[string]bool{
-		`{"program":"tc","bind":[0,null]}`:                       false,
-		fmt.Sprintf(`{"source":%q,"bind":[0,null]}`, joinSource): true,
+	// via reports, per step, how a streamed run executes it: every step of
+	// a recursive rule through the evaluator's fixpoint, and no step of a
+	// non-recursive program that way. Bound requests report the decisions
+	// for what a bound stream runs: the seeded rewrite's answer predicate.
+	for body, recursive := range map[string]bool{
+		fmt.Sprintf(`{"source":%q}`, joinSource):                 false,
+		fmt.Sprintf(`{"source":%q,"bind":[0,null]}`, joinSource): false,
+		`{"program":"tc"}`:                 true,
+		`{"program":"tc","bind":[0,null]}`: true,
 	} {
-		exp = ExplainResponse{}
-		if err := json.Unmarshal(post(t, h, "/v1/explain", body).Body.Bytes(), &exp); err != nil {
+		w := post(t, h, "/v1/explain", body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("/v1/explain %s: %d %s", body, w.Code, w.Body)
+		}
+		var exp ExplainResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &exp); err != nil {
 			t.Fatal(err)
 		}
-		if exp.Goal == "" || exp.Streaming == nil || *exp.Streaming != streams {
-			t.Fatalf("%s: goal %q streaming %v, want %v", body, exp.Goal, exp.Streaming, streams)
+		if (exp.Goal != "") != strings.Contains(body, "bind") {
+			t.Fatalf("%s: goal %q", body, exp.Goal)
+		}
+		steps := 0
+		for _, r := range exp.Rules {
+			for _, st := range r.Steps {
+				steps++
+				if st.Exec != "stream" && st.Exec != "materialize" {
+					t.Fatalf("%s: step %q exec %q", body, st.Atom, st.Exec)
+				}
+				if (st.Via == "fixpoint") != recursive || (recursive && st.Exec != "materialize") {
+					t.Fatalf("%s: step %q exec %q via %q", body, st.Atom, st.Exec, st.Via)
+				}
+			}
+		}
+		if steps == 0 {
+			t.Fatalf("%s: no steps explained: %s", body, w.Body)
 		}
 	}
 }

@@ -109,9 +109,9 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	post(t, h, "/v1/register", `{"name":"tc","program":"`+tcProgram+`"}`)
 	post(t, h, "/v1/commit", `{"insert":[{"pred":"E","tuple":[0,1]},{"pred":"E","tuple":[1,2]}]}`)
-	post(t, h, "/v1/query", `{"program":"tc"}`)             // published view: no cache traffic
-	post(t, h, "/v1/query", `{"program":"tc","version":0}`) // pinned older version: cache miss, evaluation
-	post(t, h, "/v1/query", `{"program":"tc","version":0}`) // cache hit
+	post(t, h, "/v1/query", `{"program":"tc"}`)             // published view: no evaluation
+	post(t, h, "/v1/query", `{"program":"tc","version":0}`) // pinned older version: an evaluation
+	post(t, h, "/v1/query", `{"program":"tc","version":0}`) // and another
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/metrics", nil)
 	rw := httptest.NewRecorder()
@@ -130,8 +130,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"datalog_commits_total":       1,
 		"datalog_queries_total":       3,
 		"datalog_view_reads_total":    1,
-		"datalog_cache_hits_total":    1,
-		"datalog_cache_misses_total":  1,
+		"datalog_scratch_evals_total": 2,
 		"datalog_store_version":       1,
 		"datalog_published_version":   1,
 		"datalog_programs_registered": 1,
@@ -150,9 +149,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	// The surface is pinned whole, so a block or series that is dropped —
 	// or comes back — fails here: a memory-only service with the planner on
-	// serves 46 series, and /v1/stats these top-level keys and no other.
-	if len(snap) != 46 {
-		t.Errorf("/v1/metrics serves %d series, want 46", len(snap))
+	// serves 42 series, and /v1/stats these top-level keys and no other.
+	if len(snap) != 42 {
+		t.Errorf("/v1/metrics serves %d series, want 42", len(snap))
 	}
 	rw = httptest.NewRecorder()
 	h.ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
@@ -165,7 +164,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	if got, want := strings.Join(keys, " "), "cache commits executor magic oldest_version "+
+	if got, want := strings.Join(keys, " "), "commits executor magic oldest_version "+
 		"planner programs queries scratch_evals snapshots storage stream subscribe universe version"; got != want {
 		t.Errorf("/v1/stats keys:\n got %s\nwant %s", got, want)
 	}

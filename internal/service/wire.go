@@ -129,9 +129,9 @@ type StreamTrailerJSON struct {
 
 // ExplainStepJSON is one join step of a planned rule body. Exec and Via
 // report the streaming executor's decision for the step — "stream"
-// (inlined producer) or "materialize" (scan or
-// probe of a stored relation) — and EstBufferRows the rows the step
-// forces it to hold.
+// (inlined producer) or "materialize" (scan or probe of a stored relation,
+// or via "fixpoint" a step of a recursive rule the evaluator's fixpoint
+// runs) — and EstBufferRows the rows the step forces it to hold.
 type ExplainStepJSON struct {
 	Atom          string  `json:"atom"`
 	OrigIndex     int     `json:"orig_index"`
@@ -175,13 +175,8 @@ type ExplainResponse struct {
 	PlanCacheHit bool                `json:"plan_cache_hit"`
 	Pruned       []ExplainPrunedJSON `json:"pruned,omitempty"`
 	Rules        []ExplainRuleJSON   `json:"rules"`
-	// Streaming reports whether a streamed run of this query executes in
-	// one streaming pass (false: the reachable slice is recursive and
-	// falls back to semi-naive materialization, see StreamReason).
 	// EstPeakBufferRows is the streaming executor's estimated peak
 	// buffered-row footprint.
-	Streaming         *bool   `json:"streaming,omitempty"`
-	StreamReason      string  `json:"stream_reason,omitempty"`
 	EstPeakBufferRows float64 `json:"est_peak_buffer_rows,omitempty"`
 }
 
@@ -207,9 +202,6 @@ func explainToWire(res ExplainResult) ExplainResponse {
 		out.Pruned = append(out.Pruned, ExplainPrunedJSON{Rule: pr.Rule, By: pr.By})
 	}
 	if res.Stream != nil {
-		streaming := res.Stream.Streaming
-		out.Streaming = &streaming
-		out.StreamReason = res.Stream.Reason
 		out.EstPeakBufferRows = res.Stream.EstPeakBufferRows
 	}
 	for i, rp := range res.Plan.Rules {

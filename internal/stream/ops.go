@@ -267,32 +267,75 @@ type builder struct {
 	t     *tracker
 	an    *analysis
 	db    *datalog.Database
+	eval  datalog.Options // the fixpoint's options: the stream's, no planner
 	slots map[string]*relSlot
-	empty map[int]*datalog.Relation // shared empty EDB relations by arity
+	// streams holds every producer pipeline built, by predicate (each
+	// predicate outside the fixpoint has at most one).
+	streams map[string]*predStream
+	// fixed is the recursive component's fixpoint, nil until first use.
+	fixed map[string]*datalog.Relation
+	empty map[int]*datalog.Relation // shared empty relations by arity
+}
+
+// emptyRel returns the shared empty relation of an arity.
+func (b *builder) emptyRel(arity int) *datalog.Relation {
+	if b.empty == nil {
+		b.empty = map[int]*datalog.Relation{}
+	}
+	if b.empty[arity] == nil {
+		b.empty[arity] = datalog.NewDLRelation(arity)
+	}
+	return b.empty[arity]
+}
+
+// fixpoint returns the recursive component's relations, evaluating its
+// rules on first use: one datalog.EvalContext over the already-planned
+// rules, with no planner, so planning is not repeated. The relations are
+// held for the stream's life and count toward Buffered. An evaluation
+// error (a cancelled context, say) becomes the stream's Err and leaves the
+// component empty.
+func (b *builder) fixpoint() map[string]*datalog.Relation {
+	if b.fixed != nil {
+		return b.fixed
+	}
+	b.fixed = map[string]*datalog.Relation{}
+	res, err := datalog.EvalContext(b.t.ctx, b.an.fixProg, b.db, b.eval)
+	if err != nil {
+		if b.t.err == nil {
+			b.t.err = err
+		}
+		return b.fixed
+	}
+	b.fixed = res.IDB
+	b.t.rounds = int64(res.Rounds)
+	for _, rel := range res.IDB {
+		b.t.addBuffered(int64(rel.Size()))
+	}
+	return b.fixed
 }
 
 // slot returns the materialized handle for a predicate: the database
-// relation for EDBs (an absent EDB yields a shared empty relation), or a
-// lazily spooled relation for materialized intermediates.
+// relation for EDBs (an absent EDB yields a shared empty relation), the
+// fixpoint's relation for the recursive component, or a lazily spooled
+// relation for materialized intermediates.
 func (b *builder) slot(pred string, arity int) *relSlot {
 	if s, ok := b.slots[pred]; ok {
 		return s
 	}
 	s := &relSlot{t: b.t}
-	if !b.an.reach[pred] {
-		// EDB predicate.
-		if rel := b.db.Relation(pred); rel != nil {
-			s.rel = rel
-		} else {
-			if b.empty == nil {
-				b.empty = map[int]*datalog.Relation{}
-			}
-			if b.empty[arity] == nil {
-				b.empty[arity] = datalog.NewDLRelation(arity)
-			}
-			s.rel = b.empty[arity]
+	switch {
+	case !b.an.reach[pred]: // EDB predicate
+		if s.rel = b.db.Relation(pred); s.rel == nil {
+			s.rel = b.emptyRel(arity)
 		}
-	} else {
+	case b.an.fix[pred]:
+		s.fill = func() *datalog.Relation {
+			if rel := b.fixpoint()[pred]; rel != nil {
+				return rel
+			}
+			return b.emptyRel(arity)
+		}
+	default:
 		src := b.predStream(pred)
 		t := b.t
 		s.fill = func() *datalog.Relation {
@@ -315,16 +358,21 @@ func (b *builder) slot(pred string, arity int) *relSlot {
 	return s
 }
 
-// predStream builds the producer pipeline for a reachable IDB predicate.
+// predStream builds the producer pipeline for a reachable IDB predicate: its
+// rules' pipelines or, for a target in the recursive component, the copy
+// rule's scan of its fixpoint relation.
 func (b *builder) predStream(pred string) *predStream {
-	idxs := b.an.ruleIdx[pred]
 	ps := &predStream{t: b.t, seen: map[datalog.TupleKey]struct{}{},
-		scratch: make(datalog.Tuple, len(b.an.eff.Rules[idxs[0]].Head.Args))}
-	for _, ri := range idxs {
+		scratch: make(datalog.Tuple, b.an.arity[pred])}
+	if b.an.fix[pred] {
+		ps.pipes = []*rulePipe{b.rulePipe(b.an.copy)}
+	}
+	for _, ri := range b.an.ruleIdx[pred] {
 		if j := b.an.joins[ri]; !j.Dead() {
 			ps.pipes = append(ps.pipes, b.rulePipe(j))
 		}
 	}
+	b.streams[pred] = ps
 	return ps
 }
 

@@ -13,9 +13,11 @@ import (
 
 // Randomized streamed ≡ materialized equivalence. Each workload draws a
 // random layered Datalog(≠) program (some recursive, exercising the
-// fallback), a random database, and a query predicate, then requires the
-// streaming path to produce byte-identical answers (after canonical sort)
-// to full semi-naive materialization — per tuple, not per count. A second
+// fixpoint spool), a random database, and a query predicate, then requires
+// the streaming path to produce byte-identical answers (after canonical
+// sort) to full semi-naive materialization — per tuple, not per count.
+// Fixed recursive inputs join them: a streamed consumer over a recursive
+// producer, and mutual recursion under a streamed consumer. A second
 // pass routes random bound goals through the magic-set rewrite and streams
 // the rewritten answer predicate against magic.EvalGoal. Both passes also
 // run chain workloads (chainProgram, deepJoinProgram): a single-use
@@ -38,8 +40,8 @@ func (g *progGen) term(vars []string) datalog.Term {
 }
 
 // program draws a random layered program over EDBs E1/2, E2/2, E3/1.
-// allowRec lets later layers reference themselves or earlier layers
-// cyclically, producing recursive slices that must fall back.
+// allowRec lets later layers reference themselves or later layers
+// cyclically, producing recursive slices the fixpoint spool computes.
 func (g *progGen) program(allowRec bool) *datalog.Program {
 	type predSig struct {
 		name  string
@@ -226,29 +228,37 @@ func refSorted(t *testing.T, p *datalog.Program, db *datalog.Database, pred stri
 	return rel.Tuples()
 }
 
-// checkStreamed requires Tuples to answer pred with the materialized
-// answers, and a limit of half of them with that many of them; it returns
-// which path ran.
-func checkStreamed(t *testing.T, label string, p *datalog.Program, db *datalog.Database, pred string, opt Options) string {
+// checkStreamed requires Open and Collect to answer pred with the
+// materialized answers, and a limit of half of them with that many of them;
+// it reports whether the slice has a recursive component (a step via
+// "fixpoint").
+func checkStreamed(t *testing.T, label string, p *datalog.Program, db *datalog.Database, pred string, opt Options) bool {
 	t.Helper()
 	want := refSorted(t, p, db, pred, datalog.DefaultOptions)
-	got, origin, err := Tuples(context.Background(), p, db.Clone(), pred, opt)
+	s, err := Open(context.Background(), p, db.Clone(), pred, opt)
+	if err != nil {
+		t.Fatalf("%s pred %s: Open failed: %v\n%s", label, pred, err, p)
+	}
+	fix := false
+	for _, rd := range s.Decisions().Rules {
+		for _, sd := range rd.Steps {
+			fix = fix || sd.Via == "fixpoint"
+		}
+	}
+	got, err := Collect(s)
 	if err != nil {
 		t.Fatalf("%s pred %s: stream failed: %v\n%s", label, pred, err, p)
 	}
 	if !sameTuples(got, want) {
-		t.Fatalf("%s pred %s via %s: answers differ\ngot  %v\nwant %v\nprogram:\n%s",
-			label, pred, origin, got, want, p)
+		t.Fatalf("%s pred %s (fixpoint %v): answers differ\ngot  %v\nwant %v\nprogram:\n%s",
+			label, pred, fix, got, want, p)
 	}
 	// Limit: a prefix-sized subset of the full answer set.
 	if len(want) > 2 {
 		lim := len(want) / 2
 		optL := opt
 		optL.Limit = lim
-		gotL, _, err := Tuples(context.Background(), p, db.Clone(), pred, optL)
-		if err != nil {
-			t.Fatalf("%s pred %s: limited stream failed: %v", label, pred, err)
-		}
+		gotL := collect(t, p, db.Clone(), pred, optL)
 		if len(gotL) != lim {
 			t.Fatalf("%s pred %s: limit %d returned %d", label, pred, lim, len(gotL))
 		}
@@ -262,7 +272,23 @@ func checkStreamed(t *testing.T, label string, p *datalog.Program, db *datalog.D
 			}
 		}
 	}
-	return origin
+	return fix
+}
+
+// recursiveInputs are the fixed recursive programs the equivalence suite
+// runs beside its random ones, over progGen's EDBs: a streamed consumer H
+// of a recursive producer T, and a streamed consumer Q of the mutually
+// recursive A and B.
+var recursiveInputs = []string{`
+	T(x,y) :- E1(x,y).
+	T(x,z) :- T(x,y), E1(y,z).
+	H(x,z) :- T(x,y), E2(y,z).
+	goal H.`, `
+	A(x,y) :- E1(x,y).
+	A(x,z) :- B(x,y), E1(y,z).
+	B(x,z) :- A(x,y), E2(y,z).
+	Q(x) :- A(x,y), E3(y).
+	goal Q.`,
 }
 
 // plannedOptions plans p against db, as the service does.
@@ -278,10 +304,13 @@ func plannedOptions(p *datalog.Program, db *datalog.Database) Options {
 func TestQuickStreamedEqualsMaterialized(t *testing.T) {
 	const workloads = 140
 	rng := rand.New(rand.NewSource(20260808))
-	streamed, fellBack := 0, 0
-	for w := 0; w < workloads; w++ {
+	plain, fixpoint := 0, 0
+	for w := 0; w < workloads+2*len(recursiveInputs); w++ {
 		g := &progGen{rng: rng, n: 4 + rng.Intn(5)}
 		p := g.program(w%3 == 2) // every third workload may be recursive
+		if w >= workloads {
+			p = mustParse(t, recursiveInputs[w%len(recursiveInputs)])
+		}
 		if err := datalog.Validate(p); err != nil {
 			t.Fatalf("workload %d: generated invalid program: %v\n%s", w, err, p)
 		}
@@ -292,15 +321,15 @@ func TestQuickStreamedEqualsMaterialized(t *testing.T) {
 		}
 		// Query every reachable predicate, not just the goal.
 		for pred := range datalog.ReachableIDBs(p, p.Goal) {
-			if checkStreamed(t, fmt.Sprintf("workload %d", w), p, db, pred, opt) == "stream" {
-				streamed++
+			if checkStreamed(t, fmt.Sprintf("workload %d", w), p, db, pred, opt) {
+				fixpoint++
 			} else {
-				fellBack++
+				plain++
 			}
 		}
 	}
-	if streamed == 0 || fellBack == 0 {
-		t.Fatalf("suite did not cover both paths: streamed=%d fallback=%d", streamed, fellBack)
+	if plain == 0 || fixpoint == 0 {
+		t.Fatalf("suite did not cover both paths: plain=%d fixpoint=%d", plain, fixpoint)
 	}
 
 	// Chain workloads: the intermediate is spooled and probed deep in the
@@ -319,11 +348,11 @@ func TestQuickStreamedEqualsMaterialized(t *testing.T) {
 		if w%2 == 1 {
 			opt = plannedOptions(p, db)
 		}
-		if origin := checkStreamed(t, fmt.Sprintf("chain %d", w), p, db, "Q", opt); origin != "stream" {
-			t.Fatalf("chain %d: origin %q, want stream", w, origin)
+		if checkStreamed(t, fmt.Sprintf("chain %d", w), p, db, "Q", opt) {
+			t.Fatalf("chain %d: a non-recursive slice ran a fixpoint", w)
 		}
 	}
-	t.Logf("workloads=%d streamed=%d fallback=%d chains=%d", workloads, streamed, fellBack, chains+1)
+	t.Logf("workloads=%d plain=%d fixpoint=%d chains=%d", workloads, plain, fixpoint, chains+1)
 }
 
 // checkBoundGoal streams the seeded rewrite's answer predicate for goal
@@ -343,14 +372,10 @@ func checkBoundGoal(t *testing.T, label string, p *datalog.Program, db *datalog.
 	if err != nil {
 		t.Fatalf("%s: seed: %v", label, err)
 	}
-	got, origin, err := Tuples(context.Background(), seeded, db.Clone(), rw.GoalPred,
-		Options{Eval: datalog.DefaultOptions, Filter: &goal})
-	if err != nil {
-		t.Fatalf("%s: streamed rewrite failed (%s): %v\nseeded:\n%s", label, origin, err, seeded)
-	}
+	got := collect(t, seeded, db.Clone(), rw.GoalPred, Options{Eval: datalog.DefaultOptions, Filter: &goal})
 	if !sameTuples(got, ref.Answers) {
-		t.Fatalf("%s via %s: bound answers differ\ngoal %s\ngot  %v\nwant %v\nseeded:\n%s",
-			label, origin, goal, got, ref.Answers, seeded)
+		t.Fatalf("%s: bound answers differ\ngoal %s\ngot  %v\nwant %v\nseeded:\n%s",
+			label, goal, got, ref.Answers, seeded)
 	}
 }
 

@@ -1,15 +1,15 @@
 // Package stream is the pull-based streaming execution layer over the
 // packed-tuple engine of internal/datalog. Where the bottom-up evaluator
 // materializes every relation, delta and join index before a caller sees
-// the first answer, this package compiles the non-recursive slice of a
-// program that a query predicate depends on into a tree of pull iterators
-// — scans, per-row probes, selections, projections and spooling buffers
-// where re-iteration is required — so answers are produced as they are
-// derived and memory scales with what must be remembered (distinct-key
-// sets, spooled predicates) rather than with every intermediate relation.
-// Each rule runs datalog's own compiled form (datalog.CompileJoin): the
-// iterator tree joins a body in the order, and with the probe masks, the
-// evaluator's join loop uses.
+// the first answer, this package compiles the program slice that a query
+// predicate depends on into a tree of pull iterators — scans, per-row
+// probes, selections, projections and spooling buffers where re-iteration
+// is required — so answers are produced as they are derived and memory
+// scales with what must be remembered (distinct-key sets, spooled
+// predicates) rather than with every intermediate relation. Each rule runs
+// datalog's own compiled form (datalog.CompileJoin): the iterator tree
+// joins a body in the order, and with the probe masks, the evaluator's join
+// loop uses.
 //
 // Whether an intermediate streams follows from the program's shape alone:
 // the query predicate streams (it is the output); an intermediate consumed
@@ -18,31 +18,28 @@
 // stored beyond its distinct-key set; every other intermediate is spooled
 // into a relation its consumers scan or probe.
 //
-// Recursive slices cannot be computed in one streaming pass; Open returns
-// ErrRecursive and callers fall back to semi-naive materialization (which
-// already streams within each rule firing, into its per-task buffers).
+// Recursion is a spool the evaluator fills. The reachable predicates on a
+// dependency cycle, with every IDB they depend on, form the recursive
+// component; its rules are one program that datalog.EvalContext runs to its
+// least fixpoint on first pull, and each of its predicates is then a stored
+// relation like any spooled intermediate. A query predicate inside the
+// component streams a scan of its fixpoint relation. There is no second
+// semi-naive loop here: the evaluator's is the one fixpoint.
 package stream
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/datalog"
 	"repro/internal/plan"
 )
 
-// ErrRecursive reports that the program slice reachable from the query
-// predicate contains a dependency cycle, which a single streaming pass
-// cannot evaluate; callers should fall back to materialized (semi-naive)
-// evaluation.
-var ErrRecursive = errors.New("stream: program slice is recursive; use materialized evaluation")
-
 // Iterator is a pull-based tuple stream. Next returns the next tuple until
 // the stream is exhausted or fails; after Next returns false, Err reports
-// a context cancellation (nil on normal exhaustion). The returned tuples
-// are fresh copies the caller may retain. Close releases buffered state
-// and is idempotent.
+// what ended it — a context cancellation, or the fixpoint's error — nil on
+// normal exhaustion. The returned tuples are fresh copies the caller may
+// retain. Close releases buffered state and is idempotent.
 type Iterator interface {
 	Next() (datalog.Tuple, bool)
 	Err() error
@@ -56,11 +53,14 @@ type Counters struct {
 	// counter).
 	Pulls int64
 	// Buffered is the current number of rows held by buffering operators:
-	// distinct-key sets and spooled relations.
+	// distinct-key sets, spooled relations and the fixpoint's relations.
 	Buffered int64
 	// PeakBuffered is the high-water mark of Buffered — the number that
 	// bounds the stream's memory footprint.
 	PeakBuffered int64
+	// Rounds is the number of rounds the recursive component's fixpoint
+	// took (0 when the slice is not recursive or it has not run yet).
+	Rounds int64
 }
 
 // ctxCheckEvery is how many pulls pass between context polls; cheap enough
@@ -75,6 +75,7 @@ type tracker struct {
 	pulls      int64
 	buffered   int64
 	peak       int64
+	rounds     int64
 	sinceCheck int64
 }
 
@@ -110,8 +111,9 @@ func (t *tracker) addBuffered(n int64) {
 type Options struct {
 	// Eval supplies the engine knobs shared with materialized evaluation:
 	// the planner hook (applied before compilation exactly as the
-	// evaluator applies it) and the options used by callers that fall
-	// back to datalog.EvalContext on ErrRecursive.
+	// evaluator applies it) and the options the recursive component's
+	// fixpoint runs under — without the planner, over rules already
+	// planned.
 	Eval datalog.Options
 	// Plan, when non-nil, supplies the already-planned rule list, and the
 	// row estimates behind the Decisions' buffer estimates; it takes
@@ -133,14 +135,14 @@ type Options struct {
 // order — sort with datalog.SortTuples when order matters).
 type Stream struct {
 	t      *tracker
+	b      *builder
 	out    *predStream
-	dec    *Decisions
 	closed bool
 }
 
 // Open compiles the slice of p reachable from pred into an iterator tree
-// over db and returns the un-started stream. It returns ErrRecursive when
-// the slice contains a dependency cycle. The database is only read — a
+// over db and returns the un-started stream; nothing is evaluated before
+// the first pull. The database is only read — a
 // join index it lacks is built once and published atomically (see
 // datalog.Relation) — so any number of streams and evaluations may share
 // one db, as the service's do a snapshot; it must not be mutated while the
@@ -158,11 +160,12 @@ func Open(ctx context.Context, p *datalog.Program, db *datalog.Database, pred st
 		return nil, err
 	}
 	t := &tracker{ctx: ctx}
-	b := &builder{t: t, an: an, db: db, slots: map[string]*relSlot{}}
+	b := &builder{t: t, an: an, db: db, eval: opt.Eval.WithPlanner(nil),
+		slots: map[string]*relSlot{}, streams: map[string]*predStream{}}
 	out := b.predStream(pred)
 	out.filter = opt.Filter
 	out.limit = opt.Limit
-	return &Stream{t: t, out: out, dec: an.dec}, nil
+	return &Stream{t: t, b: b, out: out}, nil
 }
 
 // Next returns the next answer tuple.
@@ -188,12 +191,26 @@ func (s *Stream) Close() {
 
 // Counters returns the stream's execution counters so far.
 func (s *Stream) Counters() Counters {
-	return Counters{Pulls: s.t.pulls, Buffered: s.t.buffered, PeakBuffered: s.t.peak}
+	return Counters{Pulls: s.t.pulls, Buffered: s.t.buffered, PeakBuffered: s.t.peak, Rounds: s.t.rounds}
+}
+
+// Rows returns the number of distinct rows of an IDB predicate of the slice
+// derived so far: its fixpoint relation's size, or what its pipeline has
+// produced (a spooled predicate's whole relation once spooled); 0 for a
+// predicate not reached yet.
+func (s *Stream) Rows(pred string) int {
+	if rel := s.b.fixed[pred]; rel != nil {
+		return rel.Size()
+	}
+	if ps := s.b.streams[pred]; ps != nil {
+		return ps.emitted
+	}
+	return 0
 }
 
 // Decisions returns the per-step stream/materialize decisions the compile
 // made (what /v1/explain surfaces).
-func (s *Stream) Decisions() *Decisions { return s.dec }
+func (s *Stream) Decisions() *Decisions { return s.b.an.decisions() }
 
 // Collect drains the stream and returns every answer in the canonical
 // datalog.CompareTuples order, closing it.
@@ -212,50 +229,6 @@ func Collect(s *Stream) ([]datalog.Tuple, error) {
 	}
 	datalog.SortTuples(out)
 	return out, nil
-}
-
-// Tuples answers pred over db fully streaming when the reachable slice is
-// non-recursive and falls back to materialized evaluation otherwise,
-// returning the sorted answers and which path ran ("stream" or "eval").
-// It is the convenience entry for callers that want streaming
-// opportunistically (the CLI, the equivalence suites).
-func Tuples(ctx context.Context, p *datalog.Program, db *datalog.Database, pred string, opt Options) ([]datalog.Tuple, string, error) {
-	s, err := Open(ctx, p, db, pred, opt)
-	if err == nil {
-		out, cerr := Collect(s)
-		if cerr != nil {
-			return nil, "stream", cerr
-		}
-		if opt.Limit > 0 && len(out) > opt.Limit {
-			out = out[:opt.Limit]
-		}
-		return out, "stream", nil
-	}
-	if !errors.Is(err, ErrRecursive) {
-		return nil, "stream", err
-	}
-	res, evalErr := datalog.EvalContext(ctx, p, db, opt.Eval)
-	if res == nil {
-		return nil, "eval", evalErr
-	}
-	if evalErr != nil {
-		return nil, "eval", evalErr
-	}
-	rel := res.IDB[pred]
-	if rel == nil {
-		return nil, "eval", fmt.Errorf("stream: predicate %s not derived", pred)
-	}
-	out := make([]datalog.Tuple, 0, rel.Size())
-	for _, t := range rel.Tuples() {
-		if opt.Filter != nil && !opt.Filter.Matches(t) {
-			continue
-		}
-		out = append(out, t)
-		if opt.Limit > 0 && len(out) >= opt.Limit {
-			break
-		}
-	}
-	return out, "eval", nil
 }
 
 // effectiveProgram validates p and applies the planner exactly as the

@@ -36,6 +36,20 @@ func evalSorted(t *testing.T, p *datalog.Program, db *datalog.Database, pred str
 	return rel.Tuples()
 }
 
+// collect answers pred through Open and Collect: every answer, sorted.
+func collect(t *testing.T, p *datalog.Program, db *datalog.Database, pred string, opt Options) []datalog.Tuple {
+	t.Helper()
+	s, err := Open(context.Background(), p, db, pred, opt)
+	if err != nil {
+		t.Fatalf("Open %s: %v", pred, err)
+	}
+	out, err := Collect(s)
+	if err != nil {
+		t.Fatalf("Collect %s: %v", pred, err)
+	}
+	return out
+}
+
 func sameTuples(a, b []datalog.Tuple) bool {
 	if len(a) != len(b) {
 		return false
@@ -67,36 +81,61 @@ func TestStreamMatchesEvalOnComposition(t *testing.T) {
 		goal Q.`)
 	db := chainDB(64)
 	want := evalSorted(t, p, db, "Q")
-	got, origin, err := Tuples(context.Background(), p, db.Clone(), "Q", Options{Eval: datalog.DefaultOptions})
-	if err != nil {
-		t.Fatalf("stream: %v", err)
-	}
-	if origin != "stream" {
-		t.Fatalf("origin = %q, want stream", origin)
-	}
+	got := collect(t, p, db.Clone(), "Q", Options{Eval: datalog.DefaultOptions})
 	if !sameTuples(got, want) {
 		t.Fatalf("stream answers differ: got %d want %d tuples", len(got), len(want))
 	}
 }
 
-func TestRecursiveFallsBack(t *testing.T) {
+// TestRecursiveFixpoint streams a recursive slice: the recursive
+// component is one datalog.EvalContext run, so the answers, the round count
+// and the derived sizes are the evaluator's, and every step of its rules
+// reports via "fixpoint". A context cancelled before the first pull ends
+// the stream with the context's error.
+func TestRecursiveFixpoint(t *testing.T) {
 	p := mustParse(t, `
 		T(x,y) :- E(x,y).
 		T(x,z) :- T(x,y), E(y,z).
-		goal T.`)
+		H(x,z) :- T(x,y), F(y,z).
+		goal H.`)
 	db := chainDB(16)
-	if _, err := Open(context.Background(), p, db, "T", Options{Eval: datalog.DefaultOptions}); !errors.Is(err, ErrRecursive) {
-		t.Fatalf("Open on recursive slice: err = %v, want ErrRecursive", err)
-	}
-	got, origin, err := Tuples(context.Background(), p, db.Clone(), "T", Options{Eval: datalog.DefaultOptions})
+	ref, err := datalog.EvalContext(context.Background(), p, db.Clone(), datalog.DefaultOptions)
 	if err != nil {
-		t.Fatalf("Tuples: %v", err)
+		t.Fatal(err)
 	}
-	if origin != "eval" {
-		t.Fatalf("origin = %q, want eval", origin)
+	for _, pred := range []string{"T", "H"} {
+		s, err := Open(context.Background(), p, db, pred, Options{Eval: datalog.DefaultOptions})
+		if err != nil {
+			t.Fatalf("Open %s: %v", pred, err)
+		}
+		for ri, rd := range s.Decisions().Rules {
+			for _, sd := range rd.Steps {
+				if fix := p.Rules[ri].Head.Pred == "T"; fix != (sd.Via == "fixpoint") || sd.Exec != ExecMaterialize {
+					t.Fatalf("%s: rule %d step %+v", pred, ri, sd)
+				}
+			}
+		}
+		got, err := Collect(s)
+		if err != nil {
+			t.Fatalf("Collect %s: %v", pred, err)
+		}
+		if !sameTuples(got, ref.IDB[pred].Tuples()) {
+			t.Fatalf("%s: streamed %v, want %v", pred, got, ref.IDB[pred].Tuples())
+		}
+		// The fixpoint is the evaluator's: its rounds, T's rows.
+		if c := s.Counters(); c.Rounds != int64(ref.Rounds) || s.Rows("T") != ref.IDB["T"].Size() {
+			t.Fatalf("%s: rounds %d rows(T) %d, want %d and %d", pred, c.Rounds, s.Rows("T"), ref.Rounds, ref.IDB["T"].Size())
+		}
 	}
-	if want := evalSorted(t, p, db, "T"); !sameTuples(got, want) {
-		t.Fatalf("fallback answers differ")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	s, err := Open(ctx, p, db, "H", Options{Eval: datalog.DefaultOptions})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if _, err := Collect(s); !errors.Is(err, context.Canceled) || !errors.Is(s.Err(), context.Canceled) {
+		t.Fatalf("cancelled before the drain: Collect err %v, Err %v; want context.Canceled", err, s.Err())
 	}
 }
 
@@ -203,10 +242,7 @@ func TestFullyBoundAtomBuildsNoIndex(t *testing.T) {
 		return db, builds
 	}
 	db, builds := fresh()
-	got, origin, err := Tuples(context.Background(), p, db, "Q", Options{Eval: datalog.DefaultOptions})
-	if err != nil || origin != "stream" {
-		t.Fatalf("stream: origin=%q err=%v", origin, err)
-	}
+	got := collect(t, p, db, "Q", Options{Eval: datalog.DefaultOptions})
 	if want := evalSorted(t, p, db, "Q"); len(want) != 4 || !sameTuples(got, want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
@@ -382,10 +418,7 @@ func TestDistinctAcrossRules(t *testing.T) {
 	db.AddFact("E", 2, 3)
 	db.AddFact("F", 1, 2) // duplicate of an E-derived answer
 	db.AddFact("F", 4, 5)
-	got, _, err := Tuples(context.Background(), p, db.Clone(), "Q", Options{Eval: datalog.DefaultOptions})
-	if err != nil {
-		t.Fatalf("stream: %v", err)
-	}
+	got := collect(t, p, db.Clone(), "Q", Options{Eval: datalog.DefaultOptions})
 	if want := evalSorted(t, p, db, "Q"); !sameTuples(got, want) {
 		t.Fatalf("distinct union: got %v want %v", got, want)
 	}
@@ -399,10 +432,7 @@ func TestFreeVariablesAndConstraints(t *testing.T) {
 	db := datalog.NewDatabase(6)
 	db.AddFact("E", 0, 1)
 	db.AddFact("E", 2, 3)
-	got, _, err := Tuples(context.Background(), p, db.Clone(), "T", Options{Eval: datalog.DefaultOptions})
-	if err != nil {
-		t.Fatalf("stream: %v", err)
-	}
+	got := collect(t, p, db.Clone(), "T", Options{Eval: datalog.DefaultOptions})
 	if want := evalSorted(t, p, db, "T"); !sameTuples(got, want) {
 		t.Fatalf("free vars: got %d want %d tuples", len(got), len(want))
 	}
@@ -414,10 +444,7 @@ func TestGoalFilter(t *testing.T) {
 		goal A.`)
 	db := chainDB(32)
 	g := datalog.NewGoal("A", 2, map[int]int{0: 2})
-	got, _, err := Tuples(context.Background(), p, db.Clone(), "A", Options{Eval: datalog.DefaultOptions, Filter: &g})
-	if err != nil {
-		t.Fatalf("stream: %v", err)
-	}
+	got := collect(t, p, db.Clone(), "A", Options{Eval: datalog.DefaultOptions, Filter: &g})
 	var want []datalog.Tuple
 	for _, tu := range evalSorted(t, p, db, "A") {
 		if g.Matches(tu) {
@@ -436,10 +463,7 @@ func TestConstantsInBodyAndHead(t *testing.T) {
 		goal Q.`)
 	db := chainDB(16)
 	db.AddFact("E", 0, 7)
-	got, _, err := Tuples(context.Background(), p, db.Clone(), "Q", Options{Eval: datalog.DefaultOptions})
-	if err != nil {
-		t.Fatalf("stream: %v", err)
-	}
+	got := collect(t, p, db.Clone(), "Q", Options{Eval: datalog.DefaultOptions})
 	if want := evalSorted(t, p, db, "Q"); !sameTuples(got, want) {
 		t.Fatalf("constants: got %v want %v", got, want)
 	}
@@ -478,9 +502,6 @@ func TestExplainDecisions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Explain: %v", err)
 	}
-	if !dec.Streaming {
-		t.Fatalf("non-recursive program should stream: %+v", dec)
-	}
 	if dec.EstPeakBufferRows <= 0 {
 		t.Fatalf("expected a positive peak-buffer estimate with a plan")
 	}
@@ -498,14 +519,18 @@ func TestExplainDecisions(t *testing.T) {
 	if !sawStream {
 		t.Fatalf("A not inlined: %+v", dec.Rules)
 	}
-	// Recursive: Explain reports fallback instead of failing.
+	// Recursive: every step of the fixpoint's rules is materialized by it.
 	rec := mustParse(t, "T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).\ngoal T.")
 	dec, err = Explain(rec, "T", nil)
 	if err != nil {
 		t.Fatalf("Explain recursive: %v", err)
 	}
-	if dec.Streaming || dec.Reason != "recursive" {
-		t.Fatalf("recursive decisions: %+v", dec)
+	for _, rd := range dec.Rules {
+		for _, sd := range rd.Steps {
+			if sd.Exec != ExecMaterialize || sd.Via != "fixpoint" {
+				t.Fatalf("recursive decisions: %+v", dec)
+			}
+		}
 	}
 }
 
@@ -516,10 +541,7 @@ func TestZeroAtomRule(t *testing.T) {
 		Q(x,y) :- S(x), E(x,y).
 		goal Q.`)
 	db := chainDB(16)
-	got, _, err := Tuples(context.Background(), p, db.Clone(), "Q", Options{Eval: datalog.DefaultOptions})
-	if err != nil {
-		t.Fatalf("stream: %v", err)
-	}
+	got := collect(t, p, db.Clone(), "Q", Options{Eval: datalog.DefaultOptions})
 	if want := evalSorted(t, p, db, "Q"); !sameTuples(got, want) {
 		t.Fatalf("fact rule: got %v want %v", got, want)
 	}
@@ -537,13 +559,7 @@ func TestPlannedStreamEquivalence(t *testing.T) {
 	pl := plan.New(plan.Config{})
 	pp, _ := pl.PlanProgram(p, pl.CatalogFor(db))
 	want := evalSorted(t, p, db, "Q")
-	got, origin, err := Tuples(context.Background(), p, db.Clone(), "Q", Options{Eval: datalog.DefaultOptions, Plan: pp})
-	if err != nil {
-		t.Fatalf("stream planned: %v", err)
-	}
-	if origin != "stream" {
-		t.Fatalf("origin %q", origin)
-	}
+	got := collect(t, p, db.Clone(), "Q", Options{Eval: datalog.DefaultOptions, Plan: pp})
 	if !sameTuples(got, want) {
 		t.Fatalf("planned stream differs: got %d want %d", len(got), len(want))
 	}
@@ -564,10 +580,7 @@ func TestOpenErrors(t *testing.T) {
 func TestStreamEmptyEDB(t *testing.T) {
 	p := mustParse(t, "Q(x,y) :- Missing(x,y).\ngoal Q.")
 	db := datalog.NewDatabase(4)
-	got, _, err := Tuples(context.Background(), p, db, "Q", Options{Eval: datalog.DefaultOptions})
-	if err != nil {
-		t.Fatalf("stream: %v", err)
-	}
+	got := collect(t, p, db, "Q", Options{Eval: datalog.DefaultOptions})
 	if len(got) != 0 {
 		t.Fatalf("missing EDB should be empty, got %v", got)
 	}
