@@ -30,7 +30,7 @@ BENCH_subscribe := BenchmarkE30_
 SUITE ?= eval
 BENCHFLAGS ?= -count 5
 
-.PHONY: build test verify loc bench-e2e bench-e2e-smoke bench-e2e-compare bench-json bench-suites clean
+.PHONY: build test verify loc bench-e2e bench-e2e-smoke bench-e2e-compare ab bench-json bench-suites clean
 
 build:
 	$(GO) build ./...
@@ -69,16 +69,18 @@ loc:
 # bench-e2e-compare judges two sets of such result files, comma-separated,
 # metric by metric (ok / worse / unresolved; exit 1 on a worse),
 #   make bench-e2e-compare A=a1.json,a2.json B=b1.json,b2.json
-# bench-e2e-smoke is one mixed run, one traced commit-churn run and one
-# goal-read run, judged by their exit codes alone: it builds the frozen
-# harness against the packages as they are now, checks every page, goal and
-# commit against the oracle and enforces run validity — the way a change to
-# internal/ breaks the benchmark pipeline without failing a test.
-# commit-churn is the only workload with the SSE-replay and SIGKILL/restart
-# checks, and -trace 1 adds the replay that drives an Incremental by hand
-# and compares its views with the server's; goal-read is the only one whose
-# oracle checks bound JSON tc goals (the recursive answers the stream
-# executor's fixpoint computes) beside NDJSON hop2 goals (~3 min together).
+# bench-e2e-smoke is one mixed run, one traced commit-churn run, one
+# goal-read run and one view-read run, judged by their exit codes alone: it
+# builds the frozen harness against the packages as they are now, checks
+# every page, goal and commit against the oracle and enforces run validity
+# — the way a change to internal/ breaks the benchmark pipeline without
+# failing a test. commit-churn is the only workload with the SSE-replay and
+# SIGKILL/restart checks, and -trace 1 adds the replay that drives an
+# Incremental by hand and compares its views with the server's; goal-read
+# is the only one whose oracle checks bound JSON tc goals (the recursive
+# answers the stream executor's fixpoint computes) beside NDJSON hop2
+# goals; view-read is the only one whose oracle walks both published views
+# page by page at a fixed version (~3.5 min together).
 bench-e2e:
 	bash benchmark/run.sh $(ARGS)
 
@@ -86,9 +88,23 @@ bench-e2e-smoke:
 	bash benchmark/run.sh -workload mixed -seed 1
 	bash benchmark/run.sh -workload commit-churn -seed 1 -trace 1
 	bash benchmark/run.sh -workload goal-read -seed 1
+	bash benchmark/run.sh -workload view-read -seed 1
 
 bench-e2e-compare:
 	bash benchmark/run.sh -compare $(A) $(B)
+
+# ab measures the working tree against a base revision by alternated pairs
+# of end-to-end runs (ab.sh has the protocol): PAIRS pairs of each of
+# WORKLOADS (default every workload), base exported from BASE, reports kept
+# under .bench_build/ab/<stamp>/; it prints each side's median and
+# quartiles, the change in median, the wins per metric and run.sh
+# -compare's verdicts. Ten pairs of one workload take about ten minutes.
+#   make ab BASE=HEAD~1 WORKLOADS='commit-churn view-read'
+BASE ?= HEAD
+PAIRS ?= 10
+WORKLOADS ?=
+ab:
+	bash ab.sh -base $(BASE) -pairs $(PAIRS) $(WORKLOADS)
 
 bench-json:
 	@test -n '$(BENCH_$(SUITE))' || { echo 'bench-json: no suite "$(SUITE)"; SUITE is one of: $(SUITES)' >&2; exit 2; }

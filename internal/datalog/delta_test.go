@@ -224,15 +224,45 @@ func TestMergeDeltas(t *testing.T) {
 	}
 }
 
-// PatchSorted against the obvious reference: apply the delta to a set and
+// View.Patch against the obvious reference: apply the delta to a set and
 // sort. Random sorted views × random exact deltas (added disjoint from the
-// view, removed drawn from it), with the input slice required to come back
-// untouched and an empty delta required to return the very same slice.
-func TestPatchSortedProperty(t *testing.T) {
+// view, removed drawn from it), of arity 0 to 3 and up to a few hundred rows
+// — several chunks — with the input view required to come back untouched and
+// an empty delta required to return the very same view. Fixed inputs add
+// what random ones rarely hit: deltas before the first row and after the
+// last, into and out of an empty view, of nullary rows, and deltas that
+// empty a chunk, thin one under half the chunk size, and overfill one.
+func TestViewPatchProperty(t *testing.T) {
+	check := func(name string, rows, added, removed []Tuple, want []Tuple) {
+		t.Helper()
+		arity := 0
+		for _, tup := range append(append(append([]Tuple(nil), rows...), added...), removed...) {
+			arity = len(tup)
+		}
+		view := NewView(arity, rows)
+		before := view.Tuples()
+		got := view.Patch(added, removed)
+		if fmt.Sprint(got.Tuples()) != fmt.Sprint(want) || got.Len() != len(want) {
+			t.Fatalf("%s: view %v + %v - %v = %v (len %d), want %v", name, before, added, removed, got.Tuples(), got.Len(), want)
+		}
+		if fmt.Sprint(view.Tuples()) != fmt.Sprint(before) {
+			t.Fatalf("%s: the input view was written: %v, was %v", name, view.Tuples(), before)
+		}
+		if err := chunkSizes(got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(added)+len(removed) == 0 && got != view {
+			t.Fatalf("%s: an empty delta copied the view", name)
+		}
+	}
 	rng := rand.New(rand.NewSource(16))
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + rng.Intn(7)
-		arity := 1 + rng.Intn(3)
+		arity := rng.Intn(4)
+		draws := rng.Intn(40)
+		if trial%2 == 1 {
+			n, draws = 4+rng.Intn(24), rng.Intn(600)
+		}
 		draw := func() Tuple {
 			tup := make(Tuple, arity)
 			for i := range tup {
@@ -241,7 +271,7 @@ func TestPatchSortedProperty(t *testing.T) {
 			return tup
 		}
 		set := map[string]Tuple{}
-		for i := rng.Intn(40); i > 0; i-- {
+		for i := draws; i > 0; i-- {
 			tup := draw()
 			set[tup.String()] = tup
 		}
@@ -250,17 +280,16 @@ func TestPatchSortedProperty(t *testing.T) {
 			view = append(view, tup)
 		}
 		SortTuples(view)
-		before := append([]Tuple(nil), view...)
 
 		var added, removed []Tuple
-		for i := rng.Intn(6); i > 0; i-- {
+		for i := rng.Intn(6 + draws/8); i > 0; i-- {
 			tup := draw()
 			if _, ok := set[tup.String()]; !ok {
 				set[tup.String()] = tup
 				added = append(added, tup)
 			}
 		}
-		for _, tup := range before {
+		for _, tup := range view {
 			if rng.Intn(5) == 0 {
 				delete(set, tup.String())
 				removed = append(removed, tup)
@@ -268,60 +297,127 @@ func TestPatchSortedProperty(t *testing.T) {
 		}
 		SortTuples(added)
 
-		got := PatchSorted(view, added, removed)
 		var want []Tuple
 		for _, tup := range set {
 			want = append(want, tup)
 		}
 		SortTuples(want)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("trial %d: view %v + %v - %v = %v, want %v", trial, before, added, removed, got, want)
-		}
-		if fmt.Sprint(view) != fmt.Sprint(before) {
-			t.Fatalf("trial %d: the input view was written: %v, was %v", trial, view, before)
-		}
-		if len(added)+len(removed) == 0 && len(view) > 0 && &got[0] != &view[0] {
-			t.Fatalf("trial %d: an empty delta copied the view", trial)
-		}
+		check(fmt.Sprintf("trial %d", trial), view, added, removed, want)
 	}
-	view := []Tuple{{0, 1}, {2, 3}}
-	if got := PatchSorted(view, nil, nil); &got[0] != &view[0] {
-		t.Fatal("an empty delta copied the view")
+
+	// rows(lo, hi) is (2i, 0) for lo <= i < hi: even first components, so
+	// every odd one is free for a delta to land between two rows.
+	rows := func(lo, hi int) []Tuple {
+		var out []Tuple
+		for i := lo; i < hi; i++ {
+			out = append(out, Tuple{2 * i, 0})
+		}
+		return out
+	}
+	cat := func(parts ...[]Tuple) []Tuple {
+		var out []Tuple
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	const c = viewChunkRows
+	wide := make([]Tuple, 3*c) // 3c rows land between rows 2c-1 and 2c
+	for i := range wide {
+		wide[i] = Tuple{4*c - 1, i}
+	}
+	for _, tc := range []struct {
+		name                 string
+		rows, added, removed []Tuple
+		want                 []Tuple
+	}{
+		{"before the first row", rows(1, 4*c), []Tuple{{0, 0}, {0, 5}}, nil, cat([]Tuple{{0, 0}, {0, 5}}, rows(1, 4*c))},
+		{"after the last row", rows(0, 4*c), []Tuple{{8 * c, 0}}, rows(0, 1), rows(1, 4*c+1)},
+		{"empties a chunk", rows(0, 4*c), nil, rows(c, 2*c), cat(rows(0, c), rows(2*c, 4*c))},
+		{"thins a chunk", rows(0, 4*c), nil, rows(c+8, 2*c), cat(rows(0, c+8), rows(2*c, 4*c))},
+		{"overfills a chunk", rows(0, 4*c), wide, nil, cat(rows(0, 2*c), wide, rows(2*c, 4*c))},
+		{"into an empty view", nil, rows(0, 3*c), nil, rows(0, 3*c)},
+		{"to an empty view", rows(0, 3*c), nil, rows(0, 3*c), nil},
+		{"nullary, added", nil, []Tuple{{}}, nil, []Tuple{{}}},
+		{"nullary, removed", []Tuple{{}}, nil, []Tuple{{}}, nil},
+		{"nullary, unchanged", []Tuple{{}}, nil, nil, []Tuple{{}}},
+	} {
+		check(tc.name, tc.rows, tc.added, tc.removed, tc.want)
 	}
 }
 
-// The deltas maintenance reports are the exact deltas PatchSorted wants:
-// patching the sorted view with each run's LastDelta tracks Tuples()
-// through a random insert/delete schedule.
-func TestPatchSortedTracksMaintainedView(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	p := MustParse("S(x,y) :- E(x,y).\nS(x,y) :- E(x,z), S(z,y).\nJ(x,y) :- E(x,z), E(z,y), x != y.\ngoal S.\n")
-	const n = 9
-	db := NewDatabase(n)
-	db.EnsureRelation("E", 2)
-	inc, err := NewIncremental(p, db, DefaultOptions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	views := map[string][]Tuple{}
-	for pred, rel := range inc.Result().IDB {
-		views[pred] = rel.Tuples()
-	}
-	for step := 0; step < 200; step++ {
-		f := Fact{Pred: "E", Tuple: Tuple{rng.Intn(n), rng.Intn(n)}}
-		if rng.Intn(3) == 0 {
-			err = inc.Delete(f)
-		} else {
-			err = inc.Insert(f)
+// chunkSizes checks the chunk sizes Patch keeps: no chunk is empty or
+// holds twice the chunk size, and none but the last has dwindled under half
+// of it — a chunk a delta thins that far takes in the chunks after it.
+func chunkSizes(v *View) error {
+	for ci, c := range v.chunks {
+		if c.n == 0 || c.n >= 2*viewChunkRows || (c.n < viewChunkRows/2 && ci < len(v.chunks)-1) {
+			return fmt.Errorf("chunk %d of %d holds %d rows", ci, len(v.chunks), c.n)
 		}
+	}
+	return nil
+}
+
+// A patch shares every chunk its delta does not land in with the version
+// before, by pointer: two deltas in two chunks of twenty copy those two.
+func TestViewPatchSharesUntouchedChunks(t *testing.T) {
+	var rows []Tuple
+	for i := 0; i < 20*viewChunkRows; i++ {
+		rows = append(rows, Tuple{i, 0})
+	}
+	v := NewView(2, rows)
+	if len(v.chunks) != 20 {
+		t.Fatalf("%d rows cut into %d chunks, want 20", len(rows), len(v.chunks))
+	}
+	next := v.Patch([]Tuple{{viewChunkRows + 6, 5}}, []Tuple{{15*viewChunkRows + 3, 0}})
+	if len(next.chunks) != 20 {
+		t.Fatalf("the patched view has %d chunks, want 20", len(next.chunks))
+	}
+	for ci := range v.chunks {
+		shared := &next.chunks[ci].rows[0] == &v.chunks[ci].rows[0]
+		if touched := ci == 1 || ci == 15; shared == touched {
+			t.Fatalf("chunk %d: shared %v, touched by the delta %v", ci, shared, touched)
+		}
+	}
+}
+
+// The deltas maintenance reports are the exact deltas View.Patch wants:
+// patching the view with each run's LastDelta tracks Tuples() through a
+// random insert/delete schedule — on a universe of 9, and on one of 40 whose
+// closure spans many chunks.
+func TestViewPatchTracksMaintainedView(t *testing.T) {
+	for _, n := range []int{9, 40} {
+		rng := rand.New(rand.NewSource(7))
+		p := MustParse("S(x,y) :- E(x,y).\nS(x,y) :- E(x,z), S(z,y).\nJ(x,y) :- E(x,z), E(z,y), x != y.\nT(x,y,z) :- E(x,y), E(y,z).\ngoal S.\n")
+		db := NewDatabase(n)
+		db.EnsureRelation("E", 2)
+		inc, err := NewIncremental(p, db, DefaultOptions)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := inc.LastDelta()
+		views := map[string]*View{}
 		for pred, rel := range inc.Result().IDB {
-			views[pred] = PatchSorted(views[pred], d.Added[pred], d.Removed[pred])
-			if want := rel.Tuples(); fmt.Sprint(views[pred]) != fmt.Sprint(want) {
-				t.Fatalf("step %d, %s: patched view %v, relation %v", step, pred, views[pred], want)
+			views[pred] = NewView(rel.Arity, rel.Tuples())
+		}
+		for step := 0; step < 200; step++ {
+			f := Fact{Pred: "E", Tuple: Tuple{rng.Intn(n), rng.Intn(n)}}
+			if rng.Intn(3) == 0 {
+				err = inc.Delete(f)
+			} else {
+				err = inc.Insert(f)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := inc.LastDelta()
+			for pred, rel := range inc.Result().IDB {
+				views[pred] = views[pred].Patch(d.Added[pred], d.Removed[pred])
+				if want := rel.Tuples(); fmt.Sprint(views[pred].Tuples()) != fmt.Sprint(want) {
+					t.Fatalf("n %d, step %d, %s: patched view %v, relation %v", n, step, pred, views[pred].Tuples(), want)
+				}
+				if err := chunkSizes(views[pred]); err != nil {
+					t.Fatalf("n %d, step %d, %s: %v", n, step, pred, err)
+				}
 			}
 		}
 	}

@@ -281,6 +281,7 @@ type evaluator struct {
 
 	// Instrumentation accumulators; see stats.go.
 	ruleStats     []ruleCounters
+	ruleText      []string // the rules printed, for RuleStats; see ruleStatsSnapshot
 	roundStats    []RoundStats
 	roundsDropped int64
 	elapsedNs     int64

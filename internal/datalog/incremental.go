@@ -61,7 +61,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // ErrViewBroken reports that an Incremental's maintenance was aborted
@@ -134,44 +133,6 @@ func MergeDeltas(a, b Delta) Delta {
 		}
 	}
 	return out
-}
-
-// PatchSorted applies one predicate's net delta (a MergeDeltas or
-// LastDelta entry: added disjoint from sorted, removed contained in it,
-// both canonically sorted) to a canonically sorted view and returns the
-// sorted result in a fresh slice: the runs between the delta's tuples are
-// found by binary search and copied whole, so a small delta costs one
-// allocation and one copy of the view, whatever the view's size. sorted
-// is never written and, when the delta is empty, is returned as it is —
-// which is what lets a published view be shared across versions.
-func PatchSorted(sorted, added, removed []Tuple) []Tuple {
-	if len(added) == 0 && len(removed) == 0 {
-		return sorted
-	}
-	out := make([]Tuple, 0, max(0, len(sorted)+len(added)-len(removed)))
-	rest := sorted
-	for len(added) > 0 || len(removed) > 0 {
-		remove := len(removed) > 0 && (len(added) == 0 || CompareTuples(removed[0], added[0]) <= 0)
-		t := added
-		if remove {
-			t = removed
-		}
-		i, found := slices.BinarySearchFunc(rest, t[0], CompareTuples)
-		out = append(out, rest[:i]...)
-		rest = rest[i:]
-		if remove {
-			if found {
-				rest = rest[1:]
-			}
-			removed = removed[1:]
-		} else {
-			if !found {
-				out = append(out, t[0])
-			}
-			added = added[1:]
-		}
-	}
-	return append(out, rest...)
 }
 
 // Incremental maintains the least fixpoint of a program across EDB
@@ -272,6 +233,23 @@ func (inc *Incremental) Updates() int { return inc.updates }
 // Rounds returns the accumulated iteration-round count without building
 // a full Result snapshot (cheap enough for per-commit metrics).
 func (inc *Incremental) Rounds() int { return inc.e.rounds }
+
+// Relations returns the maintained IDB relations by predicate: live,
+// shared with the evaluator, read-only. Unlike Result it builds no stats
+// snapshot, so a caller publishing sizes on every update pays nothing for
+// per-rule counters it does not read.
+func (inc *Incremental) Relations() map[string]*Relation { return inc.e.idb }
+
+// Totals returns the running counters Result().Stats would report for the
+// derivations and DRed's delete runs — tuples over-deleted, and the ones
+// among them rederived — without building the stats snapshot.
+func (inc *Incremental) Totals() (derivations int, overDeleted, rederived int64) {
+	return inc.e.derivations, inc.e.overDeleted, inc.e.rederived
+}
+
+// RuleStats returns Result().Stats.Rules alone: a fresh copy of the per-rule
+// counters, without the per-round history the full snapshot copies.
+func (inc *Incremental) RuleStats() []RuleStats { return inc.e.ruleStatsSnapshot() }
 
 // Err returns the error that broke the view (wrapping ErrViewBroken), or
 // nil while the view is consistent.

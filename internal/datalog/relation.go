@@ -284,7 +284,14 @@ func (ix *index) remove(o *ownerTag, stored Tuple) {
 	}
 	list[j] = list[last]
 	list[last] = nil
-	b.vals[i] = list[:last]
+	list = list[:last]
+	if len(list) < cap(list)/4 {
+		// Give capacity back: a list that only swap-deletes and appends
+		// keeps its historical maximum, which churn keeps raising. The
+		// fresh list is this version's own, as clipList wants.
+		list = append(make([]Tuple, 0, 2*len(list)), list...)
+	}
+	b.vals[i] = list
 }
 
 // Relation is a set of same-arity tuples with optional join indexes,

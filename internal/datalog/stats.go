@@ -97,15 +97,36 @@ type ruleCounters struct {
 // accumulators. Called per result() — cheap relative to any evaluation.
 func (e *evaluator) statsSnapshot() *EvalStats {
 	st := &EvalStats{
-		Rules:         make([]RuleStats, len(e.ruleStats)),
+		Rules:         e.ruleStatsSnapshot(),
 		Rounds:        append([]RoundStats(nil), e.roundStats...),
 		RoundsDropped: e.roundsDropped,
 		OverDeleted:   e.overDeleted,
 		Rederived:     e.rederived,
 	}
+	for _, rs := range st.Rules {
+		st.Firings += rs.Firings
+		st.Derived += rs.Derived
+		st.New += rs.New
+		st.Duplicates += rs.Duplicates
+		st.Probes += rs.Probes
+	}
+	st.TimeNs = e.elapsedNs
+	return st
+}
+
+// ruleStatsSnapshot copies the per-rule accumulators out as RuleStats; each
+// rule is printed once per evaluator, on the first call.
+func (e *evaluator) ruleStatsSnapshot() []RuleStats {
+	if e.ruleText == nil {
+		e.ruleText = make([]string, len(e.p.Rules))
+		for ri := range e.p.Rules {
+			e.ruleText[ri] = e.p.Rules[ri].String()
+		}
+	}
+	out := make([]RuleStats, len(e.ruleStats))
 	for ri, rc := range e.ruleStats {
-		st.Rules[ri] = RuleStats{
-			Rule:       e.p.Rules[ri].String(),
+		out[ri] = RuleStats{
+			Rule:       e.ruleText[ri],
 			Firings:    rc.firings,
 			Derived:    rc.derived,
 			New:        rc.fresh,
@@ -113,14 +134,8 @@ func (e *evaluator) statsSnapshot() *EvalStats {
 			Probes:     rc.probes,
 			TimeNs:     rc.timeNs,
 		}
-		st.Firings += rc.firings
-		st.Derived += rc.derived
-		st.New += rc.fresh
-		st.Duplicates += rc.duplicates
-		st.Probes += rc.probes
 	}
-	st.TimeNs = e.elapsedNs
-	return st
+	return out
 }
 
 // recordRound appends one round's counters, trimming the history to the

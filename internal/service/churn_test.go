@@ -14,7 +14,9 @@ import (
 // out, must allocate like a change of eight edges and not like the 31k
 // tuples of the views. Before delete maintenance followed use-lists a
 // commit here allocated 18.5 MB in 173k objects, which is what held the
-// server's heap at three times its live data.
+// server's heap at three times its live data; while every changed view was
+// copied whole on publication it allocated 922 KB, and with chunked views
+// 170 KB.
 func TestChurnCommitAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the full benchmark state")
@@ -89,8 +91,8 @@ func TestChurnCommitAllocations(t *testing.T) {
 		}
 	}
 	t.Logf("a churn commit allocates %d KB in %d objects (views: %d tuples)", bytes>>10, objects, tuples)
-	if bytes >= 2500<<10 || objects >= 10000 {
-		t.Fatalf("a churn commit allocates %d bytes in %d objects; want under 2.5 MB and 10000", bytes, objects)
+	if bytes >= 256<<10 || objects >= 10000 {
+		t.Fatalf("a churn commit allocates %d bytes in %d objects; want under 256 KB and 10000", bytes, objects)
 	}
 }
 

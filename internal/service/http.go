@@ -311,7 +311,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.handleQueryStream(w, r, req)
 		return
 	}
-	res, err := s.QueryContext(r.Context(), req)
+	res, after, err := s.query(r.Context(), req)
 	if err == nil && wire.Tuple != nil && len(wire.Tuple) != res.Arity {
 		err = fmt.Errorf("service: tuple has %d components, predicate %s has arity %d", len(wire.Tuple), res.Pred, res.Arity)
 	}
@@ -319,19 +319,32 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorStatus(err), err)
 		return
 	}
-	resp := QueryResponse{Pred: res.Pred, Version: res.Version, Count: len(res.Tuples), Origin: res.Origin, Goal: res.Goal, NextCursor: res.NextCursor}
+	resp := QueryResponse{Pred: res.Pred, Version: res.Version, Origin: res.Origin, Goal: res.Goal}
 	if res.Goal != "" {
 		demand := res.DemandFacts
 		resp.DemandFacts = &demand
 	}
-	if wire.Tuple != nil {
-		// The answer is canonically sorted by contract: binary search.
+	switch {
+	case wire.Tuple != nil && res.view != nil && req.Limit == 0 && after == nil:
+		// Membership in a whole view: a search of its directory and of one
+		// chunk, with no page built.
+		has := res.view.Has(wire.Tuple)
+		resp.Count, resp.Has = res.view.Len(), &has
+	case wire.Tuple != nil:
+		// The page is canonically sorted by contract: binary search.
+		var page []datalog.Tuple
+		page, resp.NextCursor = res.page(after, req.Limit)
 		want := datalog.Tuple(wire.Tuple)
-		i := sort.Search(len(res.Tuples), func(i int) bool { return datalog.CompareTuples(res.Tuples[i], want) >= 0 })
-		has := i < len(res.Tuples) && datalog.CompareTuples(res.Tuples[i], want) == 0
-		resp.Has = &has
-	} else {
-		resp.Tuples = tuplesToWire(res.Tuples)
+		i := sort.Search(len(page), func(i int) bool { return datalog.CompareTuples(page[i], want) >= 0 })
+		has := i < len(page) && datalog.CompareTuples(page[i], want) == 0
+		resp.Count, resp.Has = len(page), &has
+	case res.view != nil:
+		// The page is built once, as the wire's rows, over the view's ints.
+		resp.Tuples, resp.NextCursor = viewPage[[]int](res.view, after, req.Limit)
+		resp.Count = len(resp.Tuples)
+	default:
+		page, cursor := res.page(after, req.Limit)
+		resp.Tuples, resp.NextCursor, resp.Count = tuplesToWire(page), cursor, len(page)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/datalog"
@@ -121,10 +123,21 @@ func TestHTTPErrors(t *testing.T) {
 		{"commit trailing data", "/v1/commit", `{} {}`},
 		{"register bad program", "/v1/register", `{"name":"x","program":"S("}`},
 		{"register no name", "/v1/register", `{"program":"S(x) :- E(x)."}`},
+		// A program constant must name an element of the universe (size 4
+		// here), in a head, a body atom or a constraint alike.
+		{"register head constant outside the universe", "/v1/register", `{"name":"p","program":"P(x,7) :- E(x,y). goal P."}`},
+		{"register body constant outside the universe", "/v1/register", `{"name":"p","program":"P(x) :- E(x,4). goal P."}`},
+		{"register constraint constant outside the universe", "/v1/register", `{"name":"p","program":"P(x) :- E(x,y), y != 5. goal P."}`},
+		{"query constant outside the universe", "/v1/query", `{"source":"Q(x,9) :- E(x,y). goal Q."}`},
+		{"ndjson constant outside the universe", "/v1/query", `{"source":"Q(x,9) :- E(x,y). goal Q.","stream":true}`},
 	}
 	for _, tc := range cases {
-		if w := post(t, h, tc.path, tc.body); w.Code != http.StatusBadRequest {
+		w := post(t, h, tc.path, tc.body)
+		if w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, w.Code, w.Body)
+		}
+		if strings.Contains(tc.name, "constant") && !regexp.MustCompile(`constant (7|4|5|9) in rule`).MatchString(w.Body.String()) {
+			t.Errorf("%s: the error does not name the constant: %s", tc.name, w.Body)
 		}
 	}
 	if w := httptest.NewRecorder(); true {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/datalog"
+	"repro/internal/storage"
 )
 
 // The persistence suite exercises the service-level durability contract:
@@ -150,6 +151,51 @@ func TestRestartDropsUnregisteredPrograms(t *testing.T) {
 	if _, err := s2.Query(QueryRequest{Program: "tc"}); err != nil {
 		t.Fatalf("registered program lost: %v", err)
 	}
+}
+
+// A logged registration whose program names a constant outside the
+// universe — written before registration refused such programs — is
+// dropped on recovery with a warning, as if it had been refused: recovery
+// goes on, a replacement under a registered name leaves the name's earlier
+// program in place, and the programs and commits around it are intact.
+func TestRecoveryDropsProgramWithConstantOutsideUniverse(t *testing.T) {
+	dir := t.TempDir()
+	s := newDurable(t, dir, 8)
+	if _, err := s.Register("tc", tcSource); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Commit([]datalog.Fact{edge(0, 1), edge(1, 2)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, _, err := storage.Open(dir, storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"wide", "tc"} {
+		if _, err := log.AppendRegister(name, "S(x,9) :- E(x,y). goal S."); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := newDurable(t, dir, 8)
+	defer s2.Close()
+	if rec := s2.Recovery(); rec.Programs != 1 || rec.Version != 1 {
+		t.Fatalf("recovered %d programs at version %d, want 1 at 1", rec.Programs, rec.Version)
+	}
+	if _, err := s2.Query(QueryRequest{Program: "wide"}); err == nil {
+		t.Fatal("a program with a constant outside the universe was recovered")
+	}
+	requireViewMatchesScratch(t, s2, "tc", tcSource)
+	if _, err := s2.Commit([]datalog.Fact{edge(2, 3)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	requireViewMatchesScratch(t, s2, "tc", tcSource)
 }
 
 func TestCheckpointBoundsReplayAndHistoryWindow(t *testing.T) {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/datalog"
@@ -31,13 +32,15 @@ type published struct {
 type publishedProg struct {
 	prog *datalog.Program
 	// stats is the program's /v1/stats entry (name, hash, sizes, rule
-	// counters), taken under s.mu when the view was built and handed out
-	// as it is: its map and slice are read-only like the views.
+	// counters), taken under s.mu when the view was built and handed out as
+	// it is: its map and slice are read-only like the views. It copies the
+	// maintained view's counters and nothing else of its stats snapshot.
 	stats ProgramStats
 	// views holds every IDB predicate in the canonical CompareTuples order.
-	// The slices are never written after publication; a predicate a commit
-	// left unchanged shares its slice with the version before.
-	views map[string][]datalog.Tuple
+	// A view is never written after publication; a predicate a commit left
+	// unchanged shares its view with the version before, and a changed one
+	// every chunk the commit's delta did not land in.
+	views map[string]*datalog.View
 }
 
 // snapshot builds the registration's next published form; the caller
@@ -45,27 +48,27 @@ type publishedProg struct {
 // the maintained relations — the one sort a view ever gets; afterwards
 // each commit patches the previous version's views with its net delta.
 func (reg *registration) snapshot(prev *publishedProg, delta datalog.Delta) *publishedProg {
-	res := reg.inc.Result()
-	pp := &publishedProg{prog: reg.prog, views: make(map[string][]datalog.Tuple, len(res.IDB))}
-	sizes := make(map[string]int, len(res.IDB))
-	for pred, rel := range res.IDB {
+	rels := reg.inc.Relations()
+	pp := &publishedProg{prog: reg.prog, views: make(map[string]*datalog.View, len(rels))}
+	sizes := make(map[string]int, len(rels))
+	for pred, rel := range rels {
 		if prev == nil {
-			pp.views[pred] = rel.Tuples()
+			pp.views[pred] = datalog.NewView(rel.Arity, rel.Tuples())
 		} else {
-			pp.views[pred] = datalog.PatchSorted(prev.views[pred], delta.Added[pred], delta.Removed[pred])
+			pp.views[pred] = prev.views[pred].Patch(delta.Added[pred], delta.Removed[pred])
 		}
 		sizes[pred] = rel.Size()
 	}
+	derivations, overDeleted, rederived := reg.inc.Totals()
 	pp.stats = ProgramStats{
 		Name: reg.name, Hash: reg.hash, Version: reg.version,
 		Goal: reg.prog.Goal, Updates: reg.inc.Updates(),
-		Rounds: res.Rounds, Derivations: res.Derivations, IDBSizes: sizes,
+		Rounds: reg.inc.Rounds(), Derivations: derivations, IDBSizes: sizes,
 		MaintainTotalNs: reg.maintainTotal.Nanoseconds(),
 		MaintainLastNs:  reg.maintainLast.Nanoseconds(),
-	}
-	if res.Stats != nil {
-		pp.stats.Rules = res.Stats.Rules
-		pp.stats.OverDeleted, pp.stats.Rederived = res.Stats.OverDeleted, res.Stats.Rederived
+		OverDeleted:     overDeleted,
+		Rederived:       rederived,
+		Rules:           reg.inc.RuleStats(),
 	}
 	return pp
 }
@@ -138,6 +141,9 @@ func (s *Service) resolve(req QueryRequest) (resolved, error) {
 		if err := datalog.Validate(p); err != nil {
 			return resolved{}, err
 		}
+		if err := s.checkConstants(p); err != nil {
+			return resolved{}, err
+		}
 		q.prog, q.hash = p, ProgramHash(p)
 	default:
 		return resolved{}, fmt.Errorf("service: query names no program and carries no source")
@@ -190,6 +196,34 @@ func (s *Service) resolve(req QueryRequest) (resolved, error) {
 	return q, nil
 }
 
+// errOutsideUniverse marks a program refused for a constant that names no
+// element of the universe.
+var errOutsideUniverse = errors.New("outside the universe")
+
+// checkConstants refuses a program with a constant outside the universe: a
+// constant denotes an element, and one that is none would be derived into
+// answers that no EDB fact and no request could hold. A registration and an
+// ad-hoc source are both checked here; recovery drops a logged registration
+// that fails (see Service.recoverRegistration).
+func (s *Service) checkConstants(p *datalog.Program) error {
+	for _, r := range p.Rules {
+		terms := r.Head.Args
+		for _, b := range r.Body {
+			if b.Atom != nil {
+				terms = append(terms[:len(terms):len(terms)], b.Atom.Args...)
+			} else {
+				terms = append(terms[:len(terms):len(terms)], b.Constraint.Left, b.Constraint.Right)
+			}
+		}
+		for _, t := range terms {
+			if !t.IsVar() && (t.Const < 0 || t.Const >= s.cfg.Universe) {
+				return fmt.Errorf("service: constant %d in rule %s is %w of size %d", t.Const, r, errOutsideUniverse, s.cfg.Universe)
+			}
+		}
+	}
+	return nil
+}
+
 // target names what evaluating q runs: the source program and the
 // requested predicate or, for a bound request, the magic-set rewrite seeded
 // with the bound values and its answer predicate, read under q.goal as the
@@ -223,7 +257,7 @@ func (s *Service) target(q *resolved) (*datalog.Program, string, error) {
 
 // readsView reports that q is an unbound read of a registered program at
 // the published version: the only version whose views are kept, so its
-// answer is the published sorted view. Older pinned versions are evaluated
+// answer is the published view. Older pinned versions are evaluated
 // from their snapshot.
 func (q *resolved) readsView() bool {
 	return q.pp != nil && q.goal == nil && q.version == q.pub.version

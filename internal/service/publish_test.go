@@ -37,11 +37,11 @@ func publishedMatchesViews(s *Service) error {
 			return fmt.Errorf("program %s is published at version %d beside version %d", name, pp.stats.Version, pub.version)
 		}
 		for pred, rel := range reg.inc.Result().IDB {
-			if got, want := fmt.Sprint(pp.views[pred]), fmt.Sprint(rel.Tuples()); got != want {
+			if got, want := fmt.Sprint(pp.views[pred].Tuples()), fmt.Sprint(rel.Tuples()); got != want {
 				return fmt.Errorf("program %s, %s: published %s, maintained relation %s", name, pred, got, want)
 			}
-			if pp.stats.IDBSizes[pred] != len(pp.views[pred]) {
-				return fmt.Errorf("program %s, %s: stats say %d tuples, the view has %d", name, pred, pp.stats.IDBSizes[pred], len(pp.views[pred]))
+			if pp.stats.IDBSizes[pred] != pp.views[pred].Len() {
+				return fmt.Errorf("program %s, %s: stats say %d tuples, the view has %d", name, pred, pp.stats.IDBSizes[pred], pp.views[pred].Len())
 			}
 		}
 	}

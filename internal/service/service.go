@@ -164,6 +164,9 @@ type view interface {
 	DeleteContext(ctx context.Context, facts ...datalog.Fact) error
 	LastDelta() datalog.Delta
 	Result() *datalog.Result
+	Relations() map[string]*datalog.Relation
+	Totals() (derivations int, overDeleted, rederived int64)
+	RuleStats() []datalog.RuleStats
 	Rounds() int
 	Updates() int
 }
@@ -300,7 +303,7 @@ func (s *Service) openStorage() error {
 		s.store = NewStoreAt(ck.DB, ck.Version, s.cfg.History)
 		s.recovered.CheckpointVersion = ck.Version
 		for _, p := range ck.Programs {
-			if _, err := s.registerLocked(s.root, p.Name, p.Source, false); err != nil {
+			if err := s.recoverRegistration(p.Name, p.Source); err != nil {
 				log.Close()
 				return fmt.Errorf("service: recovering program %s from checkpoint: %w", p.Name, err)
 			}
@@ -335,7 +338,7 @@ func (s *Service) replayRecord(r *storage.Record) error {
 		}
 		s.recovered.ReplayedCommits++
 	case storage.RecRegister:
-		if _, err := s.registerLocked(s.root, r.Name, r.Source, false); err != nil {
+		if err := s.recoverRegistration(r.Name, r.Source); err != nil {
 			return fmt.Errorf("service: replaying registration of %s (lsn %d): %w", r.Name, r.LSN, err)
 		}
 		s.recovered.ReplayedRegistrations++
@@ -346,6 +349,21 @@ func (s *Service) replayRecord(r *storage.Record) error {
 		return fmt.Errorf("service: unknown WAL record type %d at lsn %d", r.Type, r.LSN)
 	}
 	return nil
+}
+
+// recoverRegistration re-registers a program from the checkpoint or the
+// WAL. A program with a constant outside the universe was logged before
+// registration refused such programs; it is dropped with a warning, as if
+// it had been refused, and recovery goes on — the name keeps whatever it
+// held before, and the next checkpoint leaves the program out. Any other
+// failure fails recovery.
+func (s *Service) recoverRegistration(name, source string) error {
+	_, err := s.registerLocked(s.root, name, source, false)
+	if errors.Is(err, errOutsideUniverse) {
+		slog.Warn("recovery dropped a logged registration", slog.String("program", name), slog.Any("error", err))
+		return nil
+	}
+	return err
 }
 
 // initMetrics registers the service's series on a fresh obs registry.
@@ -573,6 +591,9 @@ func (s *Service) registerLocked(ctx context.Context, name, source string, persi
 	}
 	prog, err := datalog.Parse(source)
 	if err != nil {
+		return RegisterInfo{}, err
+	}
+	if err := s.checkConstants(prog); err != nil {
 		return RegisterInfo{}, err
 	}
 	snap := s.store.Latest()
@@ -842,8 +863,8 @@ type QueryResult struct {
 	// such read, first or repeated), "eval" (from-scratch evaluation of a
 	// snapshot) or "magic" (goal-directed evaluation of the magic-set
 	// rewrite); every read that is not of the view evaluates. Materialized
-	// tuples are the published slice itself, shared with every other
-	// reader: read-only.
+	// tuples are headers over the published view's own rows, shared with
+	// every other reader: read-only.
 	Origin string
 	// Goal echoes the binding pattern of a goal-directed query in
 	// datalog.Goal.String form (e.g. "S(0,_)"); empty otherwise.
@@ -855,6 +876,10 @@ type QueryResult struct {
 	// answer set: passing it back as QueryRequest.Cursor returns the next
 	// page. Empty on the final page.
 	NextCursor string
+
+	// view is the published view a materialized answer reads, before its
+	// page is cut (see QueryResult.page); Tuples is then unset.
+	view *datalog.View
 }
 
 // Query is QueryContext with a background context.
@@ -863,15 +888,29 @@ func (s *Service) Query(req QueryRequest) (QueryResult, error) {
 }
 
 // QueryContext returns the tuples of one IDB predicate at an EDB version:
-// the request is resolved once, its sorted answer taken from answer, and
-// the page cut out of it. Latest-version queries of registered programs
-// read the published sorted view — no lock, no copy; a page is a binary
-// search plus a slice of it. Anything else — historical versions, ad-hoc
-// programs, bound requests — is evaluated from the pinned snapshot on the
-// bounded executor under ctx (plus the per-query timeout and the service
-// lifetime): a cancelled client stops queueing immediately and aborts a
-// running evaluation within one fixpoint round.
+// the request is resolved once, its answer taken from answer, and the page
+// cut out of it. Latest-version queries of registered programs read the
+// published view — no lock, no copy of a row; a page is a search of the
+// view's chunk directory and of one chunk, and one slice of row headers.
+// Anything else — historical versions, ad-hoc programs, bound requests — is
+// evaluated from the pinned snapshot on the bounded executor under ctx
+// (plus the per-query timeout and the service lifetime): a cancelled client
+// stops queueing immediately and aborts a running evaluation within one
+// fixpoint round.
 func (s *Service) QueryContext(ctx context.Context, req QueryRequest) (QueryResult, error) {
+	res, after, err := s.query(ctx, req)
+	if err != nil {
+		return QueryResult{}, err
+	}
+	res.Tuples, res.NextCursor = res.page(after, req.Limit)
+	return res, nil
+}
+
+// query resolves req and takes its whole answer from answer, leaving the
+// page to the caller — QueryContext cuts it as tuples, the HTTP front end
+// straight into the wire's rows — and returns the tuple the request's
+// cursor names (nil without one).
+func (s *Service) query(ctx context.Context, req QueryRequest) (QueryResult, datalog.Tuple, error) {
 	s.met.queries.Inc()
 	start := time.Now()
 	var res QueryResult
@@ -882,25 +921,34 @@ func (s *Service) QueryContext(ctx context.Context, req QueryRequest) (QueryResu
 		}
 		res, err = s.answer(ctx, &q)
 	}
-	if err == nil && (req.Limit > 0 || q.after != nil) {
-		// Whatever its origin, answer's slice is in the canonical sorted
-		// order (see datalog.CompareTuples), so the page boundary is stable
-		// across repeated reads of the same version.
-		res.Tuples, res.NextCursor = pageTuples(res.Tuples, q.after, req.Limit)
-	}
 	s.met.querySeconds.Observe(time.Since(start).Seconds())
 	if err != nil {
 		s.met.queryErrors.Inc()
-		return QueryResult{}, err
+		return QueryResult{}, nil, err
 	}
-	return res, nil
+	return res, q.after, nil
+}
+
+// page cuts the page strictly after the tuple after (nil: from the start),
+// at most limit tuples (0: all), out of the answer, with the cursor that
+// resumes after it. Whatever its origin the answer is in the canonical
+// sorted order (see datalog.CompareTuples), so the page boundary is stable
+// across repeated reads of the same version.
+func (res *QueryResult) page(after datalog.Tuple, limit int) ([]datalog.Tuple, string) {
+	if res.view != nil {
+		return viewPage[datalog.Tuple](res.view, after, limit)
+	}
+	if limit == 0 && after == nil {
+		return res.Tuples, ""
+	}
+	return pageTuples(res.Tuples, after, limit)
 }
 
 // answer is the one source of a request's whole answer in the canonical
-// sorted order: the published view, else one evaluation of the pinned
-// snapshot on the bounded executor — the stream of q's target (the source
-// program, or a bound request's seeded magic rewrite) drained and sorted
-// once. The evaluation derives into relations of its own and only reads the
+// sorted order: the published view (QueryResult.view), else one evaluation
+// of the pinned snapshot on the bounded executor — the stream of q's target
+// (the source program, or a bound request's seeded magic rewrite) drained
+// and sorted once. The evaluation derives into relations of its own and only reads the
 // snapshot, so a cancelled or failed one leaves nothing behind — not in the
 // snapshot, and not in the registered incremental view, which it never
 // touches.
@@ -908,7 +956,7 @@ func (s *Service) answer(ctx context.Context, q *resolved) (QueryResult, error) 
 	res := QueryResult{Pred: q.pred, Version: q.version, Arity: q.arity, Goal: q.bind}
 	if q.readsView() {
 		s.met.viewReads.Inc()
-		res.Tuples, res.Origin = q.pp.views[q.pred], "materialized"
+		res.view, res.Origin = q.pp.views[q.pred], "materialized"
 		return res, nil
 	}
 	ctx, done := s.scoped(ctx, s.cfg.QueryTimeout)

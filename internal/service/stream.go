@@ -60,6 +60,16 @@ func pageTuples(sorted []datalog.Tuple, after datalog.Tuple, limit int) ([]datal
 	return page, ""
 }
 
+// viewPage is pageTuples over a published view, with the page built as
+// rows of type T: datalog.Tuple in process, []int for the JSON wire.
+func viewPage[T ~[]int](v *datalog.View, after datalog.Tuple, limit int) ([]T, string) {
+	page, more := datalog.ViewPage[T](v, after, limit)
+	if !more {
+		return page, ""
+	}
+	return page, encodeCursor(datalog.Tuple(page[len(page)-1]))
+}
+
 // QueryStream is one open streaming query: tuples are pulled one at a
 // time and, on the streamed origin, produced as they are derived — the
 // executor worker slot, the pinned snapshot and any buffered state are
@@ -193,8 +203,19 @@ func (s *Service) QueryStream(ctx context.Context, req QueryRequest) (qs *QueryS
 	if err != nil {
 		return nil, err
 	}
+	if res.view != nil {
+		it := res.view.After(q.after)
+		return s.sortedStream(res, it.Next, req.Limit), nil
+	}
 	page, _ := pageTuples(res.Tuples, q.after, 0)
-	return s.sliceStream(res, page, req.Limit), nil
+	return s.sortedStream(res, func() (datalog.Tuple, bool) {
+		if len(page) == 0 {
+			return nil, false
+		}
+		t := page[0]
+		page = page[1:]
+		return t, true
+	}, req.Limit), nil
 }
 
 // open compiles q's target — the source program and predicate, or a bound
@@ -253,22 +274,13 @@ func (s *Service) openStream(ctx context.Context, q *resolved, limit int) (*Quer
 	}, nil
 }
 
-// sliceStream wraps an already-complete, canonically sorted answer slice
-// as a QueryStream with exact cursors.
-func (s *Service) sliceStream(res QueryResult, page []datalog.Tuple, limit int) *QueryStream {
-	i := 0
-	pred := res.Pred
+// sortedStream wraps an already-complete answer, pulled in the canonical
+// sorted order by next, as a QueryStream with exact cursors.
+func (s *Service) sortedStream(res QueryResult, next func() (datalog.Tuple, bool), limit int) *QueryStream {
 	return &QueryStream{
-		Pred: pred, Version: res.Version, Origin: res.Origin, Goal: res.Goal, Sorted: true,
-		s: s,
-		next: func() (datalog.Tuple, bool) {
-			if i >= len(page) {
-				return nil, false
-			}
-			t := page[i]
-			i++
-			return t, true
-		},
+		Pred: res.Pred, Version: res.Version, Origin: res.Origin, Goal: res.Goal, Sorted: true,
+		s:     s,
+		next:  next,
 		errf:  func() error { return nil },
 		limit: limit,
 	}

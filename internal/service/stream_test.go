@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +27,60 @@ func sortedCopy(ts []datalog.Tuple) []datalog.Tuple {
 	out := append([]datalog.Tuple(nil), ts...)
 	datalog.SortTuples(out)
 	return out
+}
+
+// TestViewPagesMatchFlatPages walks a published view page by page: from
+// every cursor — no cursor, every row, and a tuple between every two rows —
+// at limits 0, 1, 2, 255, 256 and 257, the page cut out of the view's
+// chunks, as tuples and as wire rows, equals pageTuples over the same rows
+// in one flat slice, cursor included. The view is patched a few times first,
+// so its chunks are of uneven sizes.
+func TestViewPagesMatchFlatPages(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var rows []datalog.Tuple
+	for x := 0; x < 700; x++ {
+		rows = append(rows, datalog.Tuple{2 * x, 2 * rng.Intn(4)})
+	}
+	datalog.SortTuples(rows)
+	rows = slices.CompactFunc(rows, func(a, b datalog.Tuple) bool { return datalog.CompareTuples(a, b) == 0 })
+	v := datalog.NewView(2, rows)
+	for step := 0; step < 4; step++ {
+		flat := v.Tuples()
+		var added, removed []datalog.Tuple
+		for _, r := range flat {
+			switch rng.Intn(12) {
+			case 0:
+				removed = append(removed, r)
+			case 1:
+				if r[0]%2 == 0 { // one row per even first component
+					for i := 0; i < rng.Intn(90); i++ {
+						added = append(added, datalog.Tuple{r[0] + 1, 100*step + i})
+					}
+				}
+			}
+		}
+		v = v.Patch(added, removed)
+	}
+	flat := v.Tuples()
+	cursors := []datalog.Tuple{nil}
+	for _, r := range flat {
+		cursors = append(cursors, r, datalog.Tuple{r[0], r[1] + 1})
+	}
+	for _, after := range cursors {
+		for _, limit := range []int{0, 1, 2, 255, 256, 257} {
+			want, wantCursor := pageTuples(flat, after, limit)
+			got, gotCursor := viewPage[datalog.Tuple](v, after, limit)
+			wire, wireCursor := viewPage[[]int](v, after, limit)
+			same := len(got) == len(want) && len(wire) == len(want)
+			for i := 0; same && i < len(want); i++ {
+				same = datalog.CompareTuples(got[i], want[i]) == 0 && datalog.CompareTuples(wire[i], want[i]) == 0
+			}
+			if !same || gotCursor != wantCursor || wireCursor != wantCursor {
+				t.Fatalf("after %v, limit %d: view page %v (cursor %q), wire %v (%q); flat page %v (%q)",
+					after, limit, got, gotCursor, wire, wireCursor, want, wantCursor)
+			}
+		}
+	}
 }
 
 func TestQueryPagination(t *testing.T) {
