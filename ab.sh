@@ -3,7 +3,7 @@
 # benchmark by alternated pairs, the protocol every end-to-end claim in
 # EXPERIMENTS.md follows:
 #
-#   bash ab.sh [-base REV] [-pairs N] [-tries N] [WORKLOAD...]
+#   bash ab.sh [-base REV] [-pairs N] [WORKLOAD...]
 #   bash ab.sh -dry DIR
 #
 # (make ab BASE=REV PAIRS=N WORKLOADS='commit-churn view-read' runs the
@@ -14,8 +14,8 @@
 # BENCHMARK.json) pair i runs seed i on both sides, the base first on odd i.
 # A run that exits 1 — INVALID (the harness refused the run: generator late,
 # too few samples, backlog) or FAILED (an operation failed the oracle) —
-# has each such line printed, and its pair is run again, up to -tries times
-# (default 3); a pair still invalid after that is reported and left out. Any
+# has each such line printed, and its pair is run again, up to three tries
+# in all; a pair still invalid after that is reported and left out. Any
 # other failure stops the script.
 #
 # Every report (DIR/<workload>/{base,change}-<i>.json) and run log is kept.
@@ -29,12 +29,12 @@
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
-base_rev=HEAD pairs=10 tries=3 dry=""
+tries=3 # the runs of one pair, the first included
+base_rev=HEAD pairs=10 dry=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
     -base) base_rev="$2"; shift 2 ;;
     -pairs) pairs="$2"; shift 2 ;;
-    -tries) tries="$2"; shift 2 ;;
     -dry) dry="$2"; shift 2 ;;
     -*) echo "ab: unknown flag $1" >&2; exit 2 ;;
     *) break ;;
