@@ -52,22 +52,6 @@ func BenchmarkE1_TransitiveClosureSemiNaive(b *testing.B) {
 	}
 }
 
-func BenchmarkE1_TransitiveClosureParallelism(b *testing.B) {
-	// The Options.Parallelism knob: 1 is the strictly sequential engine,
-	// 0 (auto) uses GOMAXPROCS workers per round.
-	g := graph.DirectedPath(80)
-	for _, par := range []int{1, 0} {
-		name := "seq"
-		if par == 0 {
-			name = "auto"
-		}
-		b.Run(name, func(b *testing.B) {
-			benchEval(b, datalog.TransitiveClosureProgram(), g,
-				datalog.Options{SemiNaive: true, UseIndexes: true, Parallelism: par})
-		})
-	}
-}
-
 func BenchmarkE1_AvoidingPath(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.Random(12, 0.2, rng)

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	datalog -program prog.dl -facts db.facts [-naive] [-noindex] [-all]
-//	        [-goal 'S(0,_)'] [-explain 'S(0,_)'] [-stats] [-parallel N]
+//	        [-goal 'S(0,_)'] [-explain 'S(0,_)'] [-stats]
 //	        [-limit N] [-stream]
 //	        [-server http://host:8344 [-name cli] [-subscribe] [-from N]]
 //
@@ -74,7 +74,6 @@ func main() {
 	noindex := flag.Bool("noindex", false, "disable join indexes")
 	all := flag.Bool("all", false, "print every IDB relation, not just the goal")
 	stats := flag.Bool("stats", false, "print evaluation statistics")
-	parallel := flag.Int("parallel", 0, "rule-firing parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	goalPat := flag.String("goal", "", "goal pattern like 'S(0,_)': evaluate goal-directed via magic-set rewriting")
 	explainPat := flag.String("explain", "", "pattern like 'S(0,_)': print the join plan (atom order, probe columns, est vs actual rows) instead of tuples")
 	limit := flag.Int("limit", 0, "stop after N answers (0 = all); with -stream this ends evaluation early")
@@ -130,8 +129,7 @@ func main() {
 
 	opts := datalog.DefaultOptions.
 		WithSemiNaive(!*naive).
-		WithIndexes(!*noindex).
-		WithParallelism(*parallel)
+		WithIndexes(!*noindex)
 
 	if *explainPat != "" {
 		g, err := datalog.ParseGoal(*explainPat)

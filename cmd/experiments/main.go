@@ -31,9 +31,8 @@ import (
 )
 
 var (
-	only     = flag.String("only", "", "run a single experiment, e.g. E9")
-	quick    = flag.Bool("quick", false, "smaller instances for a fast pass")
-	parallel = flag.Int("parallel", 0, "datalog rule-firing parallelism (0 = GOMAXPROCS, 1 = sequential)")
+	only  = flag.String("only", "", "run a single experiment, e.g. E9")
+	quick = flag.Bool("quick", false, "smaller instances for a fast pass")
 )
 
 type experiment struct {
@@ -52,14 +51,13 @@ type row struct {
 type env struct {
 	rng   *rand.Rand
 	quick bool
-	opts  datalog.Options
 }
 
-// mustEval evaluates with the suite-wide options (DefaultOptions plus the
-// -parallel flag). Experiments whose settings ARE the experiment (the E14
-// ablations, provenance runs) construct their own Options explicitly.
+// mustEval evaluates with DefaultOptions. Experiments whose settings ARE
+// the experiment (the E14 ablations, provenance runs) construct their own
+// Options explicitly.
 func (e *env) mustEval(p *datalog.Program, db *datalog.Database) *datalog.Result {
-	res, err := datalog.Eval(p, db, e.opts)
+	res, err := datalog.Eval(p, db, datalog.DefaultOptions)
 	if err != nil {
 		panic(err)
 	}
@@ -97,14 +95,9 @@ func main() {
 		{"E26", "Goal-directed magic sets vs saturation vs top-down tabling", runE26},
 		{"E27", "Cost-based join planner: order search, pruning, plan cache", runE27},
 	}
-	// Every mustEval in the suite picks up the requested parallelism via
-	// the builder — DefaultOptions itself is never mutated. Explicit
-	// per-experiment Options (the E14 ablations) stay as written, since
-	// their settings are the experiment.
 	e := &env{
 		rng:   rand.New(rand.NewSource(2026)),
 		quick: *quick,
-		opts:  datalog.DefaultOptions.WithParallelism(*parallel),
 	}
 	allOK := true
 	for _, ex := range experiments {
@@ -979,7 +972,7 @@ func runE22(e *env) []row {
 // wall-clock side of that claim is BenchmarkE26_* / BENCH_magic.json).
 func runE26(e *env) []row {
 	var rows []row
-	mopts := magic.Options{Eval: e.opts}
+	mopts := magic.Options{Eval: datalog.DefaultOptions}
 	totalFacts := func(res *datalog.Result) int {
 		n := 0
 		for _, rel := range res.IDB {
@@ -1051,7 +1044,7 @@ func runE26(e *env) []row {
 			if err := datalog.Validate(gr.Rewrite.Program); err != nil {
 				invalid++
 			}
-			full, err := datalog.Eval(c.prog, db.Clone(), e.opts)
+			full, err := datalog.Eval(c.prog, db.Clone(), datalog.DefaultOptions)
 			if err != nil {
 				return append(rows, check("saturation runs", "ok", err.Error()))
 			}
@@ -1177,7 +1170,7 @@ func runE27(e *env) []row {
 		prog := progs[t%len(progs)]
 		db := datalog.FromGraph(graph.Random(8, 0.3, e.rng))
 		textual := e.mustEval(prog, db.Clone())
-		planned, err := datalog.Eval(prog, db.Clone(), e.opts.WithPlanner(pl))
+		planned, err := datalog.Eval(prog, db.Clone(), datalog.DefaultOptions.WithPlanner(pl))
 		if err != nil {
 			return append(rows, check("planned eval runs", "ok", err.Error()))
 		}
@@ -1211,7 +1204,7 @@ func runE27(e *env) []row {
 	rows = append(rows, boolRow("adversarial rule reordered to anchor on R",
 		true, rp.Reordered && len(rp.Steps) == 3 && rp.Steps[0].Atom[0] == 'R'))
 	advTextual := e.mustEval(adv, advDB.Clone())
-	advPlanned, err := datalog.Eval(adv, advDB.Clone(), e.opts.WithPlanner(pl))
+	advPlanned, err := datalog.Eval(adv, advDB.Clone(), datalog.DefaultOptions.WithPlanner(pl))
 	if err != nil {
 		return append(rows, check("adversarial planned eval runs", "ok", err.Error()))
 	}
@@ -1235,7 +1228,7 @@ func runE27(e *env) []row {
 	rows = append(rows, boolRow("duplicate body atom minimized away",
 		true, after.AtomsPruned > before.AtomsPruned))
 	redTextual := e.mustEval(red, advDB.Clone())
-	redPlanned, err := datalog.Eval(red, advDB.Clone(), e.opts.WithPlanner(pl))
+	redPlanned, err := datalog.Eval(red, advDB.Clone(), datalog.DefaultOptions.WithPlanner(pl))
 	if err != nil {
 		return append(rows, check("pruned eval runs", "ok", err.Error()))
 	}

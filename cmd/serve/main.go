@@ -5,7 +5,7 @@
 // Usage:
 //
 //	serve [-addr :8344] [-universe 64] [-history 64]
-//	      [-workers 0] [-parallel 0] [-query-timeout 0] [-pprof]
+//	      [-workers 0] [-query-timeout 0] [-pprof]
 //	      [-facts db.facts] [-program prog.dl] [-name main]
 //	      [-data-dir dir] [-fsync always] [-fsync-interval 2ms]
 //	      [-checkpoint-every 256] [-segment-bytes 8388608]
@@ -64,7 +64,6 @@ func main() {
 	universe := flag.Int("universe", 64, "EDB universe size {0..n-1}")
 	history := flag.Int("history", 64, "EDB versions kept queryable")
 	workers := flag.Int("workers", 0, "max concurrent from-scratch evaluations (0 = GOMAXPROCS)")
-	parallel := flag.Int("parallel", 0, "evaluator parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	queryTimeout := flag.Duration("query-timeout", 0, "per-query deadline covering queueing and evaluation (0 = none)")
 	withPprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	factsPath := flag.String("facts", "", "facts file committed as version 1 at startup")
@@ -85,7 +84,6 @@ func main() {
 		Universe:         *universe,
 		History:          *history,
 		Workers:          *workers,
-		Parallelism:      *parallel,
 		QueryTimeout:     *queryTimeout,
 		DataDir:          *dataDir,
 		Fsync:            *fsync,

@@ -58,30 +58,27 @@ func TestEvalContextExpiredDeadline(t *testing.T) {
 func TestEvalContextCancelMidFixpoint(t *testing.T) {
 	g := graph.DirectedPath(80)
 	full := MustEval(TransitiveClosureProgram(), FromGraph(g))
-	for _, par := range []int{1, 4} {
-		ctx := &errAfterCtx{Context: context.Background(), after: 30}
-		res, err := EvalContext(ctx, TransitiveClosureProgram(), FromGraph(g),
-			DefaultOptions.WithParallelism(par))
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("par=%d: err = %v, want context.Canceled", par, err)
+	ctx := &errAfterCtx{Context: context.Background(), after: 30}
+	res, err := EvalContext(ctx, TransitiveClosureProgram(), FromGraph(g), DefaultOptions)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res.Rounds == 0 || res.Rounds >= full.Rounds {
+		t.Fatalf("partial rounds = %d, want in (0, %d)", res.Rounds, full.Rounds)
+	}
+	// The partial result is a consistent prefix of the fixpoint.
+	for _, tup := range res.IDB["S"].Tuples() {
+		if !full.IDB["S"].Has(tup) {
+			t.Fatalf("partial result has %v outside the fixpoint", tup)
 		}
-		if res.Rounds == 0 || res.Rounds >= full.Rounds {
-			t.Fatalf("par=%d: partial rounds = %d, want in (0, %d)", par, res.Rounds, full.Rounds)
-		}
-		// The partial result is a consistent prefix of the fixpoint.
-		for _, tup := range res.IDB["S"].Tuples() {
-			if !full.IDB["S"].Has(tup) {
-				t.Fatalf("par=%d: partial result has %v outside the fixpoint", par, tup)
-			}
-		}
-		if res.IDB["S"].Size() >= full.IDB["S"].Size() {
-			t.Fatalf("par=%d: cancelled eval computed the whole fixpoint", par)
-		}
-		// The abort happened within one round of the cancellation point:
-		// every recorded round was fully committed before the trigger.
-		if got := len(res.Stats.Rounds); got != res.Rounds {
-			t.Fatalf("par=%d: %d round stats for %d rounds", par, got, res.Rounds)
-		}
+	}
+	if res.IDB["S"].Size() >= full.IDB["S"].Size() {
+		t.Fatal("cancelled eval computed the whole fixpoint")
+	}
+	// The abort happened within one round of the cancellation point:
+	// every recorded round was fully committed before the trigger.
+	if got := len(res.Stats.Rounds); got != res.Rounds {
+		t.Fatalf("%d round stats for %d rounds", got, res.Rounds)
 	}
 }
 
@@ -164,17 +161,13 @@ func TestOptionsValidate(t *testing.T) {
 		DefaultOptions.WithMaxRounds(-1)); err == nil {
 		t.Fatal("negative MaxRounds must be rejected")
 	}
-	if _, err := Eval(TransitiveClosureProgram(), FromGraph(graph.DirectedPath(4)),
-		DefaultOptions.WithParallelism(-2)); err == nil {
-		t.Fatal("negative Parallelism must be rejected")
-	}
 	// The builders compose without touching the receiver.
 	base := DefaultOptions
-	derived := base.WithParallelism(3).WithMaxRounds(7).WithSemiNaive(false).WithIndexes(false).WithProvenance(true)
+	derived := base.WithMaxRounds(7).WithSemiNaive(false).WithIndexes(false).WithProvenance(true)
 	if base != DefaultOptions {
 		t.Fatal("builders mutated the base options")
 	}
-	if derived.Parallelism != 3 || derived.MaxRounds != 7 || derived.SemiNaive || derived.UseIndexes || !derived.TrackProvenance {
+	if derived.MaxRounds != 7 || derived.SemiNaive || derived.UseIndexes || !derived.TrackProvenance {
 		t.Fatalf("builder result %+v", derived)
 	}
 }

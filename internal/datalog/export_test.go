@@ -30,7 +30,7 @@ func FireForms(p *Program, db *Database, opt Options) (written [][]string, led [
 		return nil, nil, err
 	}
 	heads := func(cr *cRule, lead []Tuple) []string {
-		var out taskOut
+		var out roundOut
 		e.fireRule(cr, lead, &out)
 		seen := map[string]bool{}
 		var hs []string

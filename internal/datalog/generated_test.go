@@ -123,8 +123,7 @@ func randFact(rng *rand.Rand, cfg genConfig) datalog.Fact {
 // TestGeneratedMaintainedMatchesScratch: after every step of every trial
 // the Incremental view equals a from-scratch, textual-order Eval of the
 // tracked EDB and LastDelta equals the diff of the views around the step.
-// Every third trial maintains on four workers, every fourth through the
-// planner.
+// Every fourth trial maintains through the planner.
 func TestGeneratedMaintainedMatchesScratch(t *testing.T) {
 	const trials, steps = 60, 6
 	rng := rand.New(rand.NewSource(20260808))
@@ -133,9 +132,6 @@ func TestGeneratedMaintainedMatchesScratch(t *testing.T) {
 		prog, cfg := randProgram(rng)
 		db := randDatabase(rng, cfg)
 		opts := datalog.DefaultOptions
-		if trial%3 == 0 {
-			opts = opts.WithParallelism(4)
-		}
 		if trial%4 == 0 {
 			opts = opts.WithPlanner(pl)
 		}

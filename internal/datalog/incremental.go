@@ -210,7 +210,7 @@ func NewIncrementalContext(ctx context.Context, p *Program, db *Database, opt Op
 	e.ctx = context.Background()
 	// The initial evaluation sized these for whole-view rounds; maintenance
 	// rounds are small and grow their own.
-	e.outs, e.tasks = nil, nil
+	e.out, e.tasks = roundOut{}, nil
 	e.resetDeltas()
 	inc := &Incremental{p: p, db: owned, e: e, arity: arity, edbSet: p.EDBs()}
 	inc.over = make([]*Relation, len(e.idbNames))

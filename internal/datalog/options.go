@@ -1,9 +1,6 @@
 package datalog
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // Planner rewrites a program before compilation: reordering body atoms,
 // dropping subsumed rules, or removing redundant atoms. The returned
@@ -37,13 +34,6 @@ type Options struct {
 	// TrackProvenance records each tuple's first derivation for
 	// Result.Prove.
 	TrackProvenance bool
-	// Parallelism bounds the worker pool that fires rules within a round:
-	// one task per rule (naive) or per (rule, delta-position) pair
-	// (semi-naive). 0 means runtime.GOMAXPROCS(0); 1 fires strictly
-	// sequentially on the calling goroutine. Workers emit into private
-	// buffers that are merged in deterministic task order before the
-	// commit, so IDB, Stage and Rounds are identical at every setting.
-	Parallelism int
 	// Planner, when non-nil, rewrites the program (join order, subsumed
 	// rules) before every compilation — Eval, NewIncremental and the
 	// magic-set paths all pass through it. nil evaluates rules in textual
@@ -69,10 +59,6 @@ func (o Options) WithMaxRounds(n int) Options { o.MaxRounds = n; return o }
 // WithProvenance returns a copy with first-derivation tracking on or off.
 func (o Options) WithProvenance(on bool) Options { o.TrackProvenance = on; return o }
 
-// WithParallelism returns a copy with the rule-firing worker bound set
-// (0 = GOMAXPROCS, 1 = strictly sequential).
-func (o Options) WithParallelism(n int) Options { o.Parallelism = n; return o }
-
 // WithPlanner returns a copy evaluating through the given planner (nil
 // restores textual-order evaluation).
 func (o Options) WithPlanner(pl Planner) Options { o.Planner = pl; return o }
@@ -85,16 +71,5 @@ func (o Options) Validate() error {
 	if o.MaxRounds < 0 {
 		return fmt.Errorf("datalog: Options.MaxRounds must be >= 0, got %d", o.MaxRounds)
 	}
-	if o.Parallelism < 0 {
-		return fmt.Errorf("datalog: Options.Parallelism must be >= 0, got %d", o.Parallelism)
-	}
 	return nil
-}
-
-// workers resolves the effective worker-pool size.
-func (o Options) workers() int {
-	if o.Parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Parallelism
 }

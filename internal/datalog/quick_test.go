@@ -48,50 +48,6 @@ func TestQuickNaiveEquivalentToSemiNaive(t *testing.T) {
 	}
 }
 
-func TestQuickParallelEqualsSequential(t *testing.T) {
-	// Property-based determinism check: for random programs, databases and
-	// engine variants, Parallelism 8 is observationally identical to
-	// Parallelism 1 (same IDB, same stages, same round count).
-	progs := []*Program{
-		TransitiveClosureProgram(),
-		AvoidingPathProgram(),
-		QklPrograms(2, 0),
-	}
-	prop := func(seed int64, pick uint8, semi bool) bool {
-		p := progs[int(pick)%len(progs)]
-		db := FromGraph(graphFromSeed(seed, 6, 0.3))
-		opt := Options{SemiNaive: semi, UseIndexes: true, Parallelism: 1}
-		seq, err := Eval(p, db, opt)
-		if err != nil {
-			return false
-		}
-		opt.Parallelism = 8
-		par, err := Eval(p, db, opt)
-		if err != nil {
-			return false
-		}
-		if seq.Rounds != par.Rounds || seq.Derivations != par.Derivations {
-			return false
-		}
-		for name, rel := range seq.IDB {
-			if rel.Size() != par.IDB[name].Size() {
-				return false
-			}
-			for _, tup := range rel.Tuples() {
-				ss, okS := seq.StageOf(name, tup)
-				sp, okP := par.StageOf(name, tup)
-				if !okS || !okP || ss != sp {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestQuickMonotoneInEDB(t *testing.T) {
 	// Datalog(≠) queries are monotone: any EDB superset derives a superset.
 	prop := func(seed int64, extra uint16) bool {

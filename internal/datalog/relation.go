@@ -304,8 +304,9 @@ func (ix *index) remove(o *ownerTag, stored Tuple) {
 // A relation nobody writes any more — a published snapshot — may be read,
 // probed on a mask it has no index for yet, and cloned from any number of
 // goroutines: a missing index is built once under the relation's lock and
-// published atomically. Add, Remove and reset must not race with anything;
-// the evaluator only mutates relations between parallel firing phases.
+// published atomically. Add, Remove and reset must not race with anything:
+// only the evaluation that owns a relation writes it, and only while
+// committing a round, never while a rule is firing over it.
 type Relation struct {
 	Arity int
 	owner atomic.Pointer[ownerTag]

@@ -2,10 +2,9 @@ package datalog
 
 // Evaluation statistics. Every evaluation — Eval, EvalContext, and the
 // continuations Incremental re-enters on updates — records per-rule and
-// per-round counters into Result.Stats. The counters are deterministic at
-// every Parallelism setting (tasks are merged in task order before the
-// commit, so attribution never depends on worker scheduling); only the
-// wall-time fields vary between runs.
+// per-round counters into Result.Stats. A round's tasks fire one after
+// another on the evaluating goroutine, so the counters are deterministic;
+// only the wall-time fields vary between runs.
 //
 // The paper's constructions differ sharply in where evaluation time goes
 // — the Theorem 6.1 flow programs are join-bound while the Q_{k,l} stage
@@ -27,9 +26,9 @@ type RuleStats struct {
 	Duplicates int64 `json:"duplicates"`
 	// Probes counts relation lookups issued while joining the body.
 	Probes int64 `json:"index_probes"`
-	// TimeNs is the wall time spent firing the rule, in nanoseconds. With
-	// Parallelism > 1 concurrent firings overlap, so rule times can sum to
-	// more than the evaluation's wall time.
+	// TimeNs is the wall time spent firing the rule, in nanoseconds. Rule
+	// times do not overlap, so they sum to at most the evaluation's wall
+	// time.
 	TimeNs int64 `json:"time_ns"`
 }
 
@@ -72,8 +71,8 @@ type EvalStats struct {
 	OverDeleted int64 `json:"overdeleted"`
 	Rederived   int64 `json:"rederived"`
 	// TimeNs is the evaluation's accumulated wall time in nanoseconds
-	// (summed across updates for an Incremental view). Unlike the rule
-	// times it never double-counts overlapping parallel work.
+	// (summed across updates for an Incremental view). It also covers the
+	// commits between firings, so it is at least the sum of the rule times.
 	TimeNs int64 `json:"time_ns"`
 }
 

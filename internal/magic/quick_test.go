@@ -145,9 +145,6 @@ func TestQuickEvalGoalEquivalence(t *testing.T) {
 
 		opt := DefaultOptions()
 		opt.SIP = sips[trial%len(sips)]
-		if trial%5 == 0 {
-			opt.Eval = datalog.DefaultOptions.WithParallelism(2)
-		}
 		mg, err := EvalGoal(context.Background(), prog, db, g, opt)
 		if err != nil {
 			t.Fatalf("trial %d: EvalGoal: %v\nprogram:\n%sgoal %s^%s", trial, err, prog, g.Pred, AdornmentOf(g))

@@ -182,9 +182,6 @@ func TestQuickPlannedEquivalentToTextual(t *testing.T) {
 		prog, cfg := randProgram(rng)
 		db := randDatabase(rng, cfg)
 		base := datalog.Options{SemiNaive: trial%2 == 0, UseIndexes: trial%3 != 0}
-		if trial%5 == 0 {
-			base.Parallelism = 4
-		}
 		textual, err := datalog.Eval(prog, db.Clone(), base)
 		if err != nil {
 			t.Fatalf("trial %d: textual: %v\n%s", trial, err, prog)

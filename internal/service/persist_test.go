@@ -3,6 +3,7 @@ package service
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/datalog"
@@ -329,6 +330,59 @@ func TestUniverseMismatchRefused(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestUniverseMismatchRefusedWithoutCheckpoint: a new data directory
+// records its universe before the first WAL append, so a reopen at another
+// universe is refused even when no commit ever wrote a checkpoint and the
+// logged facts would fit the smaller universe.
+func TestUniverseMismatchRefusedWithoutCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s := newDurable(t, dir, 16)
+	if _, err := s.Commit([]datalog.Fact{edge(0, 1), edge(1, 2)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err := New(Config{Universe: 8, DataDir: dir})
+	if err == nil {
+		t.Fatal("reopening a WAL-only data dir with a different universe succeeded")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "universe 16") || !strings.Contains(msg, "configured 8") {
+		t.Fatalf("error %q does not name both universes", msg)
+	}
+	s2 := newDurable(t, dir, 16)
+	defer s2.Close()
+	if rec := s2.Recovery(); rec.Version != 1 || rec.ReplayedCommits != 1 {
+		t.Fatalf("recovery %+v: want version 1 with 1 replayed commit", rec)
+	}
+}
+
+// TestRecoveryOfWALWithoutCheckpoint: a data directory holding WAL records
+// and no checkpoint — what a build that did not record the universe left
+// behind — still recovers, unchecked.
+func TestRecoveryOfWALWithoutCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	log, _, err := storage.Open(dir, storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.AppendRegister("tc", tcSource); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := log.AppendCommit(1, []datalog.Fact{edge(0, 1), edge(1, 2)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := newDurable(t, dir, 16)
+	defer s.Close()
+	if rec := s.Recovery(); rec.Version != 1 || rec.Programs != 1 {
+		t.Fatalf("recovery %+v: want version 1 with 1 program", rec)
+	}
+	requireViewMatchesScratch(t, s, "tc", tcSource)
 }
 
 func TestCloseIsIdempotentAndFinal(t *testing.T) {
