@@ -39,12 +39,13 @@ test:
 	$(GO) test ./...
 
 # verify is the tier-1 gate: build, full tests, vet, and the race
-# detector over the packages with concurrent code paths (the parallel
-# rule-firing worker pool, the pebble-game referee, the incremental
-# service with its concurrent query/commit front end and subscription
-# hub, the WAL with its group-commit flusher, the metrics registry, the
-# LRU the caches share, and the streaming executor whose streams share a
-# snapshot's relations with the evaluations beside them).
+# detector over the packages with concurrent code paths (the evaluator's
+# published snapshots, whose relations many goroutines read and build
+# join indexes on at once, the pebble-game referee and worker pool, the
+# incremental service with its concurrent query/commit front end and
+# subscription hub, the WAL with its group-commit flusher, the metrics
+# registry, the LRU the caches share, and the streaming executor whose
+# streams share a snapshot's relations with the evaluations beside them).
 # The end-to-end benchmark is a module of its own (benchmark/go.mod) that
 # ./... does not reach, so its tests are run by name.
 verify:
