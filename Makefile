@@ -38,7 +38,8 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the tier-1 gate: build, full tests, vet, and the race
+# verify is the tier-1 gate: build, full tests, vet, a gofmt check over
+# every tracked Go file (benchmark/ included), and the race
 # detector over the packages with concurrent code paths (the evaluator's
 # published snapshots, whose relations many goroutines read and build
 # join indexes on at once, the pebble-game referee and worker pool, the
@@ -53,6 +54,8 @@ verify:
 	$(GO) test ./...
 	$(GO) test -C benchmark .
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+		if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) test -race ./internal/datalog/... ./internal/magic/... ./internal/pebble/... ./internal/service/... ./internal/obs/... ./internal/plan/... ./internal/storage/... ./internal/lru/... ./internal/stream/...
 
 # loc prints the non-test Go lines of every package under internal/ and

@@ -20,12 +20,12 @@
 // With -server the binding travels as the query's "bind" field and the
 // rewrite runs server-side.
 //
-// -explain takes the same pattern shape but prints the cost-based join
-// plan instead of tuples: per rule the chosen atom order, the probe
-// columns each join step uses, and estimated versus actual rows. A
-// pattern with bound positions explains the magic-set-rewritten, seeded
-// program — exactly what a bound query executes. With -server the plan
-// comes from POST /v1/explain and reflects the server's statistics.
+// -explain takes the same pattern shape but prints how the query runs
+// instead of tuples: per rule the compiled atom order, the probe columns
+// and streaming decision of each join step, and the rows the evaluation
+// derived. A pattern with bound positions explains the magic-set-rewritten,
+// seeded program — exactly what a bound query executes. With -server the
+// same report comes from POST /v1/explain over the server's data.
 //
 // -stream evaluates through the streaming executor: answers print as
 // they are derived (in derivation order, not sorted); a recursive
@@ -55,6 +55,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -62,7 +63,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datalog"
 	"repro/internal/magic"
-	"repro/internal/plan"
 	"repro/internal/service"
 	"repro/internal/stream"
 )
@@ -75,7 +75,7 @@ func main() {
 	all := flag.Bool("all", false, "print every IDB relation, not just the goal")
 	stats := flag.Bool("stats", false, "print evaluation statistics")
 	goalPat := flag.String("goal", "", "goal pattern like 'S(0,_)': evaluate goal-directed via magic-set rewriting")
-	explainPat := flag.String("explain", "", "pattern like 'S(0,_)': print the join plan (atom order, probe columns, est vs actual rows) instead of tuples")
+	explainPat := flag.String("explain", "", "pattern like 'S(0,_)': print how the query runs (compiled atom order, probe columns, actual rows) instead of tuples")
 	limit := flag.Int("limit", 0, "stop after N answers (0 = all); with -stream this ends evaluation early")
 	streamF := flag.Bool("stream", false, "evaluate through the streaming executor, printing answers as they are derived (NDJSON with -server)")
 	server := flag.String("server", "", "run against a cmd/serve instance at this base URL instead of evaluating locally")
@@ -275,19 +275,15 @@ func runGoal(prog *datalog.Program, db *datalog.Database, goal datalog.Goal, opt
 	return nil
 }
 
-// explainLocal plans the query the way the service would — bound
-// patterns through the magic rewrite, free patterns directly — then
-// evaluates the planned program to print estimated versus actual rows.
+// explainLocal explains the query the way the service would — bound
+// patterns through the magic rewrite, free patterns directly — over the
+// local database.
 func explainLocal(prog *datalog.Program, db *datalog.Database, g datalog.Goal, opts datalog.Options) error {
 	if !prog.IDBs()[g.Pred] {
 		return fmt.Errorf("%q is not an IDB predicate of the program", g.Pred)
 	}
-	target := prog
-	bound := false
-	for _, b := range g.Bound {
-		bound = bound || b
-	}
-	if bound {
+	target, pred := prog, g.Pred
+	if slices.Contains(g.Bound, true) {
 		rw, err := magic.NewRewrite(prog, g, magic.BoundFirstSIP{})
 		if err != nil {
 			return err
@@ -295,64 +291,52 @@ func explainLocal(prog *datalog.Program, db *datalog.Database, g datalog.Goal, o
 		if target, err = rw.Seeded(g); err != nil {
 			return err
 		}
+		pred = rw.GoalPred
 	}
-	pl := plan.New(plan.Config{})
-	cat := plan.Collect(db)
-	pp, _ := pl.PlanProgram(target, cat)
-	res, err := datalog.Eval(pp.Program(), db, opts)
+	resp, err := service.ExplainProgram(context.Background(), target, db, pred, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("plan for %s  [strategy %s, epoch %016x]\n", g, pp.Strategy, pp.Epoch)
-	for i, rp := range pp.Rules {
-		var actual *datalog.RuleStats
-		if res.Stats != nil && i < len(res.Stats.Rules) {
-			actual = &res.Stats.Rules[i]
-		}
-		printRulePlan(i, rp, actual)
-	}
-	for _, pr := range pp.Pruned {
-		fmt.Printf("pruned: %s  (subsumed by %s)\n", pr.Rule, pr.By)
-	}
+	printExplain(resp, g)
 	return nil
 }
 
-// printRulePlan renders one rule's plan: the executed order, each join
-// step's probe columns and estimates, and the observed row counts.
-func printRulePlan(i int, rp plan.RulePlan, actual *datalog.RuleStats) {
-	mark := ""
-	if rp.Reordered {
-		mark = "  (reordered)"
+// printExplain renders an explain report: per rule the compiled order (and
+// the written one when they differ), each join step's probe columns and
+// streaming decision, and the counters of the evaluation.
+func printExplain(resp service.ExplainResponse, g datalog.Goal) {
+	label := resp.Goal
+	if label == "" {
+		label = g.String()
 	}
-	fmt.Printf("rule %d: %s%s\n", i+1, rp.Planned, mark)
-	if rp.Reordered {
-		fmt.Printf("  textual: %s\n", rp.Original)
-	}
-	for j, st := range rp.Steps {
-		fmt.Printf("  %d. %-24s probe=%v  est_fanout=%.3g  est_rows=%.3g\n",
-			j+1, st.Atom, probeCols(st.Probe), st.EstFanout, st.EstRows)
-	}
-	fmt.Printf("  est_rows=%.3g est_cost=%.3g", rp.EstRows, rp.EstCost)
-	if actual != nil {
-		fmt.Printf("  actual: derived=%d new=%d firings=%d time=%s",
-			actual.Derived, actual.New, actual.Firings, time.Duration(actual.TimeNs))
-	}
-	fmt.Println()
-}
-
-// probeCols expands a probe mask for display.
-func probeCols(mask uint64) []int {
-	cols := []int{}
-	for i := 0; mask != 0; i, mask = i+1, mask>>1 {
-		if mask&1 != 0 {
-			cols = append(cols, i)
+	fmt.Printf("explain %s  [rounds %d]\n", label, resp.Rounds)
+	for i, r := range resp.Rules {
+		mark := ""
+		if r.Reordered {
+			mark = "  (reordered)"
 		}
+		fmt.Printf("rule %d: %s%s\n", i+1, r.Compiled, mark)
+		if r.Reordered {
+			fmt.Printf("  textual: %s\n", r.Original)
+		}
+		for j, st := range r.Steps {
+			cols := st.ProbeCols
+			if cols == nil {
+				cols = []int{}
+			}
+			fmt.Printf("  %d. %-24s probe=%v", j+1, st.Atom, cols)
+			if st.Via != "" {
+				fmt.Printf("  %s/%s", st.Exec, st.Via)
+			}
+			fmt.Println()
+		}
+		fmt.Printf("  actual: derived=%d new=%d firings=%d time=%s\n",
+			r.ActualRows, r.NewRows, r.Firings, time.Duration(r.TimeNs))
 	}
-	return cols
 }
 
 // explainRemote registers the program, commits the facts, and prints the
-// server's plan from POST /v1/explain.
+// server's report from POST /v1/explain.
 func explainRemote(base, name, progSrc string, db *datalog.Database, g datalog.Goal) error {
 	base = strings.TrimRight(base, "/")
 	var reg service.RegisterResponse
@@ -384,35 +368,7 @@ func explainRemote(base, name, progSrc string, db *datalog.Database, g datalog.G
 	if err := call(base+"/v1/explain", req, &resp); err != nil {
 		return err
 	}
-	label := resp.Goal
-	if label == "" {
-		label = g.String()
-	}
-	fmt.Printf("plan for %s  [strategy %s, epoch %s, cache_hit=%t]\n",
-		label, resp.Strategy, resp.Epoch, resp.PlanCacheHit)
-	for i, r := range resp.Rules {
-		mark := ""
-		if r.Reordered {
-			mark = "  (reordered)"
-		}
-		fmt.Printf("rule %d: %s%s\n", i+1, r.Planned, mark)
-		if r.Reordered {
-			fmt.Printf("  textual: %s\n", r.Original)
-		}
-		for j, st := range r.Steps {
-			cols := st.ProbeCols
-			if cols == nil {
-				cols = []int{}
-			}
-			fmt.Printf("  %d. %-24s probe=%v  est_fanout=%.3g  est_rows=%.3g\n",
-				j+1, st.Atom, cols, st.EstFanout, st.EstRows)
-		}
-		fmt.Printf("  est_rows=%.3g est_cost=%.3g  actual: derived=%d new=%d firings=%d time=%s\n",
-			r.EstRows, r.EstCost, r.ActualRows, r.NewRows, r.Firings, time.Duration(r.TimeNs))
-	}
-	for _, pr := range resp.Pruned {
-		fmt.Printf("pruned: %s  (subsumed by %s)\n", pr.Rule, pr.By)
-	}
+	printExplain(resp, g)
 	return nil
 }
 

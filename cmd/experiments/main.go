@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/cnf"
@@ -1141,7 +1140,8 @@ func runE26(e *env) []row {
 
 // runE27 checks the cost-based join planner (internal/plan, DESIGN.md
 // §11) for the properties wall-clock numbers can't show: planned
-// evaluation is observationally identical to textual-order evaluation,
+// evaluation is observationally identical to evaluation in the engine's
+// default order,
 // the adversarially ordered rule is reordered to anchor on the tiny
 // relation, the containment pre-pass drops subsumed rules and redundant
 // atoms, and the plan cache keys on (program, stats epoch) — hitting
@@ -1253,5 +1253,3 @@ func runE27(e *env) []row {
 	rows = append(rows, boolRow("4x relation growth changes the epoch (cache miss)", false, hit))
 	return rows
 }
-
-var _ = strings.TrimSpace // keep strings import for future table tweaks

@@ -145,7 +145,7 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		logger.Info("pprof enabled", "path", "/debug/pprof/")
 	}
-	server := &http.Server{Addr: *addr, Handler: mux}
+	server := newServer(*addr, mux)
 
 	done := make(chan struct{})
 	go func() {
@@ -174,6 +174,18 @@ func main() {
 		fatalIf(err)
 	}
 	<-done
+}
+
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers. Without it a client that opens connections and trickles
+// header bytes holds each one, and its goroutine, for as long as it likes.
+// Bodies and responses are not bounded: an NDJSON answer or an SSE
+// subscription legitimately lasts as long as the client reads it.
+const readHeaderTimeout = 10 * time.Second
+
+// newServer returns the HTTP server cmd/serve listens with.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
 }
 
 func fatalIf(err error) {

@@ -26,17 +26,23 @@ import "slices"
 // (translate): names become numbers, and nothing in the result depends on
 // the order its atoms are joined in. It is then scheduled (schedule) once
 // per order it is fired in — levels, masks, actions and constraint
-// placement are what an order decides. The order as written (or as
-// planned) is the one the naive loop and round 1 fire. Every other firing
-// is led by an atom (leadOrder): one body atom moved to the front, where it
-// reads a plain list of tuples instead of a relation, and the rest of the
-// body reordered to follow it. The semi-naive loop leads with each IDB
-// atom and hands it that predicate's delta; an Incremental also leads with
-// each EDB atom (the inserted facts) and with a synthetic atom over the
-// head's own arguments (the over-deleted tuples: "is this one still
-// derivable?" at the cost of a bound probe instead of a full firing).
-// The streaming executor runs the same written form, unresolved, through
-// the read-only Join (CompileJoin).
+// placement are what an order decides. One function chooses every order
+// (order): at each step the atom with the most columns bound by then. The
+// form with no leading atom is the one the naive loop and round 1 fire;
+// its ties go to the smaller relation at compile time, an IDB atom counted
+// as empty (it is, in round 1), then to the order the rule arrives in (the
+// planner's when there is one). Every other firing is led by an atom: one
+// body atom moved to the front, where it reads a plain list of tuples
+// instead of a relation, and the rest of the body ordered to follow it,
+// ties to the arrival order. The semi-naive loop leads with each IDB atom
+// and hands it that predicate's delta; an Incremental also leads with each
+// EDB atom (the inserted facts) and with a synthetic atom over the head's
+// own arguments (the over-deleted tuples: "is this one still derivable?"
+// at the cost of a bound probe instead of a full firing). A form keeps the
+// map from its atoms back to the rule's body (origin), so rule ids, led
+// forms and witnesses stay indexed by body position whatever the order.
+// The streaming executor runs the unled form, unresolved, through the
+// read-only Join (CompileJoin).
 
 // cTerm is a term with its variable renamed: varID >= 0 indexes the
 // environment, varID < 0 means the constant val.
@@ -96,7 +102,7 @@ type cSrc struct {
 	ri     int
 	headID int // IDB id of the head predicate
 	head   []cTerm
-	atoms  []cSrcAtom // in the program's (planned, else textual) order
+	atoms  []cSrcAtom // in the order the rule arrives in (planned, else textual)
 	cons   []cCons
 	never  bool // a constant-only constraint is violated: the rule is dead
 	maxAr  int
@@ -113,8 +119,8 @@ type cRule struct {
 	// the k-th free variable.
 	consAt [][]cCons
 	// led marks a leading-atom form: atom 0 reads the list its task carries
-	// and is probed on nothing. origin then maps each atom to its position
-	// in the source's body (leadOrder reorders it); nil is the identity.
+	// and is probed on nothing. origin maps each atom to its position in the
+	// source's body (order chose the form's order); nil is the identity.
 	// skip is 1 when the leading atom is the head seed, which binds the head
 	// from a candidate tuple and is no part of a witness — and one emission
 	// per candidate is enough.
@@ -193,16 +199,21 @@ func translate(ri int, r Rule, idbID, tabID map[string]int) *cSrc {
 	return src
 }
 
-// leadOrder returns the order of src's atoms for a firing led by body atom
-// lead: lead first, then the other atoms so that each next one is the atom
-// with the most columns bound by then (ties to src's own order, the
-// planner's when there is one) — src's order was chosen for a firing that
-// starts with nothing bound, and may open with an atom the leading one
-// binds nothing of. With lead < 0 the leading atom is the head seed, -1 in
-// the result: a synthetic atom over the head's own arguments — fired with
-// it reading a list of candidate head tuples, the rule derives exactly the
-// candidates it can derive.
-func (src *cSrc) leadOrder(lead int) []int {
+// Leads for order other than a body atom's position.
+const (
+	headLead = -1 // the head seed leads
+	noLead   = -2 // nothing leads: the form round 1 and the naive loop fire
+)
+
+// order returns the order src's atoms are joined in: the leading atom
+// first (lead >= 0 a body atom; headLead the head seed, -1 in the result:
+// a synthetic atom over the head's own arguments — fired with it reading a
+// list of candidate head tuples, the rule derives exactly the candidates it
+// can derive; noLead none), then at each step the atom with the most
+// columns bound by then. Ties go to the smaller size[i] when size is
+// non-nil, then to src's own order. Only the unled form passes sizes: its
+// IDB atoms are empty when it fires, a led form's are not.
+func (src *cSrc) order(lead int, size []int) []int {
 	bound := make([]bool, src.nv)
 	placed := make([]bool, len(src.atoms))
 	order := make([]int, 0, len(src.atoms)+1)
@@ -214,9 +225,10 @@ func (src *cSrc) leadOrder(lead int) []int {
 		}
 		order = append(order, i)
 	}
-	if lead < 0 {
+	switch {
+	case lead == headLead:
 		place(-1, src.head)
-	} else {
+	case lead >= 0:
 		placed[lead] = true
 		place(lead, src.atoms[lead].args)
 	}
@@ -232,7 +244,7 @@ func (src *cSrc) leadOrder(lead int) []int {
 					n++
 				}
 			}
-			if n > bestBound {
+			if n > bestBound || n == bestBound && size != nil && size[i] < size[best] {
 				best, bestBound = i, n
 			}
 		}
@@ -244,12 +256,28 @@ func (src *cSrc) leadOrder(lead int) []int {
 	}
 }
 
-// seedRule renders leadOrder's head-seeded order of r as a rule: a leading
+// sizes returns, per atom of src, its relation's size at compile time: 0
+// for a predicate of idb (empty when the unled form fires), else its size
+// in db (0 when db is nil or lacks it).
+func (src *cSrc) sizes(idb map[string]bool, db *Database) []int {
+	size := make([]int, len(src.atoms))
+	for i, a := range src.atoms {
+		if idb[a.pred] || db == nil {
+			continue
+		}
+		if r := db.Relation(a.pred); r != nil {
+			size[i] = r.Size()
+		}
+	}
+	return size
+}
+
+// seedRule renders order's head-seeded order of r as a rule: a leading
 // seedPred atom over the head's arguments, then r's atoms in that order,
 // then its constraints. origin[i] is the position in r's body of the
 // result's atom i, -1 for the seed.
 func seedRule(r Rule) (Rule, []int) {
-	origin := translate(0, r, nil, nil).leadOrder(-1)
+	origin := translate(0, r, nil, nil).order(headLead, nil)
 	atoms := r.Atoms()
 	out := Rule{Head: r.Head}
 	for _, o := range origin {
@@ -268,8 +296,8 @@ func seedRule(r Rule) (Rule, []int) {
 }
 
 // schedule compiles src with its atoms joined in the given order (nil: as
-// they stand; -1: the head seed): what each level binds, probes and checks,
-// and where each constraint is first decidable.
+// they stand; -1 in it: the head seed): what each level binds, probes and
+// checks, and where each constraint is first decidable.
 func (src *cSrc) schedule(order []int) *cRule {
 	n := len(src.atoms)
 	if order != nil {
@@ -351,12 +379,12 @@ func (cr *cRule) from(ai int) int {
 }
 
 // compileLed compiles rule ri led by its body atom lead (by the head seed
-// when lead < 0) and resolves the form against the bound database.
+// when lead is headLead) and resolves the form against the bound database.
 func (e *evaluator) compileLed(ri, lead int) *cRule {
 	src := e.rules[ri].cSrc
-	cr := src.schedule(src.leadOrder(lead))
+	cr := src.schedule(src.order(lead, nil))
 	cr.led = true
-	if lead < 0 {
+	if lead == headLead {
 		cr.skip = 1
 	}
 	e.forms = append(e.forms, cr)
@@ -365,16 +393,21 @@ func (e *evaluator) compileLed(ri, lead int) *cRule {
 }
 
 // Join is a rule's compiled form for an executor outside this package
-// (internal/stream): the rule scheduled in the order its atoms stand, as
-// Eval's round 1 fires it, so both executors join the body at the same
-// levels with the same probe masks, binds, checks and constraint
-// placement. It is read-only and may be shared; each enumeration brings
-// its own environment of Vars() entries. Atom ai is level ai; the free
-// variables (bound by no atom) follow the last atom, in Free's order.
+// (internal/stream): the rule's unled form, as Eval's round 1 fires it, so
+// both executors join the body in the same order, at the same levels, with
+// the same probe masks, binds, checks and constraint placement. It is
+// read-only and may be shared; each enumeration brings its own environment
+// of Vars() entries. Atom ai is level ai; the free variables (bound by no
+// atom) follow the last atom, in Free's order.
 type Join struct{ cr *cRule }
 
-// CompileJoin compiles r.
-func CompileJoin(r Rule) Join { return Join{translate(0, r, nil, nil).schedule(nil)} }
+// CompileJoin compiles r in the order Eval gives its unled form when r is
+// a rule of a program whose IDB predicates are idb, evaluated over db: an
+// idb atom counts as empty, any other as its relation in db.
+func CompileJoin(r Rule, idb map[string]bool, db *Database) Join {
+	src := translate(0, r, nil, nil)
+	return Join{src.schedule(src.order(noLead, src.sizes(idb, db)))}
+}
 
 // Dead reports that a constraint between two constants fails: the rule
 // derives nothing.
@@ -385,6 +418,9 @@ func (j Join) Vars() int { return j.cr.nv }
 
 // Atoms is the number of body atoms.
 func (j Join) Atoms() int { return len(j.cr.atoms) }
+
+// Origin is the position in r's body (among its atoms) of atom ai.
+func (j Join) Origin(ai int) int { return j.cr.from(ai) }
 
 // Pred is atom ai's predicate.
 func (j Join) Pred(ai int) string { return j.cr.atoms[ai].pred }
@@ -445,16 +481,15 @@ func (j Join) Head(env []int, out Tuple) {
 	}
 }
 
-// ProbeMasks returns, per body atom of r, the probe mask schedule
-// will use for that atom: bit i set means argument i is a constant or a
-// variable bound by an earlier atom, so it is part of the indexed
-// lookup. Exported so internal/plan's cost model and the -explain output
-// describe exactly the masks the join loop executes.
+// ProbeMasks returns, per body atom of r, its probe mask with the atoms
+// joined in the order they stand: bit i set means argument i is a constant
+// or a variable bound by an earlier atom, so it is part of the indexed
+// lookup. internal/plan's cost model describes its orders with it.
 func ProbeMasks(r Rule) []uint64 {
-	j := CompileJoin(r)
-	masks := make([]uint64, j.Atoms())
+	cr := translate(0, r, nil, nil).schedule(nil)
+	masks := make([]uint64, len(cr.atoms))
 	for ai := range masks {
-		masks[ai] = j.Mask(ai)
+		masks[ai] = cr.atoms[ai].mask
 	}
 	return masks
 }

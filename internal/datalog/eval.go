@@ -131,9 +131,10 @@ func newEvaluator(ctx context.Context, p *Program, db *Database, opt Options) (*
 	e.rules = make([]*cRule, len(p.Rules))
 	e.led = make([][]*cRule, len(p.Rules))
 	for ri, r := range p.Rules {
-		e.rules[ri] = translate(ri, r, e.idbID, e.wit.tabID).schedule(nil)
+		src := translate(ri, r, e.idbID, e.wit.tabID)
+		e.rules[ri] = src.schedule(src.order(noLead, src.sizes(idbSet, db)))
 		e.forms = append(e.forms, e.rules[ri])
-		e.led[ri] = make([]*cRule, len(e.rules[ri].atoms))
+		e.led[ri] = make([]*cRule, len(src.atoms))
 	}
 	e.wit.setRules(e.rules)
 	e.ruleStats = make([]ruleCounters, len(p.Rules))
@@ -258,10 +259,10 @@ type evaluator struct {
 	// first-derivation witness; see witness.go.
 	wit *witnessStore
 
-	// rules holds the compiled form of every program rule, led[ri][ai] rule
-	// ri led by its body atom ai once something asked for it (ledBy) and
-	// seeded, for an Incremental only, each rule led by its head; see
-	// compile.go. forms lists them all, for bind.
+	// rules holds the unled form of every program rule, led[ri][ai] rule ri
+	// led by its body atom ai (a body position) once something asked for it
+	// (ledBy) and seeded, for an Incremental only, each rule led by its
+	// head; see compile.go. forms lists them all, for bind.
 	rules  []*cRule
 	led    [][]*cRule
 	seeded []*cRule
@@ -361,9 +362,9 @@ func (e *evaluator) loopSemiNaive(cur int) error {
 		}
 		e.tasks = e.tasks[:0]
 		for ri, cr := range e.rules {
-			for ai := range cr.atoms {
-				if id := cr.atoms[ai].idbID; id >= 0 && len(delta[id]) > 0 {
-					e.tasks = append(e.tasks, fireTask{cr: e.ledBy(ri, ai), lead: delta[id]})
+			for ai, a := range cr.cSrc.atoms {
+				if a.idbID >= 0 && len(delta[a.idbID]) > 0 {
+					e.tasks = append(e.tasks, fireTask{cr: e.ledBy(ri, ai), lead: delta[a.idbID]})
 				}
 			}
 		}

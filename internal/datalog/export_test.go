@@ -46,10 +46,10 @@ func FireForms(p *Program, db *Database, opt Options) (written [][]string, led [
 	for ri, cr := range e.rules {
 		written = append(written, heads(cr, nil))
 		led = append(led, nil)
-		for ai := range cr.atoms {
-			rel := cr.atoms[ai].edbRel
-			if id := cr.atoms[ai].idbID; id >= 0 {
-				rel = e.idbByID[id]
+		for ai, a := range cr.cSrc.atoms {
+			rel := e.edb[a.pred]
+			if a.idbID >= 0 {
+				rel = e.idbByID[a.idbID]
 			}
 			led[ri] = append(led[ri], heads(e.ledBy(ri, ai), rel.TuplesUnordered()))
 		}

@@ -7,7 +7,7 @@ package datalog
 //   - Insertions re-enter the semi-naive delta loop seeded from the new
 //     facts: for every body-atom occurrence of an affected EDB predicate
 //     the rule fires once led by that occurrence reading only the inserted
-//     tuples (compile.go, leadOrder; the other occurrences probe the full,
+//     tuples (compile.go, order; the other occurrences probe the full,
 //     already-updated relations), which derives exactly the consequences
 //     that use at least one new fact at the cost of the facts inserted;
 //     the resulting IDB delta then drives the ordinary semi-naive
@@ -33,7 +33,7 @@ package datalog
 //
 //     Rederivation is head-seeded: every rule has a compiled form led by
 //     an atom over the over-deleted tuples of its head predicate
-//     (compile.go, leadOrder), so one round asks, per over-deleted
+//     (compile.go, order), so one round asks, per over-deleted
 //     tuple and rule, whether the survivors still derive it — bound probes
 //     and membership tests from the head outward, stopping at the first
 //     witness. What comes back is committed at a fresh stage and drives
@@ -188,10 +188,10 @@ func NewIncrementalContext(ctx context.Context, p *Program, db *Database, opt Op
 	// its head — compiled while e is still bound to db itself: that builds
 	// the EDB indexes they probe where the clone made next inherits them.
 	for ri, cr := range e.rules {
-		for ai := range cr.atoms {
+		for ai := range cr.cSrc.atoms {
 			e.ledBy(ri, ai)
 		}
-		e.seeded = append(e.seeded, e.compileLed(ri, -1))
+		e.seeded = append(e.seeded, e.compileLed(ri, headLead))
 	}
 	owned := db.Clone()
 	arity := p.Arities()
@@ -384,8 +384,8 @@ func (inc *Incremental) InsertContext(ctx context.Context, facts ...Fact) error 
 	// facts were already materialized.
 	e.tasks = e.tasks[:0]
 	for ri, cr := range e.rules {
-		for ai := range cr.atoms {
-			if a := &cr.atoms[ai]; a.idbID < 0 && len(deltas[a.pred]) > 0 {
+		for ai, a := range cr.cSrc.atoms {
+			if a.idbID < 0 && len(deltas[a.pred]) > 0 {
 				e.tasks = append(e.tasks, fireTask{cr: e.ledBy(ri, ai), lead: deltas[a.pred]})
 			}
 		}

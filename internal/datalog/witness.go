@@ -117,11 +117,11 @@ func (w *witnessStore) setRules(rules []*cRule) {
 	maxBody := 0
 	for ri, cr := range rules {
 		w.ruleHead[ri] = int32(cr.headID)
-		w.ruleBody[ri] = make([]int32, len(cr.atoms))
-		for ai := range cr.atoms {
-			w.ruleBody[ri][ai] = int32(cr.atoms[ai].tab)
+		w.ruleBody[ri] = make([]int32, len(cr.cSrc.atoms))
+		for ai, a := range cr.cSrc.atoms {
+			w.ruleBody[ri][ai] = int32(a.tab)
 		}
-		maxBody = max(maxBody, len(cr.atoms))
+		maxBody = max(maxBody, len(cr.cSrc.atoms))
 	}
 	w.freeRefs = make([]uint32, maxBody+1)
 }

@@ -365,3 +365,60 @@ func TestHTTPGoalQuery(t *testing.T) {
 		t.Fatalf("magic stats %+v", st.Magic)
 	}
 }
+
+// TestBoundHop2GoalProbesByOutDegree pins the join order of a served bound
+// goal: the hop2 rewrite J_bf(x,y) :- M_J_bf(x), E(x,z), E(z,y) joins from
+// the one-row magic atom and probes E on a bound column twice, so a goal
+// visits the bound node's out-neighbourhood two hops deep (about
+// out-degree + out-degree² rows), never the whole edge relation.
+func TestBoundHop2GoalProbesByOutDegree(t *testing.T) {
+	const n, m = 1024, 4096
+	s, err := New(Config{Universe: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rng := rand.New(rand.NewSource(1))
+	out := map[int][]int{}
+	seen := map[[2]int]bool{}
+	var facts []datalog.Fact
+	for len(facts) < m {
+		a, b := rng.Intn(n), rng.Intn(n)
+		if seen[[2]int{a, b}] {
+			continue
+		}
+		seen[[2]int{a, b}] = true
+		out[a] = append(out[a], b)
+		facts = append(facts, edge(a, b))
+	}
+	if _, err := s.Commit(facts, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Register("hop2", hop2Source); err != nil {
+		t.Fatal(err)
+	}
+	for x := 0; x < 16; x++ {
+		q, err := s.resolve(QueryRequest{Program: "hop2", Pred: "J", Version: -1, Bind: bindOf(2, map[int]int{0: x})})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.open(context.Background(), &q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ok := st.Next(); ok; _, ok = st.Next() {
+		}
+		st.Close()
+		if err := st.Err(); err != nil {
+			t.Fatal(err)
+		}
+		reach := 1 + len(out[x])
+		for _, z := range out[x] {
+			reach += len(out[z])
+		}
+		if pulls := st.Counters().Pulls; pulls > 4*int64(reach) {
+			t.Errorf("J(%d,_): %d rows pulled, want at most %d (out-degree %d, two hops %d rows, |E| = %d)",
+				x, pulls, 4*reach, len(out[x]), reach, m)
+		}
+	}
+}

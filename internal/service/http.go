@@ -399,10 +399,10 @@ func (s *Service) handleQueryStream(w http.ResponseWriter, r *http.Request, req 
 	flush()
 }
 
-// handleExplain plans a query and reports the chosen join orders with
-// estimated and actual row counts (POST /v1/explain). The body is
-// /v1/query's; the fields that shape a response rather than a plan — tuple,
-// limit, cursor, stream — are refused, as every unknown field is.
+// handleExplain reports how a query runs: each rule's compiled join order
+// with its counters (POST /v1/explain). The body is /v1/query's; the
+// fields that shape a response rather than a join — tuple, limit, cursor,
+// stream — are refused, as every unknown field is.
 func (s *Service) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return
@@ -420,7 +420,7 @@ func (s *Service) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorStatus(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, explainToWire(res))
+	writeJSON(w, http.StatusOK, res)
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -1,12 +1,10 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"sort"
 	"testing"
 
@@ -14,9 +12,9 @@ import (
 	"repro/internal/plan"
 )
 
-// advProgram is adversarially ordered for a textual evaluator: the rule
-// joins the dense E with itself before the two-row R, so textual order
-// pays the E⋈E blowup while the planner anchors on R.
+// advProgram is adversarially ordered as written: the rule joins the
+// dense E with itself before the two-row R, so the written order pays the
+// E⋈E blowup while the compiled order starts from R.
 const advProgram = "P(x,w) :- E(x,y), E(y,z), R(z,w). goal P."
 
 // advCommit loads a dense-ish E and a tiny R.
@@ -51,71 +49,10 @@ func sortedTuples(in []datalog.Tuple) []datalog.Tuple {
 	return out
 }
 
-// TestPlannedServiceEquivalence checks the service's planned answers — free
-// queries, bound (magic) queries and historical versions — against the
-// engine evaluating the same program on the same snapshot in textual body
-// order (datalog.DefaultOptions carries no planner): identical tuple sets.
-func TestPlannedServiceEquivalence(t *testing.T) {
-	s, err := New(Config{Universe: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	advCommit(t, s)
-	if _, err := s.Commit([]datalog.Fact{{Pred: "R", Tuple: datalog.Tuple{4, 5}}}, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	zero := 0
-	reqs := []QueryRequest{
-		{Source: advProgram, Version: -1},
-		{Source: advProgram, Version: 1}, // historical: planned against v1's own stats
-		{Source: tcProgram, Version: -1},
-		{Source: advProgram, Version: -1, Bind: []*int{&zero, nil}}, // magic pipeline
-	}
-	for i, req := range reqs {
-		a, err := s.Query(req)
-		if err != nil {
-			t.Fatalf("req %d planned: %v", i, err)
-		}
-		snap, ok := s.Store().At(a.Version)
-		if !ok {
-			t.Fatalf("req %d: version %d is not retained", i, a.Version)
-		}
-		prog, err := datalog.Parse(req.Source)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := datalog.EvalContext(context.Background(), prog, snap.DB, datalog.DefaultOptions)
-		if err != nil {
-			t.Fatalf("req %d textual: %v", i, err)
-		}
-		var textual []datalog.Tuple
-		for _, tup := range ref.Goal(prog).Tuples() {
-			if req.Bind == nil || tup[0] == zero {
-				textual = append(textual, tup)
-			}
-		}
-		at, bt := sortedTuples(a.Tuples), sortedTuples(textual)
-		if len(at) != len(bt) {
-			t.Fatalf("req %d: %d vs %d tuples", i, len(at), len(bt))
-		}
-		for k := range at {
-			for j := range at[k] {
-				if at[k][j] != bt[k][j] {
-					t.Fatalf("req %d: tuple %d differs: %v vs %v", i, k, at[k], bt[k])
-				}
-			}
-		}
-	}
-	if c := s.Stats().Planner; !c.Enabled || c.Built == 0 {
-		t.Fatalf("the service did not plan: %+v", c)
-	}
-}
-
-// TestExplainLocal pins the Explain API: the adversarial rule is
-// reordered to anchor on the tiny R relation, estimates and actuals are
-// index-aligned, and a repeated explain hits the plan cache.
+// TestExplainLocal pins the Explain API: the adversarial rule is compiled
+// to start from the tiny R relation and probe E on bound columns, the
+// counters are the evaluation's, and a bound explain covers the seeded
+// rewrite.
 func TestExplainLocal(t *testing.T) {
 	s, err := New(Config{Universe: 16})
 	if err != nil {
@@ -128,45 +65,32 @@ func TestExplainLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pred != "P" || res.Version != 1 || res.Plan == nil {
+	if res.Pred != "P" || res.Version != 1 || res.Rounds == 0 {
 		t.Fatalf("explain result %+v", res)
 	}
-	if len(res.Plan.Rules) != 1 {
-		t.Fatalf("want 1 rule plan, got %d", len(res.Plan.Rules))
+	if len(res.Rules) != 1 {
+		t.Fatalf("want 1 rule, got %d", len(res.Rules))
 	}
-	rp := res.Plan.Rules[0]
-	if !rp.Reordered || len(rp.Steps) != 3 {
-		t.Fatalf("adversarial rule not reordered: %+v", rp)
+	r := res.Rules[0]
+	if want := "P(x,w) :- R(z,w), E(y,z), E(x,y)."; !r.Reordered || r.Compiled != want {
+		t.Fatalf("compiled %q (reordered %t), want %q", r.Compiled, r.Reordered, want)
 	}
-	if rp.Steps[0].Atom[0] != 'R' {
-		t.Fatalf("plan did not anchor on the small relation: first step %q", rp.Steps[0].Atom)
+	if got := fmt.Sprint(r.Steps[0].OrigIndex, r.Steps[1].OrigIndex, r.Steps[2].OrigIndex); got != "2 1 0" {
+		t.Fatalf("step origins %s, want 2 1 0", got)
 	}
-	if len(res.Actuals) != len(res.Plan.Rules) {
-		t.Fatalf("actuals misaligned: %d vs %d", len(res.Actuals), len(res.Plan.Rules))
-	}
-	if res.Actuals[0].Derived <= 0 {
-		t.Fatalf("explain evaluation derived nothing: %+v", res.Actuals[0])
-	}
-	if res.CacheHit {
-		t.Fatal("first explain reported a plan-cache hit")
-	}
-	again, err := s.Explain(QueryRequest{Source: advProgram, Version: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.CacheHit {
-		t.Fatal("repeated explain missed the plan cache")
+	if r.ActualRows <= 0 || r.Firings != 1 {
+		t.Fatalf("explain evaluation counters: %+v", r)
 	}
 
-	// Bound explain goes through the magic rewrite: the plan covers the
-	// seeded rewritten program, not the source rules.
+	// Bound explain goes through the magic rewrite: the rules shown are the
+	// seeded rewritten program's, not the source rules.
 	zero := 0
 	bound, err := s.Explain(QueryRequest{Source: advProgram, Version: -1, Bind: []*int{&zero, nil}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bound.Goal == "" || len(bound.Plan.Rules) < 2 {
-		t.Fatalf("bound explain did not cover the rewrite: goal %q, %d rules", bound.Goal, len(bound.Plan.Rules))
+	if bound.Goal == "" || len(bound.Rules) < 2 {
+		t.Fatalf("bound explain did not cover the rewrite: goal %q, %d rules", bound.Goal, len(bound.Rules))
 	}
 }
 
@@ -186,88 +110,36 @@ func TestExplainHTTP(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("/v1/explain: %d %s", w.Code, w.Body)
 	}
-	var resp ExplainResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(w.Body.Bytes(), &keys); err != nil {
 		t.Fatalf("explain response did not parse: %v\n%s", err, w.Body)
 	}
-	if resp.Pred != "P" || resp.Strategy == "" || len(resp.Epoch) != 16 {
-		t.Fatalf("explain wire fields %+v", resp)
+	var names []string
+	for k := range keys {
+		names = append(names, k)
 	}
-	if len(resp.Rules) != 1 || !resp.Rules[0].Reordered {
-		t.Fatalf("explain wire rules %+v", resp.Rules)
+	sort.Strings(names)
+	if got := fmt.Sprint(names); got != "[pred rounds rules version]" {
+		t.Fatalf("explain wire keys %s", got)
+	}
+	var resp ExplainResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Pred != "P" || len(resp.Rules) != 1 || !resp.Rules[0].Reordered {
+		t.Fatalf("explain wire rules %+v", resp)
 	}
 	st := resp.Rules[0].Steps
 	if len(st) != 3 || st[0].Atom[0] != 'R' {
 		t.Fatalf("explain wire steps %+v", st)
 	}
 	// Later steps of a join chain probe on already-bound columns.
-	if len(st[1].ProbeCols) == 0 && len(st[2].ProbeCols) == 0 {
+	if len(st[1].ProbeCols) == 0 || len(st[2].ProbeCols) == 0 {
 		t.Fatalf("no probe columns in chained steps: %+v", st)
 	}
 	if resp.Rules[0].ActualRows <= 0 {
 		t.Fatalf("wire actual rows %+v", resp.Rules[0])
 	}
-
-}
-
-// TestPlannerMetricsSeries checks the planner's obs series are exported
-// and move with traffic.
-func TestPlannerMetricsSeries(t *testing.T) {
-	s, err := New(Config{Universe: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	h := s.Handler()
-	advCommit(t, s)
-	// Two scratch evaluations of the same source: build then cache hit.
-	post(t, h, "/v1/register", `{"name":"adv","program":"`+advProgram+`"}`)
-	post(t, h, "/v1/query", `{"source":"`+advProgram+`","version":1}`)
-
-	req := httptest.NewRequest(http.MethodGet, "/v1/metrics", nil)
-	rw := httptest.NewRecorder()
-	h.ServeHTTP(rw, req)
-	var snap map[string]json.RawMessage
-	if err := json.Unmarshal(rw.Body.Bytes(), &snap); err != nil {
-		t.Fatal(err)
-	}
-	var simple map[string]struct {
-		Type  string  `json:"type"`
-		Value float64 `json:"value"`
-	}
-	if err := json.Unmarshal(rw.Body.Bytes(), &simple); err == nil {
-		if simple["datalog_plans_built_total"].Value <= 0 {
-			t.Errorf("datalog_plans_built_total = %v, want > 0", simple["datalog_plans_built_total"].Value)
-		}
-		if simple["datalog_plan_cache_hits_total"].Value <= 0 {
-			t.Errorf("datalog_plan_cache_hits_total = %v, want > 0 (register then query share the plan)",
-				simple["datalog_plan_cache_hits_total"].Value)
-		}
-		if simple["datalog_plan_cache_entries"].Value <= 0 {
-			t.Errorf("datalog_plan_cache_entries = %v, want > 0", simple["datalog_plan_cache_entries"].Value)
-		}
-	}
-	for _, name := range []string{
-		"datalog_plans_built_total", "datalog_plan_cache_hits_total",
-		"datalog_plan_cache_misses_total", "datalog_plan_rules_pruned_total",
-		"datalog_plan_atoms_pruned_total", "datalog_plan_cache_entries",
-		"datalog_plan_estimation_error",
-	} {
-		if _, ok := snap[name]; !ok {
-			t.Errorf("metrics missing %s", name)
-		}
-	}
-	// The estimation-error histogram saw the evaluations.
-	var hist map[string]struct {
-		Type  string `json:"type"`
-		Count int64  `json:"count"`
-	}
-	if err := json.Unmarshal(rw.Body.Bytes(), &hist); err == nil {
-		if hist["datalog_plan_estimation_error"].Count <= 0 {
-			t.Errorf("datalog_plan_estimation_error count = %d, want > 0", hist["datalog_plan_estimation_error"].Count)
-		}
-	}
-
 }
 
 // TestSnapshotStatsPerVersion pins the per-snapshot statistics contract:

@@ -16,7 +16,6 @@ import (
 	"repro/internal/lru"
 	"repro/internal/magic"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/stream"
 )
@@ -83,9 +82,6 @@ type Service struct {
 	store    *Store
 	rewrites *lru.Cache[rewriteKey, *magic.Rewrite]
 	exec     *executor
-	// planner is the shared cost-based join planner; evaluations bind it
-	// to their snapshot's statistics catalog via optsFor.
-	planner *plan.Planner
 
 	// log is the durable write-ahead log (nil without Config.DataDir).
 	// Appends happen under mu, after the in-memory store forks the version
@@ -144,12 +140,7 @@ type serviceMetrics struct {
 	maintainSeconds  *obs.Histogram
 	viewPublishSecs  *obs.Histogram
 	demandFacts      *obs.Histogram
-	planEstError     *obs.Histogram
 }
-
-// planEstErrorBuckets bucket |log₂(estimated/actual)| rows: 0 means the
-// cost model nailed it, 3 means it was 8x off in either direction.
-var planEstErrorBuckets = []float64{0.5, 1, 2, 3, 4, 6, 8, 12}
 
 // view is the maintenance surface of a registration's materialized
 // fixpoint. Production has one implementation, *datalog.Incremental; the
@@ -216,7 +207,6 @@ func New(cfg Config) (*Service, error) {
 		store:    NewStore(cfg.Universe, cfg.History),
 		rewrites: lru.New[rewriteKey, *magic.Rewrite](rewriteEntries),
 		exec:     newExecutor(cfg.Workers),
-		planner:  plan.New(plan.Config{}),
 		root:     root,
 		stop:     stop,
 		progs:    map[string]*registration{},
@@ -406,7 +396,6 @@ func (s *Service) initMetrics() {
 		maintainSeconds: r.Histogram("datalog_maintain_seconds", "per-program incremental maintenance latency", nil),
 		viewPublishSecs: r.Histogram("datalog_view_publish_seconds", "per-program cost of building the next published views: one merge of each changed view with the commit's delta", nil),
 		demandFacts:     r.Histogram("datalog_magic_demand_facts", "demand-set size (magic facts) per goal-directed query", nil),
-		planEstError:    r.Histogram("datalog_plan_estimation_error", "per-rule |log2(estimated/actual)| derived rows", planEstErrorBuckets),
 	}
 	r.GaugeFunc("datalog_store_version", "latest EDB version in the store", func() float64 {
 		return float64(s.store.Version())
@@ -471,24 +460,6 @@ func (s *Service) initMetrics() {
 			return float64(s.recovered.Version)
 		})
 	}
-	r.CounterFunc("datalog_plans_built_total", "join plans constructed", func() int64 {
-		return s.planner.Counters().Built
-	})
-	r.CounterFunc("datalog_plan_cache_hits_total", "plan cache hits", func() int64 {
-		return s.planner.Counters().CacheHits
-	})
-	r.CounterFunc("datalog_plan_cache_misses_total", "plan cache misses", func() int64 {
-		return s.planner.Counters().CacheMisses
-	})
-	r.CounterFunc("datalog_plan_rules_pruned_total", "subsumed rules dropped by the containment pre-pass", func() int64 {
-		return s.planner.Counters().RulesPruned
-	})
-	r.CounterFunc("datalog_plan_atoms_pruned_total", "redundant body atoms removed by CQ minimization", func() int64 {
-		return s.planner.Counters().AtomsPruned
-	})
-	r.GaugeFunc("datalog_plan_cache_entries", "live plan cache entries", func() float64 {
-		return float64(s.planner.Counters().Entries)
-	})
 }
 
 // Metrics returns the service's metrics registry (served at /v1/metrics).
@@ -537,28 +508,6 @@ func (s *Service) Store() *Store { return s.store }
 func ProgramHash(p *datalog.Program) string {
 	sum := sha256.Sum256([]byte(p.String()))
 	return hex.EncodeToString(sum[:])
-}
-
-// optsFor returns the evaluation options for one snapshot: the base
-// options with the cost-based planner bound to that snapshot's statistics
-// catalog. Binding per snapshot (rather than sharing one catalog) keeps
-// historical queries planned against the statistics of their own version.
-func (s *Service) optsFor(snap *Snapshot) datalog.Options {
-	return s.opts.WithPlanner(s.planner.With(snap.Stats))
-}
-
-// observeEstimation scores the cost model against reality: it re-fetches
-// the plan the evaluation used (a warm plan-cache hit) and records each
-// rule's |log2(estimated/actual)| derived-row error in the
-// datalog_plan_estimation_error histogram.
-func (s *Service) observeEstimation(prog *datalog.Program, snap *Snapshot, st *datalog.EvalStats) {
-	if st == nil {
-		return
-	}
-	pp, _ := s.planner.PlanProgram(prog, snap.Stats)
-	for _, re := range plan.EstimationErrors(pp, st) {
-		s.met.planEstError.Observe(re.AbsLog2)
-	}
 }
 
 // RegisterInfo describes a registration.
@@ -611,13 +560,12 @@ func (s *Service) registerLocked(ctx context.Context, name, source string, persi
 	}
 	snap := s.store.Latest()
 	start := time.Now()
-	inc, err := datalog.NewIncrementalContext(ctx, prog, snap.DB, s.optsFor(snap))
+	inc, err := datalog.NewIncrementalContext(ctx, prog, snap.DB, s.opts)
 	if err != nil {
 		return RegisterInfo{}, err
 	}
 	if persist {
 		s.met.evalRounds.Add(int64(inc.Rounds()))
-		s.observeEstimation(prog, snap, inc.Result().Stats)
 	}
 	reg := &registration{
 		name:         name,
@@ -1003,89 +951,91 @@ func (s *Service) answer(ctx context.Context, q *resolved) (QueryResult, error) 
 	return res, nil
 }
 
-// ExplainResult is the planner's account of how a query would run (and,
-// because the plan is evaluated to gather actuals, how it did run).
-type ExplainResult struct {
-	Pred    string
-	Version int64
-	// Goal is the binding pattern for a bound request (e.g. "S(0,_)");
-	// empty when every position is free.
-	Goal string
-	// Strategy and Epoch identify the plan cache key components beyond the
-	// program hash.
-	Strategy string
-	Epoch    uint64
-	// CacheHit reports whether the plan came out of the plan cache.
-	CacheHit bool
-	// Plan is the full per-rule plan: atom order, probe masks, estimates.
-	Plan *plan.ProgramPlan
-	// Actuals are the per-rule evaluation statistics of the planned
-	// program, index-aligned with Plan.Rules.
-	Actuals []datalog.RuleStats
-	// Stream is the streaming executor's per-step stream/materialize
-	// decisions for this query (rule- and step-aligned with Plan.Rules),
-	// including the estimated peak buffered-row footprint; the rules of a
-	// recursive component report via "fixpoint".
-	Stream *stream.Decisions
-}
-
 // Explain is ExplainContext with a background context.
-func (s *Service) Explain(req QueryRequest) (ExplainResult, error) {
+func (s *Service) Explain(req QueryRequest) (ExplainResponse, error) {
 	return s.ExplainContext(context.Background(), req)
 }
 
-// ExplainContext plans a query — resolved exactly as QueryContext resolves
-// it; Limit and Cursor say nothing about a plan — and evaluates the planned
-// program against the pinned snapshot to report estimated versus actual
-// rows per rule. Bound requests are explained as the service runs them:
-// the plan shown is the plan of the magic-set-rewritten, seeded program.
-func (s *Service) ExplainContext(ctx context.Context, req QueryRequest) (ExplainResult, error) {
+// ExplainContext reports how a query runs — resolved exactly as
+// QueryContext resolves it; Limit and Cursor say nothing about a join
+// order. Bound requests are explained as the service runs them: the rules
+// shown are the magic-set-rewritten, seeded program's. The program is
+// evaluated against the pinned snapshot on the bounded executor, like any
+// other from-scratch query, for the counters (ExplainProgram).
+func (s *Service) ExplainContext(ctx context.Context, req QueryRequest) (ExplainResponse, error) {
 	q, err := s.resolve(req)
 	if err != nil {
-		return ExplainResult{}, err
+		return ExplainResponse{}, err
 	}
 	snap, err := s.snapshotOf(&q)
 	if err != nil {
-		return ExplainResult{}, err
+		return ExplainResponse{}, err
 	}
 	prog, pred, err := s.target(&q)
 	if err != nil {
-		return ExplainResult{}, err
+		return ExplainResponse{}, err
 	}
-	pp, hit := s.planner.PlanProgram(prog, snap.Stats)
-	out := ExplainResult{
-		Pred: q.pred, Version: q.version, Goal: q.bind,
-		Strategy: s.planner.Strategy(), Epoch: pp.Epoch, CacheHit: hit, Plan: pp,
-	}
-	if sd, err := stream.Explain(prog, pred, pp); err == nil {
-		out.Stream = sd
-	}
-
-	// Evaluate the planned program for actual row counts. Runs on the
-	// bounded executor like any other from-scratch query.
 	ctx, done := s.scoped(ctx, s.cfg.QueryTimeout)
 	defer done()
+	var out ExplainResponse
 	var evalErr error
 	err = s.exec.do(ctx, func() {
 		s.met.scratchEvals.Inc()
-		res, err := datalog.EvalContext(ctx, pp.Program(), snap.DB, s.opts)
-		if res != nil {
-			s.met.evalRounds.Add(int64(res.Rounds))
-		}
-		if err != nil {
-			evalErr = err
-			return
-		}
-		out.Actuals = res.Stats.Rules
-		for _, re := range plan.EstimationErrors(pp, res.Stats) {
-			s.met.planEstError.Observe(re.AbsLog2)
-		}
+		out, evalErr = ExplainProgram(ctx, prog, snap.DB, pred, s.opts)
+		s.met.evalRounds.Add(int64(out.Rounds))
 	})
 	if err != nil {
-		return ExplainResult{}, err
+		return ExplainResponse{}, err
 	}
 	if evalErr != nil {
-		return ExplainResult{}, evalErr
+		return ExplainResponse{}, evalErr
+	}
+	out.Pred, out.Version, out.Goal = q.pred, q.version, q.bind
+	return out, nil
+}
+
+// ExplainProgram evaluates prog over db under opts and reports each rule
+// in the order its compiled form joins the body — the order round 1 fires
+// it in; a later round leads with its delta's atom and follows it by bound
+// columns — with the probe columns of each step, the streaming executor's
+// decision for the step when it reads pred, and the rule's counters from
+// the evaluation. Pred is pred; cmd/datalog -explain runs it locally.
+func ExplainProgram(ctx context.Context, prog *datalog.Program, db *datalog.Database, pred string, opts datalog.Options) (ExplainResponse, error) {
+	dec, err := stream.Explain(prog, db, pred)
+	if err != nil {
+		return ExplainResponse{}, err
+	}
+	res, err := datalog.EvalContext(ctx, prog, db, opts)
+	if err != nil {
+		return ExplainResponse{}, err
+	}
+	out := ExplainResponse{Pred: pred, Rounds: res.Rounds}
+	idb := prog.IDBs()
+	for ri, r := range prog.Rules {
+		j := datalog.CompileJoin(r, idb, db)
+		atoms := r.Atoms()
+		steps := dec.Rules[ri].Steps
+		compiled := datalog.Rule{Head: r.Head}
+		a := res.Stats.Rules[ri]
+		rj := ExplainRuleJSON{Original: r.String(),
+			ActualRows: a.Derived, NewRows: a.New, Firings: a.Firings, TimeNs: a.TimeNs}
+		for ai := range j.Atoms() {
+			o := j.Origin(ai)
+			compiled.Body = append(compiled.Body, datalog.BodyItem{Atom: &atoms[o]})
+			st := ExplainStepJSON{Atom: atoms[o].String(), OrigIndex: o, ProbeCols: maskCols(j.Mask(ai))}
+			if ai < len(steps) {
+				st.Exec, st.Via = steps[ai].Exec, steps[ai].Via
+			}
+			rj.Steps = append(rj.Steps, st)
+			rj.Reordered = rj.Reordered || o != ai
+		}
+		for _, b := range r.Body {
+			if b.Constraint != nil {
+				compiled.Body = append(compiled.Body, b)
+			}
+		}
+		rj.Compiled = compiled.String()
+		out.Rules = append(out.Rules, rj)
 	}
 	return out, nil
 }
@@ -1158,16 +1108,6 @@ type Stats struct {
 		History   int   `json:"history"`
 		Window    int   `json:"window"`
 	} `json:"subscribe"`
-	Planner struct {
-		Enabled     bool   `json:"enabled"`
-		Built       int64  `json:"plans_built"`
-		CacheHits   int64  `json:"cache_hits"`
-		CacheMisses int64  `json:"cache_misses"`
-		RulesPruned int64  `json:"rules_pruned"`
-		AtomsPruned int64  `json:"atoms_pruned"`
-		Entries     int64  `json:"cache_entries"`
-		Epoch       string `json:"stats_epoch"` // published snapshot's catalog fingerprint, hex
-	} `json:"planner"`
 	Storage struct {
 		Enabled bool   `json:"enabled"`
 		Dir     string `json:"dir,omitempty"`
@@ -1228,15 +1168,6 @@ func (s *Service) Stats() Stats {
 	st.Executor.InFlight = s.exec.inFlight.Load()
 	st.Executor.Peak = s.exec.peak.Load()
 	st.Executor.Total = s.exec.total.Load()
-	pc := s.planner.Counters()
-	st.Planner.Enabled = true
-	st.Planner.Built = pc.Built
-	st.Planner.CacheHits = pc.CacheHits
-	st.Planner.CacheMisses = pc.CacheMisses
-	st.Planner.RulesPruned = pc.RulesPruned
-	st.Planner.AtomsPruned = pc.AtomsPruned
-	st.Planner.Entries = pc.Entries
-	st.Planner.Epoch = fmt.Sprintf("%016x", pub.snap.Stats.Fingerprint())
 	if s.log != nil {
 		c := s.log.Counters()
 		st.Storage.Enabled = true

@@ -220,9 +220,8 @@ func (s *Service) QueryStream(ctx context.Context, req QueryRequest) (qs *QueryS
 
 // open compiles q's target — the source program and predicate, or a bound
 // request's seeded magic rewrite and its answer predicate under the goal
-// filter — over the pinned snapshot, read in place, planned by the shared
-// planner. limit caps the answers (0 = all). Nothing is evaluated before the
-// first pull.
+// filter — over the pinned snapshot, read in place. limit caps the answers
+// (0 = all). Nothing is evaluated before the first pull.
 func (s *Service) open(ctx context.Context, q *resolved, limit int) (*stream.Stream, error) {
 	prog, pred, err := s.target(q)
 	if err != nil {
@@ -232,8 +231,7 @@ func (s *Service) open(ctx context.Context, q *resolved, limit int) (*stream.Str
 	if err != nil {
 		return nil, err
 	}
-	pp, _ := s.planner.PlanProgram(prog, snap.Stats)
-	return stream.Open(ctx, prog, snap.DB, pred, stream.Options{Eval: s.opts, Plan: pp, Limit: limit, Filter: q.goal})
+	return stream.Open(ctx, prog, snap.DB, pred, stream.Options{Eval: s.opts, Limit: limit, Filter: q.goal})
 }
 
 // openStream runs q on the streaming executor as a QueryStream of origin

@@ -148,10 +148,16 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("datalog_eval_rounds_total = %v, want > 0", snap["datalog_eval_rounds_total"].Value)
 	}
 	// The surface is pinned whole, so a block or series that is dropped —
-	// or comes back — fails here: a memory-only service with the planner on
-	// serves 42 series, and /v1/stats these top-level keys and no other.
-	if len(snap) != 42 {
-		t.Errorf("/v1/metrics serves %d series, want 42", len(snap))
+	// or comes back — fails here: a memory-only service serves 35 series,
+	// none of them a planner's, and /v1/stats these top-level keys and no
+	// other.
+	if len(snap) != 35 {
+		t.Errorf("/v1/metrics serves %d series, want 35", len(snap))
+	}
+	for name := range snap {
+		if strings.HasPrefix(name, "datalog_plan") {
+			t.Errorf("/v1/metrics serves the planner series %s", name)
+		}
 	}
 	rw = httptest.NewRecorder()
 	h.ServeHTTP(rw, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
@@ -165,7 +171,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	sort.Strings(keys)
 	if got, want := strings.Join(keys, " "), "commits executor magic oldest_version "+
-		"planner programs queries scratch_evals snapshots storage stream subscribe universe version"; got != want {
+		"programs queries scratch_evals snapshots storage stream subscribe universe version"; got != want {
 		t.Errorf("/v1/stats keys:\n got %s\nwant %s", got, want)
 	}
 

@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"repro/internal/datalog"
-	"repro/internal/stream"
 )
 
 // Wire types for the JSON front end. Decoding is strict: unknown fields,
@@ -127,30 +126,25 @@ type StreamTrailerJSON struct {
 	Error      string `json:"error,omitempty"`
 }
 
-// ExplainStepJSON is one join step of a planned rule body. Exec and Via
+// ExplainStepJSON is one join step of a compiled rule body. Exec and Via
 // report the streaming executor's decision for the step — "stream"
 // (inlined producer) or "materialize" (scan or probe of a stored relation,
 // or via "fixpoint" a step of a recursive rule the evaluator's fixpoint
-// runs) — and EstBufferRows the rows the step forces it to hold.
+// runs) — on a rule a read of the explained predicate reaches.
 type ExplainStepJSON struct {
-	Atom          string  `json:"atom"`
-	OrigIndex     int     `json:"orig_index"`
-	ProbeCols     []int   `json:"probe_cols"`
-	EstFanout     float64 `json:"est_fanout"`
-	EstRows       float64 `json:"est_rows"`
-	Exec          string  `json:"exec,omitempty"`
-	Via           string  `json:"via,omitempty"`
-	EstBufferRows float64 `json:"est_buffer_rows,omitempty"`
+	Atom      string `json:"atom"`
+	OrigIndex int    `json:"orig_index"`
+	ProbeCols []int  `json:"probe_cols"`
+	Exec      string `json:"exec,omitempty"`
+	Via       string `json:"via,omitempty"`
 }
 
-// ExplainRuleJSON is the plan and the observed statistics for one rule.
+// ExplainRuleJSON is one rule as written and as compiled, with the
+// counters of evaluating it.
 type ExplainRuleJSON struct {
 	Original   string            `json:"original"`
-	Planned    string            `json:"planned"`
+	Compiled   string            `json:"compiled"`
 	Reordered  bool              `json:"reordered"`
-	Exhaustive bool              `json:"exhaustive"`
-	EstRows    float64           `json:"est_rows"`
-	EstCost    float64           `json:"est_cost"`
 	Steps      []ExplainStepJSON `json:"steps"`
 	ActualRows int64             `json:"actual_rows"` // derived rows, duplicates included
 	NewRows    int64             `json:"new_rows"`
@@ -158,26 +152,14 @@ type ExplainRuleJSON struct {
 	TimeNs     int64             `json:"time_ns"`
 }
 
-// ExplainPrunedJSON records a rule the containment pre-pass dropped.
-type ExplainPrunedJSON struct {
-	Rule string `json:"rule"`
-	By   string `json:"subsumed_by"`
-}
-
-// ExplainResponse is the plan of one query plus actual row counts from
-// evaluating it.
+// ExplainResponse is how one query runs: every rule of the program it
+// evaluates in its compiled join order, with the evaluation's counters.
 type ExplainResponse struct {
-	Pred         string              `json:"pred"`
-	Version      int64               `json:"version"`
-	Goal         string              `json:"goal,omitempty"`
-	Strategy     string              `json:"strategy"`
-	Epoch        string              `json:"stats_epoch"`
-	PlanCacheHit bool                `json:"plan_cache_hit"`
-	Pruned       []ExplainPrunedJSON `json:"pruned,omitempty"`
-	Rules        []ExplainRuleJSON   `json:"rules"`
-	// EstPeakBufferRows is the streaming executor's estimated peak
-	// buffered-row footprint.
-	EstPeakBufferRows float64 `json:"est_peak_buffer_rows,omitempty"`
+	Pred    string            `json:"pred"`
+	Version int64             `json:"version"`
+	Goal    string            `json:"goal,omitempty"`
+	Rounds  int               `json:"rounds"`
+	Rules   []ExplainRuleJSON `json:"rules"`
 }
 
 // maskCols expands a probe bitmask into the column indexes it covers.
@@ -189,50 +171,6 @@ func maskCols(mask uint64) []int {
 		}
 	}
 	return cols
-}
-
-// explainToWire flattens an ExplainResult for JSON.
-func explainToWire(res ExplainResult) ExplainResponse {
-	out := ExplainResponse{
-		Pred: res.Pred, Version: res.Version, Goal: res.Goal,
-		Strategy: res.Strategy, Epoch: fmt.Sprintf("%016x", res.Epoch),
-		PlanCacheHit: res.CacheHit,
-	}
-	for _, pr := range res.Plan.Pruned {
-		out.Pruned = append(out.Pruned, ExplainPrunedJSON{Rule: pr.Rule, By: pr.By})
-	}
-	if res.Stream != nil {
-		out.EstPeakBufferRows = res.Stream.EstPeakBufferRows
-	}
-	for i, rp := range res.Plan.Rules {
-		rj := ExplainRuleJSON{
-			Original: rp.Original, Planned: rp.Planned,
-			Reordered: rp.Reordered, Exhaustive: rp.Exhaustive,
-			EstRows: rp.EstRows, EstCost: rp.EstCost,
-		}
-		// Stream decisions align rule-for-rule and step-for-step with the
-		// plan (both follow the planned atom order).
-		var sdSteps []stream.StepDecision
-		if res.Stream != nil && i < len(res.Stream.Rules) {
-			sdSteps = res.Stream.Rules[i].Steps
-		}
-		for j, st := range rp.Steps {
-			ej := ExplainStepJSON{
-				Atom: st.Atom, OrigIndex: st.OrigIndex, ProbeCols: maskCols(st.Probe),
-				EstFanout: st.EstFanout, EstRows: st.EstRows,
-			}
-			if j < len(sdSteps) {
-				ej.Exec, ej.Via, ej.EstBufferRows = sdSteps[j].Exec, sdSteps[j].Via, sdSteps[j].EstBufferRows
-			}
-			rj.Steps = append(rj.Steps, ej)
-		}
-		if i < len(res.Actuals) {
-			a := res.Actuals[i]
-			rj.ActualRows, rj.NewRows, rj.Firings, rj.TimeNs = a.Derived, a.New, a.Firings, a.TimeNs
-		}
-		out.Rules = append(out.Rules, rj)
-	}
-	return out
 }
 
 // ErrorEnvelope carries a request failure: a stable machine-readable code

@@ -77,14 +77,14 @@ func TestElemCompactForUniverse(t *testing.T) {
 func TestElemRejectsNonCanonical(t *testing.T) {
 	bad := [][]byte{
 		{},
-		{0x80},             // the zero tag is unused
-		{0x00},             // tag below the negative range
-		{0xFF},             // tag above the positive range
-		{0x82, 0x00, 0x05}, // leading zero payload: must be 0x81 0x05
-		{0x7E, 0xFF, 0x05}, // droppable 0xFF: must be 0x7F 0x05
-		{0x82, 0x01},       // truncated payload
-		{0x89, 1, 2, 3, 4, 5, 6, 7, 8, 9},                      // 9-byte positive
-		{0x88, 0x80, 0, 0, 0, 0, 0, 0, 0},                      // > MaxInt64
+		{0x80},                            // the zero tag is unused
+		{0x00},                            // tag below the negative range
+		{0xFF},                            // tag above the positive range
+		{0x82, 0x00, 0x05},                // leading zero payload: must be 0x81 0x05
+		{0x7E, 0xFF, 0x05},                // droppable 0xFF: must be 0x7F 0x05
+		{0x82, 0x01},                      // truncated payload
+		{0x89, 1, 2, 3, 4, 5, 6, 7, 8, 9}, // 9-byte positive
+		{0x88, 0x80, 0, 0, 0, 0, 0, 0, 0}, // > MaxInt64
 		{0x78, 0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, // "negative" without sign bit
 	}
 	for _, b := range bad {

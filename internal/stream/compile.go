@@ -4,16 +4,16 @@ import (
 	"fmt"
 
 	"repro/internal/datalog"
-	"repro/internal/plan"
 )
 
 // Compilation for the streaming executor. Every reachable rule outside the
 // recursive component compiles to internal/datalog's own compiled form
-// (datalog.CompileJoin), so both executors join a body at the same levels
-// with the same probe masks; atoms are resolved to relations or producer
-// pipelines when the operator tree is built, not at compile time. The rules
-// of the recursive component are not compiled here at all: they are one
-// program the evaluator's fixpoint runs (builder.fixpoint).
+// (datalog.CompileJoin), so both executors join a body in the same order,
+// at the same levels, with the same probe masks; atoms are resolved to
+// relations or producer pipelines when the operator tree is built, not at
+// compile time. The rules of the recursive component are not compiled here
+// at all: they are one program the evaluator's fixpoint runs
+// (builder.fixpoint).
 
 // Execution-mode constants for StepDecision.Exec.
 const (
@@ -22,7 +22,7 @@ const (
 )
 
 // StepDecision is the stream/materialize choice for one join step of one
-// rule, aligned with the planner's AtomStep list for that rule.
+// rule, in the rule's compiled join order.
 type StepDecision struct {
 	// Pred is the predicate probed or streamed at this step.
 	Pred string `json:"pred"`
@@ -34,11 +34,6 @@ type StepDecision struct {
 	// Via details the operator: "scan", "probe" or "inline", or "fixpoint"
 	// for every step of a rule in the recursive component.
 	Via string `json:"via"`
-	// EstBufferRows estimates the rows this step forces the executor to
-	// hold: a spooled intermediate's or fixpoint relation's size, an
-	// inlined producer's distinct-key set. Zero for EDB scans/probes, for
-	// the fixpoint's own steps and when no plan estimates are available.
-	EstBufferRows float64 `json:"est_buffer_rows"`
 }
 
 // RuleDecision carries the per-step decisions of one rule; Steps is nil
@@ -54,18 +49,15 @@ type Decisions struct {
 	Target string `json:"target"`
 	// Rules aligns index-for-index with the (planned) program's rules.
 	Rules []RuleDecision `json:"rules,omitempty"`
-	// EstPeakBufferRows is the estimated peak buffered-row footprint of
-	// the whole stream: fixpoint relations, spooled intermediates and
-	// distinct-key sets combined (0 without plan estimates).
-	EstPeakBufferRows float64 `json:"est_peak_buffer_rows"`
 }
 
 // analysis is the compile-time shape of one streaming query.
 type analysis struct {
 	eff     *datalog.Program
-	pp      *plan.ProgramPlan // nil without a plan: no buffer estimates
+	db      *datalog.Database
 	target  string
 	arity   map[string]int
+	idb     map[string]bool
 	reach   map[string]bool
 	ruleIdx map[string][]int // pred -> rule indices in eff.Rules, outside fix
 	joins   []datalog.Join   // aligned with eff.Rules (zero for unreachable and fixpoint rules)
@@ -84,20 +76,21 @@ type analysis struct {
 }
 
 // analyze computes the reachable slice and its recursive component, compiles
-// the reachable rules outside that component and decides, from the
-// program's shape alone, which intermediates are inlined: one consumed
-// exactly once, as its consumer's first atom. The plan's row estimates,
-// when pp is non-nil, only feed the buffer estimates of the Decisions.
-func analyze(eff *datalog.Program, pred string, pp *plan.ProgramPlan) (*analysis, error) {
-	if !eff.IDBs()[pred] {
+// the reachable rules outside that component over db and decides, from the
+// compiled orders alone, which intermediates are inlined: one consumed
+// exactly once, as its consumer's first atom.
+func analyze(eff *datalog.Program, db *datalog.Database, pred string) (*analysis, error) {
+	idb := eff.IDBs()
+	if !idb[pred] {
 		return nil, fmt.Errorf("stream: predicate %s is not an IDB of the program", pred)
 	}
 	reach := datalog.ReachableIDBs(eff, pred)
 	an := &analysis{
 		eff:     eff,
-		pp:      pp,
+		db:      db,
 		target:  pred,
 		arity:   eff.Arities(),
+		idb:     idb,
 		reach:   reach,
 		ruleIdx: map[string][]int{},
 		joins:   make([]datalog.Join, len(eff.Rules)),
@@ -132,12 +125,13 @@ func analyze(eff *datalog.Program, pred string, pp *plan.ProgramPlan) (*analysis
 			continue
 		}
 		an.ruleIdx[r.Head.Pred] = append(an.ruleIdx[r.Head.Pred], ri)
-		an.joins[ri] = datalog.CompileJoin(r)
-		for ai, a := range r.Atoms() {
-			if reach[a.Pred] && !an.fix[a.Pred] {
-				uses[a.Pred]++
+		j := datalog.CompileJoin(r, idb, db)
+		an.joins[ri] = j
+		for ai := range j.Atoms() {
+			if p := j.Pred(ai); reach[p] && !an.fix[p] {
+				uses[p]++
 				if ai == 0 {
-					an.inline[a.Pred] = true
+					an.inline[p] = true
 				}
 			}
 		}
@@ -155,75 +149,51 @@ func analyze(eff *datalog.Program, pred string, pp *plan.ProgramPlan) (*analysis
 		for i := range args {
 			args[i] = datalog.V(fmt.Sprintf("x%d", i))
 		}
-		an.copy = datalog.CompileJoin(datalog.NewRule(datalog.NewAtom(pred, args...), datalog.NewAtom(pred, args...)))
+		an.copy = datalog.CompileJoin(datalog.NewRule(datalog.NewAtom(pred, args...), datalog.NewAtom(pred, args...)), nil, nil)
 	}
 	return an, nil
 }
 
-// decisions renders the analysis as the Decisions /v1/explain shows. Only
-// an explain asks, so a query does not build them.
+// decisions renders the analysis as the Decisions /v1/explain shows, each
+// rule's steps in its compiled order: a fixpoint rule's as the evaluator
+// compiles it over the same database. Only an explain asks, so a query does
+// not build them.
 func (an *analysis) decisions() *Decisions {
-	estRows := func(p string) float64 {
-		if an.pp == nil {
-			return 0
-		}
-		return an.pp.EstPredRows(p)
-	}
 	dec := &Decisions{Target: an.target, Rules: make([]RuleDecision, len(an.eff.Rules))}
-	spooled := map[string]bool{}
-	peak := estRows(an.target) // the target's distinct-key set
-	for _, r := range an.eff.Rules {
-		if an.fix[r.Head.Pred] && !spooled[r.Head.Pred] { // the fixpoint's relations
-			spooled[r.Head.Pred] = true
-			peak += estRows(r.Head.Pred)
-		}
-	}
 	for ri, r := range an.eff.Rules {
 		if !an.reach[r.Head.Pred] {
 			continue
 		}
-		atoms := r.Atoms()
-		steps := make([]StepDecision, len(atoms))
-		for ai, a := range atoms {
-			sd := StepDecision{Pred: a.Pred, Exec: ExecMaterialize, Via: "probe"}
-			if ai == 0 {
-				sd.Via = "scan"
-			}
+		j := an.joins[ri]
+		if an.fix[r.Head.Pred] {
+			j = datalog.CompileJoin(r, an.idb, an.db)
+		}
+		steps := make([]StepDecision, j.Atoms())
+		for ai := range steps {
+			p := j.Pred(ai)
+			sd := StepDecision{Pred: p, Exec: ExecMaterialize, Via: "probe"}
 			switch {
 			case an.fix[r.Head.Pred]:
 				sd.Via = "fixpoint"
-			case an.inline[a.Pred]:
+			case an.inline[p]:
 				sd.Exec, sd.Via = ExecStream, "inline"
-				sd.EstBufferRows = estRows(a.Pred) // the producer's distinct-key set
-				peak += sd.EstBufferRows
-			case an.reach[a.Pred]:
-				sd.EstBufferRows = estRows(a.Pred) // the spool, shared by its consumers
-				if !spooled[a.Pred] {
-					spooled[a.Pred] = true
-					peak += sd.EstBufferRows
-				}
+			case ai == 0:
+				sd.Via = "scan"
 			}
 			steps[ai] = sd
 		}
 		dec.Rules[ri] = RuleDecision{Steps: steps}
 	}
-	dec.EstPeakBufferRows = peak
 	return dec
 }
 
 // Explain returns the stream/materialize decisions Open would make for
-// pred without executing anything. pp, when non-nil, supplies both the
-// planned rule order and the row estimates (pass the same plan /v1/explain
-// renders so the step lists align).
-func Explain(p *datalog.Program, pred string, pp *plan.ProgramPlan) (*Decisions, error) {
+// pred over db without executing anything.
+func Explain(p *datalog.Program, db *datalog.Database, pred string) (*Decisions, error) {
 	if err := datalog.Validate(p); err != nil {
 		return nil, err
 	}
-	eff := p
-	if pp != nil && len(pp.PlannedRules()) > 0 {
-		eff = &datalog.Program{Rules: pp.PlannedRules(), Goal: p.Goal}
-	}
-	an, err := analyze(eff, pred, pp)
+	an, err := analyze(p, db, pred)
 	if err != nil {
 		return nil, err
 	}
