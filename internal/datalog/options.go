@@ -36,8 +36,9 @@ type Options struct {
 	TrackProvenance bool
 	// Planner, when non-nil, rewrites the program (join order, subsumed
 	// rules) before every compilation — Eval, NewIncremental and the
-	// magic-set paths all pass through it. nil evaluates rules in textual
-	// body order.
+	// magic-set paths all pass through it. Its order is the one the
+	// compiler's own join-order rule breaks ties by (compile.go); nil
+	// leaves the rules as written.
 	Planner Planner
 }
 
@@ -60,7 +61,7 @@ func (o Options) WithMaxRounds(n int) Options { o.MaxRounds = n; return o }
 func (o Options) WithProvenance(on bool) Options { o.TrackProvenance = on; return o }
 
 // WithPlanner returns a copy evaluating through the given planner (nil
-// restores textual-order evaluation).
+// removes it).
 func (o Options) WithPlanner(pl Planner) Options { o.Planner = pl; return o }
 
 // Validate reports whether the options are well formed. It is the single

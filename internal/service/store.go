@@ -35,11 +35,13 @@ type Snapshot struct {
 	Inserted int // facts actually added by the commit that produced this version
 	Deleted  int // facts actually removed by that commit
 	Facts    int // total facts across all relations
-	// Stats is the planner's statistics catalog for this version. Like the
-	// database it is immutable; Fork advances the previous snapshot's
-	// entries of the relations the batch touched by the facts it actually
-	// removed and added and shares the rest, so the per-commit cost is
-	// proportional to the batch, not to the relations it lands in.
+	// Stats is the planner's statistics catalog for this version; the
+	// service itself no longer plans, and only the end-to-end benchmark's
+	// -trace replay reads it. Like the database it is immutable; Fork
+	// advances the previous snapshot's entries of the relations the batch
+	// touched by the facts it actually removed and added and shares the
+	// rest, so the per-commit cost is proportional to the batch, not to the
+	// relations it lands in.
 	Stats *plan.Catalog
 }
 
